@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -10,6 +11,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"xbc/internal/lru"
 	"xbc/internal/program"
 	"xbc/internal/trace"
 )
@@ -20,7 +22,7 @@ import (
 // content-addressed: entries are keyed by (hash of the workload spec, uop
 // count), so two cells asking for the same dynamic stream share one
 // generation — even when they race from parallel runner goroutines
-// (singleflight via a per-entry sync.Once) — while any difference in the
+// (the singleflight of internal/lru) — while any difference in the
 // spec or the length yields a distinct entry, never an aliased stream.
 //
 // Sharing is safe because callers receive private *trace.Stream views
@@ -45,170 +47,112 @@ func StreamFor(spec program.Spec, minUops uint64) (*trace.Stream, error) {
 	return sharedCorpus.stream(spec, minUops)
 }
 
-// CorpusStore persists generated streams across process restarts. The
-// corpus consults it before generating (a hit skips generation entirely —
-// sound because generation is deterministic and the .xtr encoding is
-// lossless) and hands every fresh generation back for safekeeping. Save
-// is fire-and-forget: persistence failures must not fail a simulation.
-type CorpusStore interface {
-	Load(key string) ([]byte, bool)
-	Save(key string, val []byte)
-}
-
 // SetCorpusStore attaches a persistent store to the process-wide corpus.
-func SetCorpusStore(cs CorpusStore) { sharedCorpus.setStore(cs) }
+// The corpus consults it before generating (a hit skips generation
+// entirely — sound because generation is deterministic and the .xtr
+// encoding is lossless) and hands every fresh generation back for
+// safekeeping. Persistence failures must not fail a simulation.
+func SetCorpusStore(cs lru.Backing) { sharedCorpus.setStore(cs) }
 
 // ClearCorpusStore detaches cs if it is still the attached store; a store
 // attached later by someone else is left in place.
-func ClearCorpusStore(cs CorpusStore) { sharedCorpus.clearStore(cs) }
+func ClearCorpusStore(cs lru.Backing) { sharedCorpus.clearStore(cs) }
 
-// corpusKey content-addresses one generated stream.
-type corpusKey struct {
+// CorpusKey content-addresses one generated stream. It is also the stream
+// identity of every memo derived from the stream, such as jobspec's
+// sampling analyses.
+type CorpusKey struct {
 	spec [sha256.Size]byte // hash of the canonical spec encoding
 	uops uint64            // requested minimum dynamic uop count
 }
 
-// corpusKeyFor derives the content key for (spec, uops). Specs are flat
+// CorpusKeyFor derives the content key for (spec, uops). Specs are flat
 // value structs, so their deterministic JSON encoding is a sound canonical
 // form: equal specs hash equal, any differing field hashes different.
-func corpusKeyFor(spec program.Spec, uops uint64) (corpusKey, error) {
+func CorpusKeyFor(spec program.Spec, uops uint64) (CorpusKey, error) {
 	b, err := json.Marshal(spec)
 	if err != nil {
-		return corpusKey{}, fmt.Errorf("experiments: canonicalizing workload spec %q: %w", spec.Name, err)
+		return CorpusKey{}, fmt.Errorf("experiments: canonicalizing workload spec %q: %w", spec.Name, err)
 	}
-	return corpusKey{spec: sha256.Sum256(b), uops: uops}, nil
-}
-
-// corpusEntry is one cached generation. The sync.Once is the singleflight
-// gate: every caller for the key calls once.Do, exactly one executes the
-// generation, and the Once's happens-before edge publishes name/recs/err
-// to the waiters.
-type corpusEntry struct {
-	once sync.Once
-	name string
-	recs []trace.Rec
-	err  error
+	return CorpusKey{spec: sha256.Sum256(b), uops: uops}, nil
 }
 
 // corpus is a bounded, content-addressed stream cache.
 type corpus struct {
-	mu      sync.Mutex
-	max     int
-	entries map[corpusKey]*corpusEntry
-	order   []corpusKey // LRU order, oldest first
-	store   CorpusStore // optional persistence behind the memory cache
+	streams *lru.Cache[CorpusKey, *trace.Stream]
+
+	mu    sync.Mutex
+	store lru.Backing // optional persistence behind the memory cache
 
 	generates atomic.Uint64 // trace.Generate invocations (test observability)
 }
 
 func newCorpus(max int) *corpus {
-	if max < 1 {
-		max = 1
-	}
-	return &corpus{max: max, entries: make(map[corpusKey]*corpusEntry)}
+	return &corpus{streams: lru.New[CorpusKey, *trace.Stream](max)}
 }
 
-// stream returns a private Stream view for (spec, minUops), generating the
-// underlying records at most once per key no matter how many callers race.
-// The views share one record slice; each has its own read cursor.
+// stream returns a private Stream view for (spec, minUops), loading or
+// generating the underlying records at most once per key no matter how
+// many callers race. The views share one record slice; each has its own
+// read cursor.
 func (c *corpus) stream(spec program.Spec, minUops uint64) (*trace.Stream, error) {
-	key, err := corpusKeyFor(spec, minUops)
+	key, err := CorpusKeyFor(spec, minUops)
 	if err != nil {
 		return nil, err
 	}
-	c.mu.Lock()
-	e := c.entries[key]
-	if e == nil {
-		e = &corpusEntry{}
-		c.entries[key] = e
-	}
-	c.touch(key)
-	c.mu.Unlock()
-
-	e.once.Do(func() {
-		c.mu.Lock()
-		cs := c.store
-		c.mu.Unlock()
-		if cs != nil {
-			if data, ok := cs.Load(storeKeyFor(key)); ok {
-				if s, err := trace.Read(bytes.NewReader(data)); err == nil {
-					e.name, e.recs = s.Name, s.Recs
-					return
-				}
-				// An unreadable persisted stream is not an error: fall
-				// through to regeneration (which re-saves a good copy).
-			}
-		}
-		c.generates.Add(1)
-		s, err := trace.Generate(spec, minUops)
-		if err != nil {
-			e.err = err
-			c.drop(key, e)
-			return
-		}
-		e.name, e.recs = s.Name, s.Recs
-		if cs != nil {
-			var buf bytes.Buffer
-			if err := trace.Write(&buf, s); err == nil {
-				cs.Save(storeKeyFor(key), buf.Bytes())
-			}
-		}
+	s, _, err := c.streams.Do(context.TODO(), key, func() (*trace.Stream, error) {
+		return c.load(key, spec, minUops)
 	})
-	if e.err != nil {
-		return nil, e.err
+	if err != nil {
+		return nil, err
 	}
-	return &trace.Stream{Name: e.name, Recs: e.recs}, nil
+	return &trace.Stream{Name: s.Name, Recs: s.Recs}, nil
 }
 
-// touch moves key to the MRU end and evicts past the bound. Evicting an
-// in-flight entry is harmless: callers already holding its pointer finish
-// their generation; the key just stops being cached. Caller holds c.mu.
-func (c *corpus) touch(key corpusKey) {
-	for i, k := range c.order {
-		if k == key {
-			c.order = append(c.order[:i], c.order[i+1:]...)
-			break
+// load reads the stream for key from the attached store, or generates it
+// and saves it there (write-behind).
+func (c *corpus) load(key CorpusKey, spec program.Spec, minUops uint64) (*trace.Stream, error) {
+	c.mu.Lock()
+	cs := c.store
+	c.mu.Unlock()
+	if cs != nil {
+		if data, ok := cs.Load(storeKeyFor(key)); ok {
+			if s, err := trace.Read(bytes.NewReader(data)); err == nil {
+				return s, nil
+			}
+			// An unreadable persisted stream is not an error: fall
+			// through to regeneration (which re-saves a good copy).
 		}
 	}
-	c.order = append(c.order, key)
-	for len(c.order) > c.max {
-		delete(c.entries, c.order[0])
-		c.order = c.order[1:]
+	c.generates.Add(1)
+	s, err := trace.Generate(spec, minUops)
+	if err != nil {
+		return nil, err
 	}
+	if cs != nil {
+		var buf bytes.Buffer
+		if err := trace.Write(&buf, s); err == nil {
+			cs.Save(storeKeyFor(key), buf.Bytes())
+		}
+	}
+	return s, nil
 }
 
 // storeKeyFor renders a corpus key as the persistent store's string key.
-func storeKeyFor(key corpusKey) string {
+func storeKeyFor(key CorpusKey) string {
 	return hex.EncodeToString(key.spec[:]) + ":" + strconv.FormatUint(key.uops, 10)
 }
 
-func (c *corpus) setStore(cs CorpusStore) {
+func (c *corpus) setStore(cs lru.Backing) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.store = cs
 }
 
-func (c *corpus) clearStore(cs CorpusStore) {
+func (c *corpus) clearStore(cs lru.Backing) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.store == cs {
 		c.store = nil
-	}
-}
-
-// drop removes a failed entry so a later request retries generation with
-// a fresh Once instead of replaying the cached error forever.
-func (c *corpus) drop(key corpusKey, e *corpusEntry) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.entries[key] != e {
-		return // already evicted or replaced
-	}
-	delete(c.entries, key)
-	for i, k := range c.order {
-		if k == key {
-			c.order = append(c.order[:i], c.order[i+1:]...)
-			break
-		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"sync"
 	"testing"
 
+	"xbc/internal/lru"
 	"xbc/internal/trace"
 	"xbc/internal/workload"
 )
@@ -134,7 +135,7 @@ func TestCorpusEviction(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if n := len(c.entries); n != 2 {
+	if n := c.streams.Len(); n != 2 {
 		t.Fatalf("corpus holds %d entries, want max 2", n)
 	}
 	// 10k was the coldest; re-requesting it must regenerate.
@@ -153,7 +154,7 @@ func TestCorpusEviction(t *testing.T) {
 	}
 }
 
-// mapCorpusStore is an in-memory CorpusStore for the persistence tests.
+// mapCorpusStore is an in-memory lru.Backing for the persistence tests.
 type mapCorpusStore struct {
 	mu    sync.Mutex
 	m     map[string][]byte
@@ -276,7 +277,7 @@ func TestCorpusClearStoreOnlyDetachesSelf(t *testing.T) {
 	c.mu.Lock()
 	got := c.store
 	c.mu.Unlock()
-	if got != CorpusStore(a) {
+	if got != lru.Backing(a) {
 		t.Fatal("clearStore with a foreign store detached the attached one")
 	}
 	c.clearStore(a)

@@ -1,36 +1,20 @@
 package planner
 
 import (
-	"container/list"
 	"context"
-	"sync"
+	"errors"
+
+	"xbc/internal/lru"
 )
 
 // Memo is the cross-plan reuse layer: a bounded LRU of computed values
-// plus a singleflight table so concurrent plans (e.g. overlapping sweeps
-// submitted together) executing the same key coalesce onto one run. It is
-// safe for concurrent use and deliberately value-agnostic — it stores
+// whose singleflight coalesces concurrent plans (e.g. overlapping sweeps
+// submitted together) executing the same key onto one run. It is safe
+// for concurrent use and deliberately value-agnostic — it stores
 // whatever the cell's Run returned, trusting the key to be a content
 // address.
 type Memo struct {
-	mu     sync.Mutex
-	cap    int
-	order  *list.List               // front = most recent
-	vals   map[string]*list.Element // key -> element holding memoEntry
-	flight map[string]*flightCall
-}
-
-type memoEntry struct {
-	key string
-	val any
-}
-
-// flightCall is one in-progress execution other callers can attach to.
-// res is written before done is closed, so waiters reading after <-done
-// observe it without further locking.
-type flightCall struct {
-	done chan struct{}
-	res  Result
+	c *lru.Cache[string, Result]
 }
 
 // NewMemo returns a memo holding at most capacity values (default 256
@@ -39,106 +23,55 @@ func NewMemo(capacity int) *Memo {
 	if capacity <= 0 {
 		capacity = 256
 	}
-	return &Memo{
-		cap:    capacity,
-		order:  list.New(),
-		vals:   make(map[string]*list.Element),
-		flight: make(map[string]*flightCall),
-	}
+	return &Memo{c: lru.New[string, Result](capacity)}
 }
 
 // Get returns the cached value for key, refreshing its recency.
 func (m *Memo) Get(key string) (any, bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.get(key)
+	r, ok := m.c.Get(key)
+	return r.Value, ok
 }
 
 // Len returns the number of cached values.
-func (m *Memo) Len() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.order.Len()
-}
+func (m *Memo) Len() int { return m.c.Len() }
 
 // Source exposes the memo's value cache as a probe source named "memo".
 func (m *Memo) Source() Source {
 	return Source{Name: "memo", Load: func(key string) (any, bool) { return m.Get(key) }}
 }
 
-func (m *Memo) get(key string) (any, bool) {
-	el, ok := m.vals[key]
-	if !ok {
-		return nil, false
-	}
-	m.order.MoveToFront(el)
-	return el.Value.(memoEntry).val, true
-}
-
-func (m *Memo) put(key string, val any) {
-	if el, ok := m.vals[key]; ok {
-		el.Value = memoEntry{key: key, val: val}
-		m.order.MoveToFront(el)
-		return
-	}
-	m.vals[key] = m.order.PushFront(memoEntry{key: key, val: val})
-	for m.order.Len() > m.cap {
-		el := m.order.Back()
-		delete(m.vals, el.Value.(memoEntry).key)
-		m.order.Remove(el)
-	}
-}
+// errUncached marks a leader's failed or aborted result: it reaches the
+// waiters but stays out of the cache, so a later plan retries.
+var errUncached = errors.New("planner: result not cached")
 
 // do serves key from the cache, attaches to an in-flight execution of it,
-// or becomes the leader running fn. A leader's successful value lands in
-// the cache; failures and aborts are not cached, so a later plan retries.
-// Waiters surface a successful leader result as StatusCoalesced and
-// propagate failures/aborts as their own; a waiter whose own context is
-// cancelled stops waiting and reports StatusAborted without disturbing
-// the leader.
+// or becomes the leader running fn. Waiters surface a successful leader
+// result as StatusCoalesced and propagate failures/aborts as their own; a
+// waiter whose own context is cancelled stops waiting and reports
+// StatusAborted without disturbing the leader.
 func (m *Memo) do(ctx context.Context, key string, fn func() Result) Result {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	m.mu.Lock()
-	if v, ok := m.get(key); ok {
-		m.mu.Unlock()
-		return Result{Status: StatusReused, Source: "memo", Value: v}
-	}
-	if fc, ok := m.flight[key]; ok {
-		m.mu.Unlock()
-		select {
-		case <-fc.done:
-		case <-ctx.Done():
-			return Result{Status: StatusAborted}
+	r, origin, err := m.c.Do(ctx, key, func() (Result, error) {
+		r := fn()
+		if r.Status != StatusSimulated && r.Status != StatusReused {
+			return r, errUncached
 		}
-		r := fc.res
+		return r, nil
+	})
+	switch {
+	case origin == lru.Computed:
+		return r
+	case origin == lru.Cached:
+		return Result{Status: StatusReused, Source: "memo", Value: r.Value}
+	case err == nil:
+		return Result{Status: StatusCoalesced, Value: r.Value}
+	case errors.Is(err, errUncached):
 		// The leader reported the run against its own plan's report; this
 		// waiter's cell still needs a synthesized row in its plan.
 		r.reported = false
-		if r.Status == StatusSimulated || r.Status == StatusReused {
-			return Result{Status: StatusCoalesced, Value: r.Value}
-		}
 		return r
+	case ctx.Err() != nil:
+		return Result{Status: StatusAborted}
+	default: // the leader panicked
+		return Result{Status: StatusFailed, Err: err}
 	}
-	fc := &flightCall{done: make(chan struct{})}
-	m.flight[key] = fc
-	m.mu.Unlock()
-
-	// The flight entry must come down and done must close no matter how
-	// fn returns: a panic that skipped this cleanup would strand every
-	// later caller of the key on a channel nobody will ever close.
-	r := Result{Status: StatusFailed}
-	defer func() {
-		m.mu.Lock()
-		if r.Status == StatusSimulated || r.Status == StatusReused {
-			m.put(key, r.Value)
-		}
-		delete(m.flight, key)
-		m.mu.Unlock()
-		fc.res = r
-		close(fc.done)
-	}()
-	r = fn()
-	return r
 }

@@ -235,12 +235,15 @@ func TestMemoLeaderPanicDoesNotStrand(t *testing.T) {
 
 func TestMemoEvictsLRU(t *testing.T) {
 	memo := NewMemo(2)
-	memo.put("a", 1)
-	memo.put("b", 2)
+	put := func(key string, v int) {
+		memo.do(context.Background(), key, func() Result { return Result{Status: StatusSimulated, Value: v} })
+	}
+	put("a", 1)
+	put("b", 2)
 	if _, ok := memo.Get("a"); !ok { // refresh a: b is now LRU
 		t.Fatal("a missing")
 	}
-	memo.put("c", 3)
+	put("c", 3)
 	if _, ok := memo.Get("b"); ok {
 		t.Fatal("b should have been evicted")
 	}

@@ -160,9 +160,13 @@ func Run(fe frontend.SessionFrontend, recs []trace.Rec, fecfg frontend.Config, c
 // RunAnalyzed is Run with the stream analysis supplied by the caller —
 // necessarily one produced by Analyze over the same recs and cfg (the
 // analysis is deterministic, so a cached copy is indistinguishable from
-// a fresh one).
+// a fresh one). An analysis whose final boundary is not the end of recs
+// was made for another stream and is rejected.
 func RunAnalyzed(fe frontend.SessionFrontend, recs []trace.Rec, fecfg frontend.Config, cfg Config, a Analysis) (Result, error) {
 	n := len(a.Boundaries) - 1
+	if n < 0 || a.Boundaries[n] != len(recs) {
+		return Result{}, fmt.Errorf("sampling: analysis does not cover this %d-record stream", len(recs))
+	}
 	res := Result{Intervals: n, Boundaries: a.Boundaries}
 	if a.Exact {
 		// Too short to sample: every interval would be a representative,

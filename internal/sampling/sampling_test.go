@@ -123,6 +123,30 @@ func TestRunAccuracyWithinBound(t *testing.T) {
 	}
 }
 
+// TestRunAnalyzedRejectsForeignAnalysis: an analysis made for another
+// stream, or an empty one, is an error, never a silently wrong
+// extrapolation.
+func TestRunAnalyzedRejectsForeignAnalysis(t *testing.T) {
+	gcc, word := genRecs(t, "gcc", 200_000), genRecs(t, "word", 200_000)
+	if len(gcc) == len(word) {
+		t.Fatalf("streams must differ in length for this check: both %d records", len(gcc))
+	}
+	cfg := DefaultConfig()
+	a, err := Analyze(gcc, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := RunAnalyzed(newXBC(), word, frontend.DefaultConfig(), cfg, a); err == nil {
+		t.Fatal("RunAnalyzed accepted gcc's analysis for word's stream")
+	}
+	if _, err := RunAnalyzed(newXBC(), gcc, frontend.DefaultConfig(), cfg, Analysis{}); err == nil {
+		t.Fatal("RunAnalyzed accepted an empty analysis")
+	}
+	if _, err := RunAnalyzed(newXBC(), gcc, frontend.DefaultConfig(), cfg, a); err != nil {
+		t.Fatalf("RunAnalyzed rejected the stream's own analysis: %v", err)
+	}
+}
+
 func TestRunShortStreamIsExact(t *testing.T) {
 	recs := genRecs(t, "gcc", 30_000)
 	full := frontend.RunSession(newXBC().NewSession(), recs)

@@ -234,7 +234,7 @@ func (s *Server) storeHealth() string {
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
 	var b strings.Builder
-	b.WriteString(s.reg.render(s.QueueDepth(), s.cache.len()))
+	b.WriteString(s.reg.render(s.QueueDepth(), s.cache.Len()))
 	if s.snap != nil {
 		renderSnapshotMetrics(&b, s.snap.Stats())
 	}

@@ -13,14 +13,16 @@
 package jobspec
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"sync"
 	"sync/atomic"
 
+	"xbc/internal/experiments"
 	"xbc/internal/frontend"
+	"xbc/internal/lru"
 	"xbc/internal/sampling"
 	"xbc/internal/snapshot"
 	"xbc/internal/trace"
@@ -205,55 +207,33 @@ func recIndexAtUops(recs []trace.Rec, uops uint64) int {
 	return len(recs)
 }
 
-// analysisKey identifies one memoized stream analysis: the stream is a
-// deterministic function of (workload, uops), the analysis of the stream
-// and the interval configuration.
+// analysisKey identifies one memoized stream analysis: the analysis is a
+// deterministic function of the stream, named by its corpus content key,
+// and of the interval configuration.
 type analysisKey struct {
-	workload string
-	uops     uint64
+	stream   experiments.CorpusKey
 	interval int
 	clusters int
 }
 
-// analysisCache memoizes sampling.Analyze across Execute calls. The
-// analysis is frontend-independent and the dominant cost of a sampled
-// cell, so a sweep fanning budgets or frontends out over one workload
-// pays it once. Bounded FIFO; entries are immutable once inserted.
-var analysisCache = struct {
-	sync.Mutex
-	m     map[analysisKey]sampling.Analysis
-	order []analysisKey
-}{m: map[analysisKey]sampling.Analysis{}}
+// analyses memoizes sampling.Analyze across Execute calls. The analysis
+// is frontend-independent and the dominant cost of a sampled cell, so a
+// sweep fanning budgets or frontends out over one stream pays it once,
+// and concurrent misses on one key coalesce onto one Analyze.
+var analyses = lru.New[analysisKey, sampling.Analysis](64)
 
-const analysisCacheMax = 64
-
-// analyzeCached returns the memoized analysis for the cell, computing
-// and inserting it on a miss. Concurrent misses on one key duplicate the
-// work but stay correct: Analyze is deterministic, so both results are
-// identical and either may win the insert.
+// analyzeCached returns the memoized analysis for the stream of the
+// normalized spec n, computing it on a miss.
 func analyzeCached(n Spec, recs []trace.Rec, cfg sampling.Config) (sampling.Analysis, error) {
-	key := analysisKey{workload: n.Workload, uops: n.Uops, interval: cfg.IntervalUops, clusters: cfg.MaxClusters}
-	analysisCache.Lock()
-	a, ok := analysisCache.m[key]
-	analysisCache.Unlock()
-	if ok {
-		return a, nil
-	}
-	a, err := sampling.Analyze(recs, cfg)
+	stream, err := experiments.CorpusKeyFor(*n.Program, n.Uops)
 	if err != nil {
 		return sampling.Analysis{}, err
 	}
-	analysisCache.Lock()
-	defer analysisCache.Unlock()
-	if _, ok := analysisCache.m[key]; !ok {
-		analysisCache.m[key] = a
-		analysisCache.order = append(analysisCache.order, key)
-		if len(analysisCache.order) > analysisCacheMax {
-			delete(analysisCache.m, analysisCache.order[0])
-			analysisCache.order = analysisCache.order[1:]
-		}
-	}
-	return a, nil
+	key := analysisKey{stream: stream, interval: cfg.IntervalUops, clusters: cfg.MaxClusters}
+	a, _, err := analyses.Do(context.TODO(), key, func() (sampling.Analysis, error) {
+		return sampling.Analyze(recs, cfg)
+	})
+	return a, err
 }
 
 // executeSampled runs the sampled or estimate rung through

@@ -5,6 +5,9 @@ import (
 	"reflect"
 	"testing"
 
+	"xbc/internal/experiments"
+	"xbc/internal/frontend"
+	"xbc/internal/sampling"
 	"xbc/internal/snapshot"
 	"xbc/internal/workload"
 )
@@ -145,6 +148,55 @@ func TestExecuteSnapshotRoundTrip(t *testing.T) {
 	}
 	if st := mgr.Stats(); st.Hits < 1 {
 		t.Fatalf("expected a recorded hit, stats %+v", st)
+	}
+}
+
+// TestSampledAnalysisKeyedByStream: the process-wide analysis memo must
+// key by the stream's content, never by the workload name, which is empty
+// for inline programs and only a label beside a custom one. Every sampled
+// Execute must equal an uncached sampling.Run over the same stream.
+func TestSampledAnalysisKeyedByStream(t *testing.T) {
+	gcc, _ := workload.ByName("gcc")
+	word, _ := workload.ByName("word")
+	const uops = 200_000
+	for _, tc := range []struct {
+		name  string
+		specs []Spec
+	}{
+		{"inline_programs", []Spec{
+			{Frontend: KindXBC, Program: &gcc.Spec, Uops: uops, Fidelity: FidelitySampled},
+			{Frontend: KindXBC, Program: &word.Spec, Uops: uops, Fidelity: FidelitySampled},
+		}},
+		{"name_beside_program", []Spec{
+			{Frontend: KindXBC, Workload: "gcc", Uops: uops, Fidelity: FidelitySampled},
+			{Frontend: KindXBC, Workload: "gcc", Program: &word.Spec, Uops: uops, Fidelity: FidelitySampled},
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			for i, s := range tc.specs {
+				got, err := Execute(s)
+				if err != nil {
+					t.Fatalf("spec %d: %v", i, err)
+				}
+				n := s.Normalize()
+				stream, err := experiments.StreamFor(*n.Program, n.Uops)
+				if err != nil {
+					t.Fatal(err)
+				}
+				fe, err := n.NewFrontend()
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := sampling.Run(fe.(frontend.SessionFrontend), stream.Records(), frontend.DefaultConfig(), SamplingConfig(n.Fidelity))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(got.Metrics, want.Metrics) {
+					t.Fatalf("spec %d (%s): uop miss rate %.3f%%, uncached sampling.Run %.3f%%",
+						i, s.Label(), got.Metrics.UopMissRate(), want.Metrics.UopMissRate())
+				}
+			}
+		})
 	}
 }
 

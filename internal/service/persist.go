@@ -197,8 +197,8 @@ func (p *persister) loadResult(id string) (jobspec.Result, int, bool) {
 	return sr.Result, sr.Attempts, true
 }
 
-// Load implements experiments.CorpusStore: a persisted trace stream's
-// serialized bytes, read through synchronously on a corpus miss.
+// Load implements lru.Backing for the trace corpus: a persisted trace
+// stream's serialized bytes, read through synchronously on a corpus miss.
 func (p *persister) Load(key string) ([]byte, bool) {
 	val, ok := p.st.Get(corpusKeyPrefix + key)
 	if !ok {
@@ -210,14 +210,14 @@ func (p *persister) Load(key string) ([]byte, bool) {
 	return val, true
 }
 
-// Save implements experiments.CorpusStore: a freshly generated stream,
-// written behind. Corpus entries are not journaled on failure — they are
-// deterministically regenerable from the spec.
+// Save implements lru.Backing for the trace corpus: a freshly generated
+// stream, written behind. Corpus entries are not journaled on failure —
+// they are deterministically regenerable from the spec.
 func (p *persister) Save(key string, val []byte) {
 	p.enqueue(persistItem{key: corpusKeyPrefix + key, val: val})
 }
 
-// snapshotBacking adapts the persister to snapshot.Backing under the
+// snapshotBacking adapts the persister to lru.Backing under the
 // "s:" namespace: warm-state blobs read through synchronously (they save
 // a warmup simulation) and write behind (pure optimization, regenerable,
 // never journaled).

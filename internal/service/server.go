@@ -27,6 +27,7 @@ import (
 	"time"
 
 	"xbc/internal/experiments"
+	"xbc/internal/lru"
 	"xbc/internal/runner"
 	"xbc/internal/service/api"
 	"xbc/internal/service/jobspec"
@@ -122,9 +123,14 @@ func (o Options) withDefaults() Options {
 
 // Server is the simulation service.
 type Server struct {
-	opts    Options
-	queue   *queue
-	cache   *resultCache
+	opts  Options
+	queue *queue
+	// cache is the LRU over completed jobs: jobs pins queued and running
+	// jobs unconditionally, and once a job reaches a terminal state its
+	// retention is governed here. It stores whole *Job records, so
+	// GET /v1/jobs/{id} and the events replay keep working for as long as
+	// the result is retained.
+	cache   *lru.Cache[string, *Job]
 	reg     *metricsReg
 	persist *persister        // nil when no store is configured
 	snap    *snapshot.Manager // nil when snapshotting is disabled
@@ -145,7 +151,7 @@ func New(opts Options) *Server {
 	s := &Server{
 		opts:  opts,
 		queue: newQueue(opts.Shards, opts.QueueDepth),
-		cache: newResultCache(opts.CacheJobs),
+		cache: lru.New[string, *Job](opts.CacheJobs),
 		reg:   newMetricsReg(),
 		jobs:  make(map[string]*Job),
 	}
@@ -154,7 +160,7 @@ func New(opts Options) *Server {
 		experiments.SetCorpusStore(s.persist)
 	}
 	if opts.SnapshotEntries > 0 {
-		var backing snapshot.Backing
+		var backing lru.Backing
 		if s.persist != nil {
 			backing = snapshotBacking{s.persist}
 		}
@@ -255,7 +261,7 @@ func (s *Server) submitKeyed(n jobspec.Spec, key string) (*Job, submitOutcome, e
 	if fullKey != "" {
 		if fj, ok := s.jobs[fullKey]; ok && fj.State() == JobDone {
 			s.mu.Unlock()
-			s.cache.get(fullKey) // refresh recency
+			s.cache.Get(fullKey) // refresh recency
 			s.reg.submit(api.SubmitCached)
 			return fj, outcomeCacheHit, nil
 		}
@@ -264,7 +270,7 @@ func (s *Server) submitKeyed(n jobspec.Spec, key string) (*Job, submitOutcome, e
 		terminal := j.State().terminal()
 		s.mu.Unlock()
 		if terminal {
-			s.cache.get(key) // refresh recency
+			s.cache.Get(key) // refresh recency
 			s.reg.submit(api.SubmitCached)
 			return j, outcomeCacheHit, nil
 		}
@@ -447,15 +453,11 @@ func (s *Server) finish(j *Job) {
 // retain pins a terminal job in the result cache and unpins whatever the
 // LRU evicted from the job registry.
 func (s *Server) retain(j *Job) {
-	evicted := s.cache.put(j)
-	if len(evicted) == 0 {
-		return
-	}
-	s.mu.Lock()
-	for _, id := range evicted {
+	if id, evicted := s.cache.Put(j.ID, j); evicted {
+		s.mu.Lock()
 		delete(s.jobs, id)
+		s.mu.Unlock()
 	}
-	s.mu.Unlock()
 }
 
 // QueueDepth reports the queued-not-claimed job count (for /metrics).

@@ -354,6 +354,39 @@ func TestFailedJobSurfacesError(t *testing.T) {
 	}
 }
 
+// TestResultCacheLRU drives retain directly: a Get refreshes recency, so
+// the untouched job is the one evicted from the cache and the registry.
+func TestResultCacheLRU(t *testing.T) {
+	srv, _ := newTestServer(t, Options{CacheJobs: 2})
+	for _, id := range []string{"a", "b"} {
+		j := testJob(id)
+		srv.mu.Lock()
+		srv.jobs[id] = j
+		srv.mu.Unlock()
+		srv.retain(j)
+	}
+	// Touch a, then retain c: b is now the LRU victim.
+	if _, ok := srv.cache.Get("a"); !ok {
+		t.Fatal("a missing")
+	}
+	srv.retain(testJob("c"))
+	if _, ok := srv.cache.Get("b"); ok {
+		t.Fatal("b still cached after eviction")
+	}
+	srv.mu.Lock()
+	_, pinned := srv.jobs["b"]
+	srv.mu.Unlock()
+	if pinned {
+		t.Fatal("evicted b still in the job registry")
+	}
+	if _, ok := srv.cache.Get("a"); !ok {
+		t.Fatal("a evicted despite being MRU")
+	}
+	if srv.cache.Len() != 2 {
+		t.Fatalf("len = %d, want 2", srv.cache.Len())
+	}
+}
+
 func TestResultCacheEvictionForgetsJobs(t *testing.T) {
 	srv, ts := newTestServer(t, Options{CacheJobs: 1})
 	a := decodeBody[api.SubmitResponse](t, postJSON(t, ts.URL+"/v1/jobs", tinySpec()))

@@ -4,7 +4,9 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
-	"sync"
+	"sync/atomic"
+
+	"xbc/internal/lru"
 )
 
 // Blob envelope: a fixed magic, a format version, the payload length and
@@ -56,15 +58,6 @@ func Open(blob []byte) ([]byte, error) {
 	return payload, nil
 }
 
-// Backing is the persistence hook behind a Manager: the service wires it
-// to the crash-safe store under the "s:" key namespace. Save is
-// write-behind and may drop on failure — a snapshot is pure optimization,
-// regenerable from the spec.
-type Backing interface {
-	Load(key string) ([]byte, bool)
-	Save(key string, val []byte)
-}
-
 // Stats counts what the manager did; the service exposes these as
 // Prometheus counters (xbcd_snapshot_hits_total etc.).
 type Stats struct {
@@ -74,60 +67,46 @@ type Stats struct {
 	DecodeErrors uint64 // blobs that failed Open/LoadState and were dropped
 }
 
-// Manager is a small bounded in-memory snapshot cache over an optional
-// backing store. Keys are content hashes of (spec-minus-length, warmup
-// uops) — see jobspec.SnapshotKey — so a hit is by construction the right
-// warm state for the run asking.
+// Manager is a small bounded in-memory LRU of snapshots over an optional
+// backing store, which the service wires to the crash-safe store under
+// the "s:" key namespace. Keys are content hashes of (spec-minus-length,
+// warmup uops) — see jobspec.SnapshotKey — so a hit is by construction
+// the right warm state for the run asking.
 type Manager struct {
-	mu      sync.Mutex
-	mem     map[string][]byte
-	order   []string // insertion order; evicted oldest-first past max
-	max     int
-	backing Backing
-	stats   Stats
+	mem     *lru.Cache[string, []byte]
+	backing lru.Backing
+
+	hits, misses, saves, decodeErrors atomic.Uint64
 }
 
 // NewManager returns a manager holding at most maxEntries blobs in
 // memory. backing may be nil (memory-only).
-func NewManager(maxEntries int, backing Backing) *Manager {
-	if maxEntries < 1 {
-		maxEntries = 1
-	}
-	return &Manager{mem: make(map[string][]byte), max: maxEntries, backing: backing}
+func NewManager(maxEntries int, backing lru.Backing) *Manager {
+	return &Manager{mem: lru.New[string, []byte](maxEntries), backing: backing}
 }
 
 // Load returns the sealed blob for key, consulting memory then the
 // backing store, and counts the hit or miss.
 func (m *Manager) Load(key string) ([]byte, bool) {
-	m.mu.Lock()
-	if b, ok := m.mem[key]; ok {
-		m.stats.Hits++
-		m.mu.Unlock()
-		return b, true
-	}
-	m.mu.Unlock()
-	if m.backing != nil {
-		if b, ok := m.backing.Load(key); ok {
-			m.mu.Lock()
-			m.remember(key, b)
-			m.stats.Hits++
-			m.mu.Unlock()
-			return b, true
+	b, ok := m.mem.Get(key)
+	if !ok && m.backing != nil {
+		if b, ok = m.backing.Load(key); ok {
+			m.mem.Put(key, b)
 		}
 	}
-	m.mu.Lock()
-	m.stats.Misses++
-	m.mu.Unlock()
-	return nil, false
+	if ok {
+		m.hits.Add(1)
+	} else {
+		m.misses.Add(1)
+	}
+	return b, ok
 }
 
 // Save stores a sealed blob under key, in memory and (write-behind)
 // in the backing store.
 func (m *Manager) Save(key string, blob []byte) {
-	m.mu.Lock()
-	m.remember(key, blob)
-	m.stats.Saves++
-	m.mu.Unlock()
+	m.mem.Put(key, blob)
+	m.saves.Add(1)
 	if m.backing != nil {
 		m.backing.Save(key, blob)
 	}
@@ -136,35 +115,11 @@ func (m *Manager) Save(key string, blob []byte) {
 // Invalidate drops a blob that failed to decode, counting it, so a
 // corrupt persisted snapshot costs one failed restore, not one per run.
 func (m *Manager) Invalidate(key string) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if _, ok := m.mem[key]; ok {
-		delete(m.mem, key)
-		for i, k := range m.order {
-			if k == key {
-				m.order = append(m.order[:i], m.order[i+1:]...)
-				break
-			}
-		}
-	}
-	m.stats.DecodeErrors++
+	m.mem.Remove(key)
+	m.decodeErrors.Add(1)
 }
 
 // Stats returns a copy of the counters.
 func (m *Manager) Stats() Stats {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.stats
-}
-
-// remember inserts under the memory bound; callers hold mu.
-func (m *Manager) remember(key string, blob []byte) {
-	if _, ok := m.mem[key]; !ok {
-		m.order = append(m.order, key)
-		for len(m.order) > m.max {
-			delete(m.mem, m.order[0])
-			m.order = m.order[1:]
-		}
-	}
-	m.mem[key] = blob
+	return Stats{Hits: m.hits.Load(), Misses: m.misses.Load(), Saves: m.saves.Load(), DecodeErrors: m.decodeErrors.Load()}
 }
