@@ -173,7 +173,7 @@ func benchFrontend(b *testing.B, mk func() xbc.Frontend) {
 	for i := 0; i < b.N; i++ {
 		fe := mk()
 		s.Reset()
-		m := fe.Run(s)
+		m := xbc.Run(fe, s)
 		if m.Uops != want {
 			b.Fatal("frontend dropped uops")
 		}

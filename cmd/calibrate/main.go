@@ -23,6 +23,7 @@ import (
 	"strings"
 
 	"xbc"
+	"xbc/internal/planner"
 	"xbc/internal/runner"
 )
 
@@ -57,11 +58,14 @@ func main() {
 	}
 	ctx, stop := xbc.NotifyContext(context.Background())
 	defer stop()
-	tasks := make([]runner.Task, len(ws))
+	cells := make([]planner.Cell, len(ws))
 	for i, w := range ws {
 		w := w
-		tasks[i] = runner.Task{
-			Cell: runner.Cell{Figure: "calibrate", Workload: w.Name},
+		rc := runner.Cell{Figure: "calibrate", Workload: w.Name}
+		cells[i] = planner.Cell{
+			Key:      rc.Key(),
+			Locality: w.Name,
+			RCell:    rc,
 			Run: func(ctx context.Context) (any, error) {
 				s, err := xbc.Generate(w, *uops)
 				if err != nil {
@@ -73,13 +77,11 @@ func main() {
 				r.xb = xbc.SegmentLengths(s, xbc.XB, nil).Mean()
 				r.xp = xbc.SegmentLengths(s, xbc.XBPromoted, bias).Mean()
 				r.dx = xbc.SegmentLengths(s, xbc.DualXB, nil).Mean()
-				s.Reset()
 				mx, err := xbc.RunSafe(xbc.NewXBCFrontend(*budget), s)
 				if err != nil {
 					return nil, err
 				}
 				r.xbcMiss = mx.UopMissRate()
-				s.Reset()
 				mt, err := xbc.RunSafe(xbc.NewTraceCacheFrontend(*budget), s)
 				if err != nil {
 					return nil, err
@@ -92,7 +94,7 @@ func main() {
 			},
 		}
 	}
-	results := runner.Run(ctx, runner.Options{Parallel: *parallel}, tasks)
+	results, _ := planner.Run(ctx, cells, planner.Options{Parallel: *parallel})
 
 	fmt.Printf("%-10s %-10s %9s %6s %6s %6s %6s  %7s %7s %7s\n",
 		"trace", "suite", "footprint", "BB", "XB", "XB+p", "dual", "XBC%", "TC%", "redu")
@@ -102,8 +104,8 @@ func main() {
 	var failed, aborted int
 	for _, res := range results {
 		switch res.Status {
-		case runner.StatusDone:
-			r := res.Payload.(row)
+		case planner.StatusSimulated:
+			r := res.Value.(row)
 			fmt.Printf("%-10s %-10s %8dK %6.2f %6.2f %6.2f %6.2f  %7.2f %7.2f %6.1f%%\n",
 				r.w.Name, r.w.Suite, r.sum.StaticUops/1024, r.bb, r.xb, r.xp, r.dx,
 				r.xbcMiss, r.tcMiss, 100*r.ratio)
@@ -113,12 +115,12 @@ func main() {
 			adx += r.dx
 			ared += r.ratio
 			n++
-		case runner.StatusFailed:
+		case planner.StatusFailed:
 			failed++
 			if firstErr == nil {
 				firstErr = res.Err
 			}
-		case runner.StatusAborted:
+		case planner.StatusAborted:
 			aborted++
 		}
 	}

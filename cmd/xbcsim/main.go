@@ -48,6 +48,9 @@ func main() {
 	}
 	defer stopProf()
 
+	// A named workload runs through jobspec.Execute, the path the daemon
+	// uses, at every fidelity; an .xtr file has no spec, so it replays
+	// through RunSafe with a model built the same way.
 	var s *xbc.Stream
 	switch {
 	case *in != "":
@@ -67,32 +70,18 @@ func main() {
 			log.Fatal(err)
 		}
 	case *name != "":
-		w, ok := jobspec.ResolveWorkload(*name)
-		if !ok {
+		if _, ok := jobspec.ResolveWorkload(*name); !ok {
 			log.Fatalf("unknown workload %q (21 paper workloads plus micro: straightline, loopnest, callheavy, switchheavy, monotone)", *name)
-		}
-		var err error
-		s, err = xbc.Generate(w, *uops)
-		if err != nil {
-			log.Fatal(err)
 		}
 	default:
 		flag.Usage()
 		os.Exit(2)
 	}
 
-	// Model construction goes through the same jobspec path the daemon
-	// uses, so a CLI run and a served job build byte-identical frontends.
 	run := func(key string) {
 		spec := jobspec.Spec{Frontend: key, Budget: *budget, Check: *check, Fidelity: *fid}.Normalize()
 		var m xbc.Metrics
-		if spec.Fidelity != "" {
-			// Sampled and estimate rungs extrapolate from representative
-			// intervals; route through the daemon's Execute path, which
-			// owns interval selection (needs a named workload).
-			if *name == "" {
-				log.Fatal("-fidelity sampled/estimate needs -trace (a named workload)")
-			}
+		if *in == "" {
 			spec.Workload = *name
 			spec.Uops = *uops
 			res, err := jobspec.Execute(spec)
@@ -100,14 +89,20 @@ func main() {
 				log.Fatalf("%s: %v", key, err)
 			}
 			m = res.Metrics
-			fmt.Printf("%-8s insts=%d uops=%d fidelity=%s sampled_uops=%d bound=%v\n",
-				key, m.Insts, m.Uops, res.EffectiveFidelity(), res.SampledUops, res.ErrorBound)
+			if res.Fidelity == jobspec.FidelityFull {
+				fmt.Printf("%-8s insts=%d uops=%d\n", key, m.Insts, m.Uops)
+			} else {
+				fmt.Printf("%-8s insts=%d uops=%d fidelity=%s sampled_uops=%d bound=%v\n",
+					key, m.Insts, m.Uops, res.EffectiveFidelity(), res.SampledUops, res.ErrorBound)
+			}
 		} else {
+			if spec.Fidelity != "" {
+				log.Fatal("-fidelity sampled/estimate needs -trace (a named workload)")
+			}
 			model, err := spec.NewFrontend()
 			if err != nil {
 				log.Fatal(err)
 			}
-			s.Reset()
 			m, err = xbc.RunSafe(model, s)
 			if err != nil {
 				log.Fatalf("%s: %v", model.Name(), err)

@@ -21,7 +21,7 @@ func ExampleGenerate() {
 func ExampleNewXBCFrontend() {
 	w, _ := xbc.WorkloadByName("doom")
 	stream, _ := xbc.Generate(w, 50_000)
-	m := xbc.NewXBCFrontend(32 * 1024).Run(stream)
+	m := xbc.Run(xbc.NewXBCFrontend(32*1024), stream)
 	fmt.Println(m.Uops == stream.Uops())
 	fmt.Println(m.UopMissRate() >= 0 && m.UopMissRate() <= 100)
 	fmt.Println(m.Bandwidth() > 0 && m.Bandwidth() <= 8)

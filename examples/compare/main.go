@@ -46,8 +46,7 @@ func main() {
 			log.Fatal(err)
 		}
 		run := func(fe xbc.Frontend) xbc.Metrics {
-			stream.Reset()
-			return fe.Run(stream)
+			return xbc.Run(fe, stream)
 		}
 		ic := run(xbc.NewICFrontend())
 		dec := run(xbc.NewDecodedFrontend(*budget))

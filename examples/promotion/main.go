@@ -44,10 +44,8 @@ func main() {
 		on := xbc.DefaultXBCConfig(*budget)
 		off := on
 		off.Promotion = false
-		stream.Reset()
-		mOn := xbc.NewXBCFrontendWith(on, xbc.DefaultFrontendConfig()).Run(stream)
-		stream.Reset()
-		mOff := xbc.NewXBCFrontendWith(off, xbc.DefaultFrontendConfig()).Run(stream)
+		mOn := xbc.Run(xbc.NewXBCFrontendWith(on, xbc.DefaultFrontendConfig()), stream)
+		mOff := xbc.Run(xbc.NewXBCFrontendWith(off, xbc.DefaultFrontendConfig()), stream)
 
 		fmt.Printf("== %s (%s) ==\n", w.Name, w.Suite)
 		fmt.Printf("  mean XB length:        %5.2f uops -> %5.2f with promotion\n",

@@ -29,7 +29,7 @@ func main() {
 
 	// Run the paper's XBC configuration with a 32K-uop budget.
 	fe := xbc.NewXBCFrontend(32 * 1024)
-	m := fe.Run(stream)
+	m := xbc.Run(fe, stream)
 
 	fmt.Printf("uop miss rate:      %6.2f %%  (uops supplied via the IC path)\n", m.UopMissRate())
 	fmt.Printf("delivery bandwidth: %6.2f uops/cycle (renamer width 8)\n", m.Bandwidth())
@@ -39,9 +39,8 @@ func main() {
 		m.Extra["redundancy"])
 
 	// Compare against the conventional trace cache at the same budget.
-	stream.Reset()
 	tc := xbc.NewTraceCacheFrontend(32 * 1024)
-	mt := tc.Run(stream)
+	mt := xbc.Run(tc, stream)
 	fmt.Printf("\ntrace cache at the same size: miss %.2f %%, bandwidth %.2f, redundancy %.3f\n",
 		mt.UopMissRate(), mt.Bandwidth(), mt.Extra["redundancy"])
 }

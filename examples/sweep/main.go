@@ -43,10 +43,8 @@ func main() {
 			if err != nil {
 				log.Fatal(err)
 			}
-			stream.Reset()
-			mx := xbc.NewXBCFrontend(size).Run(stream)
-			stream.Reset()
-			mt := xbc.NewTraceCacheFrontend(size).Run(stream)
+			mx := xbc.Run(xbc.NewXBCFrontend(size), stream)
+			mt := xbc.Run(xbc.NewTraceCacheFrontend(size), stream)
 			fmt.Printf("  %7.2f%%/%6.2f%%", mx.UopMissRate(), mt.UopMissRate())
 			if mt.UopMissRate() > 0 {
 				reductions = append(reductions, 1-mx.UopMissRate()/mt.UopMissRate())

@@ -65,7 +65,7 @@ func main() {
 	fmt.Print(xbc.Summarize(loaded))
 
 	// And simulate from the file-loaded copy.
-	m := xbc.NewXBCFrontend(32 * 1024).Run(loaded)
+	m := xbc.Run(xbc.NewXBCFrontend(32*1024), loaded)
 	fmt.Printf("\nXBC on the loaded trace: miss %.2f%%, bandwidth %.2f uops/cycle\n",
 		m.UopMissRate(), m.Bandwidth())
 }

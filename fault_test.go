@@ -84,7 +84,7 @@ func TestCheckedXBCCleanOnHealthyStream(t *testing.T) {
 		t.Fatalf("checker flagged a healthy stream: %v", err)
 	}
 	s.Reset()
-	plain := xbc.NewXBCFrontend(8 * 1024).Run(s)
+	plain := xbc.Run(xbc.NewXBCFrontend(8*1024), s)
 	if checked.UopMissRate() != plain.UopMissRate() || checked.Bandwidth() != plain.Bandwidth() {
 		t.Fatalf("checking changed the simulation: %.4f/%.4f vs %.4f/%.4f",
 			checked.UopMissRate(), checked.Bandwidth(), plain.UopMissRate(), plain.Bandwidth())

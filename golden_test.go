@@ -111,7 +111,7 @@ func computeGolden(t testing.TB) map[string]goldenMetrics {
 		}
 		for fn, mk := range goldenModels() {
 			s.Reset()
-			m := mk().Run(s)
+			m := xbc.Run(mk(), s)
 			out[wn+"/"+fn] = metricsToGolden(m)
 		}
 	}

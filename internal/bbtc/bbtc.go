@@ -197,14 +197,9 @@ func (st *state) insertTrace(ip isa.Addr, blocks []isa.Addr) {
 	st.traces[victim] = ptrTrace{valid: true, startIP: ip, blocks: stored, stamp: st.tick}
 }
 
-// Run replays the stream through the BBTC frontend: a session stepped
-// straight from start to end (see session.go).
-func (f *Frontend) Run(s *trace.Stream) frontend.Metrics {
-	return frontend.RunSession(f.NewSession(), s.Records())
-}
-
 // deliver supplies uops for the pointer trace t, reading member blocks
 // from the block cache.
+//
 //xbc:hot
 func (f *Frontend) deliver(st *state, recs []trace.Rec, i int, t *ptrTrace, preds *frontend.PredictorSet, m *frontend.Metrics) int {
 	m.DeliveryFetches++
@@ -248,6 +243,7 @@ type buildScratch struct {
 
 // build decodes blocks through the IC path, filling the block cache and
 // recording one pointer trace.
+//
 //xbc:hot
 func (f *Frontend) build(st *state, recs []trace.Rec, i int, path *frontend.ICPath, preds *frontend.PredictorSet, sc *buildScratch, m *frontend.Metrics) int {
 	startIP := recs[i].IP

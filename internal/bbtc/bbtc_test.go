@@ -43,7 +43,7 @@ func TestDefaultConfig(t *testing.T) {
 func TestConservation(t *testing.T) {
 	s := testStream(t, 3, 100_000)
 	fe := New(DefaultConfig(16*1024), frontend.DefaultConfig())
-	m := fe.Run(s)
+	m := frontend.Run(fe, s)
 	if m.Uops != s.Uops() || m.DeliveredUops+m.BuildUops != m.Uops {
 		t.Fatalf("conservation broken: %d+%d vs %d (stream %d)",
 			m.DeliveredUops, m.BuildUops, m.Uops, s.Uops())
@@ -56,9 +56,9 @@ func TestConservation(t *testing.T) {
 func TestDeterministic(t *testing.T) {
 	s := testStream(t, 4, 60_000)
 	s.Reset()
-	a := New(DefaultConfig(8*1024), frontend.DefaultConfig()).Run(s)
+	a := frontend.Run(New(DefaultConfig(8*1024), frontend.DefaultConfig()), s)
 	s.Reset()
-	b := New(DefaultConfig(8*1024), frontend.DefaultConfig()).Run(s)
+	b := frontend.Run(New(DefaultConfig(8*1024), frontend.DefaultConfig()), s)
 	if a.DeliveredUops != b.DeliveredUops || a.StructMisses != b.StructMisses {
 		t.Fatal("non-deterministic run")
 	}
@@ -69,7 +69,7 @@ func TestPointerRedundancyReported(t *testing.T) {
 	// block's uops are stored once. Pointer redundancy should exceed 1 on
 	// a branchy stream.
 	s := testStream(t, 5, 120_000)
-	m := New(DefaultConfig(32*1024), frontend.DefaultConfig()).Run(s)
+	m := frontend.Run(New(DefaultConfig(32*1024), frontend.DefaultConfig()), s)
 	pr, ok := m.Extra["pointer_redundancy"]
 	if !ok {
 		t.Fatal("pointer redundancy not reported")
@@ -85,7 +85,7 @@ func TestPointerRedundancyReported(t *testing.T) {
 func TestTinyCacheTerminates(t *testing.T) {
 	s := testStream(t, 6, 50_000)
 	cfg := Config{BlockSets: 2, BlockWays: 1, BlockUops: 8, TraceSets: 16, TraceWays: 4, PtrsPerTrace: 4}
-	m := New(cfg, frontend.DefaultConfig()).Run(s)
+	m := frontend.Run(New(cfg, frontend.DefaultConfig()), s)
 	if m.Uops != s.Uops() {
 		t.Fatalf("did not consume the whole stream: %d vs %d", m.Uops, s.Uops())
 	}
@@ -94,9 +94,9 @@ func TestTinyCacheTerminates(t *testing.T) {
 func TestSmallerCacheMissesMore(t *testing.T) {
 	s := testStream(t, 7, 120_000)
 	s.Reset()
-	small := New(DefaultConfig(2*1024), frontend.DefaultConfig()).Run(s)
+	small := frontend.Run(New(DefaultConfig(2*1024), frontend.DefaultConfig()), s)
 	s.Reset()
-	big := New(DefaultConfig(64*1024), frontend.DefaultConfig()).Run(s)
+	big := frontend.Run(New(DefaultConfig(64*1024), frontend.DefaultConfig()), s)
 	if small.UopMissRate() <= big.UopMissRate() {
 		t.Fatalf("2K (%.2f%%) should miss more than 64K (%.2f%%)",
 			small.UopMissRate(), big.UopMissRate())

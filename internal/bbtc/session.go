@@ -87,7 +87,7 @@ func (s *session) Warm(recs []trace.Rec, target int) {
 func (s *session) Metrics() frontend.Metrics { return s.m }
 
 // Finish attaches the extras and finalizes.
-func (s *session) Finish() frontend.Metrics {
+func (s *session) Finish() (frontend.Metrics, error) {
 	m, st, f := &s.m, s.st, s.f
 	// Pointer redundancy: average number of trace-table references per
 	// resident block (the redundancy the BBTC moves out of uop storage).
@@ -119,7 +119,7 @@ func (s *session) Finish() frontend.Metrics {
 	}
 	m.AddExtra("ic_miss_rate", s.path.MissRate())
 	m.Finalize(f.fecfg)
-	return s.m
+	return s.m, nil
 }
 
 // SaveState serializes the complete session state.
@@ -217,5 +217,3 @@ func (s *session) LoadState(r *snapshot.Reader) error {
 	}
 	return r.Err()
 }
-
-var _ frontend.SessionFrontend = (*Frontend)(nil)

@@ -11,7 +11,6 @@ import (
 
 	"xbc/internal/frontend"
 	"xbc/internal/isa"
-	"xbc/internal/trace"
 )
 
 // Config describes the decoded cache geometry.
@@ -81,11 +80,5 @@ func New(cfg Config, fecfg frontend.Config) *Frontend {
 
 // Name identifies the model.
 func (f *Frontend) Name() string { return "decoded" }
-
-// Run replays the stream through the decoded-cache frontend: a session
-// stepped straight from start to end (see session.go).
-func (f *Frontend) Run(s *trace.Stream) frontend.Metrics {
-	return frontend.RunSession(f.NewSession(), s.Records())
-}
 
 var _ frontend.Frontend = (*Frontend)(nil)

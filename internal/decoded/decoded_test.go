@@ -43,7 +43,7 @@ func TestDefaultConfig(t *testing.T) {
 func TestConservation(t *testing.T) {
 	s := testStream(t, 3, 100_000)
 	fe := New(DefaultConfig(16*1024), frontend.DefaultConfig())
-	m := fe.Run(s)
+	m := frontend.Run(fe, s)
 	if m.Uops != s.Uops() || m.DeliveredUops+m.BuildUops != m.Uops {
 		t.Fatalf("conservation broken: %d delivered + %d build vs %d total (stream %d)",
 			m.DeliveredUops, m.BuildUops, m.Uops, s.Uops())
@@ -56,9 +56,9 @@ func TestConservation(t *testing.T) {
 func TestDeterministic(t *testing.T) {
 	s := testStream(t, 4, 60_000)
 	s.Reset()
-	a := New(DefaultConfig(8*1024), frontend.DefaultConfig()).Run(s)
+	a := frontend.Run(New(DefaultConfig(8*1024), frontend.DefaultConfig()), s)
 	s.Reset()
-	b := New(DefaultConfig(8*1024), frontend.DefaultConfig()).Run(s)
+	b := frontend.Run(New(DefaultConfig(8*1024), frontend.DefaultConfig()), s)
 	if a.DeliveredUops != b.DeliveredUops || a.BuildCycles != b.BuildCycles {
 		t.Fatal("non-deterministic run")
 	}
@@ -66,7 +66,7 @@ func TestDeterministic(t *testing.T) {
 
 func TestFragmentationReported(t *testing.T) {
 	s := testStream(t, 5, 80_000)
-	m := New(DefaultConfig(16*1024), frontend.DefaultConfig()).Run(s)
+	m := frontend.Run(New(DefaultConfig(16*1024), frontend.DefaultConfig()), s)
 	frag, ok := m.Extra["fragmentation"]
 	if !ok {
 		t.Fatal("fragmentation not reported")
@@ -83,7 +83,7 @@ func TestBandwidthBelowTraceCache(t *testing.T) {
 	// delivery bandwidth cannot exceed its line size.
 	s := testStream(t, 6, 100_000)
 	cfg := DefaultConfig(32 * 1024)
-	m := New(cfg, frontend.DefaultConfig()).Run(s)
+	m := frontend.Run(New(cfg, frontend.DefaultConfig()), s)
 	if bw := m.Bandwidth(); bw > float64(cfg.LineUops) {
 		t.Fatalf("bandwidth %.2f exceeds line size %d", bw, cfg.LineUops)
 	}

@@ -181,7 +181,7 @@ func (s *session) Warm(recs []trace.Rec, target int) {
 func (s *session) Metrics() frontend.Metrics { return s.m }
 
 // Finish attaches the extras and finalizes.
-func (s *session) Finish() frontend.Metrics {
+func (s *session) Finish() (frontend.Metrics, error) {
 	frag := 0.0
 	validLines := 0
 	usedUops := 0
@@ -197,7 +197,7 @@ func (s *session) Finish() frontend.Metrics {
 	s.m.AddExtra("fragmentation", frag)
 	s.m.AddExtra("ic_miss_rate", s.path.MissRate())
 	s.m.Finalize(s.f.fecfg)
-	return s.m
+	return s.m, nil
 }
 
 // SaveState serializes the complete session state.
@@ -266,5 +266,3 @@ func (s *session) LoadState(r *snapshot.Reader) error {
 	}
 	return r.Err()
 }
-
-var _ frontend.SessionFrontend = (*Frontend)(nil)

@@ -133,20 +133,16 @@ func stream(o Options, w workload.Workload) (*trace.Stream, error) {
 
 // runModel executes one constructed frontend over the stream at the
 // configured fidelity: sampled/estimate rungs extrapolate from
-// representative intervals when the model supports sessions, anything
-// else (including models without session support) runs every uop.
+// representative intervals, anything else runs every uop.
 func runModel(o Options, fe frontend.Frontend, s *trace.Stream) (frontend.Metrics, error) {
 	if o.Fidelity == "sampled" || o.Fidelity == "estimate" {
-		if sf, ok := fe.(frontend.SessionFrontend); ok {
-			res, err := sampling.Run(sf, s.Records(), o.FE, sampling.ConfigFor(o.Fidelity))
-			if err != nil {
-				return frontend.Metrics{}, err
-			}
-			return res.Metrics, nil
+		res, err := sampling.Run(fe, s.Records(), o.FE, sampling.ConfigFor(o.Fidelity))
+		if err != nil {
+			return frontend.Metrics{}, err
 		}
+		return res.Metrics, nil
 	}
-	s.Reset()
-	return fe.Run(s), nil
+	return frontend.Run(fe, s), nil
 }
 
 // ---------------------------------------------------------------------

@@ -38,11 +38,9 @@ func Redundancy(o Options) (*stats.Table, error) {
 				return redundancyCell{}, err
 			}
 			x := xbcore.New(xbcore.DefaultConfig(o.Budget), o.FE)
-			s.Reset()
-			mx := x.Run(s)
+			mx := frontend.Run(x, s)
 			tc := tcache.New(tcache.DefaultConfig(o.Budget), o.FE)
-			s.Reset()
-			mt := tc.Run(s)
+			mt := frontend.Run(tc, s)
 			return redundancyCell{
 				Suite:  w.Suite,
 				XBCRed: mx.Extra["redundancy"],
@@ -103,8 +101,7 @@ func Frontends(o Options) (*stats.Table, error) {
 			}
 			var cell frontendsCell
 			for mi, fe := range models {
-				s.Reset()
-				m := fe.Run(s)
+				m := frontend.Run(fe, s)
 				cell.Vals[mi] = [2]float64{m.UopMissRate(), m.Bandwidth()}
 			}
 			return cell, nil
@@ -192,8 +189,7 @@ func Ablation(o Options) (*stats.Table, error) {
 				cfg := xbcore.DefaultConfig(o.Budget)
 				ab.Mutate(&cfg)
 				x := xbcore.New(cfg, o.FE)
-				s.Reset()
-				m := x.Run(s)
+				m := frontend.Run(x, s)
 				return ablationCell{
 					Miss: m.UopMissRate(),
 					BW:   m.Bandwidth(),
@@ -266,12 +262,9 @@ func PathAssociativity(o Options) (*stats.Table, error) {
 			base := tcache.DefaultConfig(o.Budget)
 			pa := base
 			pa.PathAssoc = true
-			s.Reset()
-			mt := tcache.New(base, o.FE).Run(s)
-			s.Reset()
-			mp := tcache.New(pa, o.FE).Run(s)
-			s.Reset()
-			mx := xbcore.New(xbcore.DefaultConfig(o.Budget), o.FE).Run(s)
+			mt := frontend.Run(tcache.New(base, o.FE), s)
+			mp := frontend.Run(tcache.New(pa, o.FE), s)
+			mx := frontend.Run(xbcore.New(xbcore.DefaultConfig(o.Budget), o.FE), s)
 			return pathAssocCell{
 				TC: mt.UopMissRate(), TCPath: mp.UopMissRate(), XBC: mx.UopMissRate(),
 				TCRed: mt.Extra["redundancy"], TCPathRed: mp.Extra["redundancy"], XBCRed: mx.Extra["redundancy"],

@@ -32,9 +32,9 @@ func TestHeadlineXBCBeatsTCUnderCapacityPressure(t *testing.T) {
 		}
 		fe := frontend.DefaultConfig()
 		s.Reset()
-		xbcMiss += xbcore.New(xbcore.DefaultConfig(8*1024), fe).Run(s).UopMissRate()
+		xbcMiss += frontend.Run(xbcore.New(xbcore.DefaultConfig(8*1024), fe), s).UopMissRate()
 		s.Reset()
-		tcMiss += tcache.New(tcache.DefaultConfig(8*1024), fe).Run(s).UopMissRate()
+		tcMiss += frontend.Run(tcache.New(tcache.DefaultConfig(8*1024), fe), s).UopMissRate()
 	}
 	xbcMiss /= float64(len(names))
 	tcMiss /= float64(len(names))
@@ -60,9 +60,9 @@ func TestBandwidthParity(t *testing.T) {
 	}
 	fe := frontend.DefaultConfig()
 	s.Reset()
-	bx := xbcore.New(xbcore.DefaultConfig(32*1024), fe).Run(s).Bandwidth()
+	bx := frontend.Run(xbcore.New(xbcore.DefaultConfig(32*1024), fe), s).Bandwidth()
 	s.Reset()
-	bt := tcache.New(tcache.DefaultConfig(32*1024), fe).Run(s).Bandwidth()
+	bt := frontend.Run(tcache.New(tcache.DefaultConfig(32*1024), fe), s).Bandwidth()
 	if ratio := bx / bt; ratio < 0.8 || ratio > 1.25 {
 		t.Fatalf("bandwidth not comparable: XBC %.2f vs TC %.2f", bx, bt)
 	}
@@ -84,9 +84,9 @@ func TestRedundancyContrast(t *testing.T) {
 	}
 	fe := frontend.DefaultConfig()
 	s.Reset()
-	rx := xbcore.New(xbcore.DefaultConfig(32*1024), fe).Run(s).Extra["redundancy"]
+	rx := frontend.Run(xbcore.New(xbcore.DefaultConfig(32*1024), fe), s).Extra["redundancy"]
 	s.Reset()
-	rt := tcache.New(tcache.DefaultConfig(32*1024), fe).Run(s).Extra["redundancy"]
+	rt := frontend.Run(tcache.New(tcache.DefaultConfig(32*1024), fe), s).Extra["redundancy"]
 	if rx > 1.25 {
 		t.Errorf("XBC redundancy %.3f (should be ~1)", rx)
 	}
@@ -119,7 +119,7 @@ func TestAssociativityKnee(t *testing.T) {
 		cfg.Ways = ways
 		cfg.Sets = sizeToSets(8*1024, cfg.Banks*cfg.BankUops*ways)
 		s.Reset()
-		miss[ways] = xbcore.New(cfg, fe).Run(s).UopMissRate()
+		miss[ways] = frontend.Run(xbcore.New(cfg, fe), s).UopMissRate()
 	}
 	if !(miss[1] > miss[2]) {
 		t.Errorf("no gain from 2-way: %v", miss)
@@ -148,9 +148,9 @@ func TestSuiteAveragesAcrossSizes(t *testing.T) {
 	var prevX, prevT float64 = 101, 101
 	for _, size := range []int{4 * 1024, 16 * 1024, 64 * 1024} {
 		s.Reset()
-		mx := xbcore.New(xbcore.DefaultConfig(size), fe).Run(s).UopMissRate()
+		mx := frontend.Run(xbcore.New(xbcore.DefaultConfig(size), fe), s).UopMissRate()
 		s.Reset()
-		mt := tcache.New(tcache.DefaultConfig(size), fe).Run(s).UopMissRate()
+		mt := frontend.Run(tcache.New(tcache.DefaultConfig(size), fe), s).UopMissRate()
 		if mx > prevX+0.5 {
 			t.Errorf("XBC miss grew with size: %.2f -> %.2f at %d", prevX, mx, size)
 		}

@@ -36,9 +36,9 @@ func TestHeadlineRobustToSeeds(t *testing.T) {
 			}
 			fe := frontend.DefaultConfig()
 			s.Reset()
-			xs = append(xs, xbcore.New(xbcore.DefaultConfig(8*1024), fe).Run(s).UopMissRate())
+			xs = append(xs, frontend.Run(xbcore.New(xbcore.DefaultConfig(8*1024), fe), s).UopMissRate())
 			s.Reset()
-			ts = append(ts, tcache.New(tcache.DefaultConfig(8*1024), fe).Run(s).UopMissRate())
+			ts = append(ts, frontend.Run(tcache.New(tcache.DefaultConfig(8*1024), fe), s).UopMissRate())
 		}
 		ax, at := stats.Mean(xs), stats.Mean(ts)
 		if ax >= at {
@@ -69,9 +69,9 @@ func TestRedundancyRobustToSeeds(t *testing.T) {
 		}
 		fe := frontend.DefaultConfig()
 		s.Reset()
-		rx := xbcore.New(xbcore.DefaultConfig(32*1024), fe).Run(s).Extra["redundancy"]
+		rx := frontend.Run(xbcore.New(xbcore.DefaultConfig(32*1024), fe), s).Extra["redundancy"]
 		s.Reset()
-		rt := tcache.New(tcache.DefaultConfig(32*1024), fe).Run(s).Extra["redundancy"]
+		rt := frontend.Run(tcache.New(tcache.DefaultConfig(32*1024), fe), s).Extra["redundancy"]
 		if rx > 1.25 || rt < 1.3 || rx >= rt {
 			t.Errorf("seed offset %d: redundancy contrast broken (XBC %.3f, TC %.3f)", offset, rx, rt)
 		}

@@ -36,7 +36,6 @@ func (o Options) tag(extra string) string {
 // runnerOptions converts experiment options into runner options.
 func (o Options) runnerOptions() runner.Options {
 	return runner.Options{
-		Parallel:    o.Parallel,
 		CellTimeout: o.CellTimeout,
 		Retries:     o.Retries,
 		Backoff:     o.RetryBackoff,

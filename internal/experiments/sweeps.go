@@ -38,8 +38,7 @@ func XBTBSweep(o Options) (*stats.Table, error) {
 				}
 				cfg := xbcore.DefaultConfig(o.Budget)
 				cfg.XBTBSets = sizeToSets(n, cfg.XBTBWays)
-				s.Reset()
-				m := xbcore.New(cfg, o.FE).Run(s)
+				m := frontend.Run(xbcore.New(cfg, o.FE), s)
 				return fig9Cell{XBC: m.UopMissRate(), TC: m.Bandwidth()}, nil
 			})
 		if err != nil {
@@ -87,14 +86,11 @@ func RenamerSweep(o Options) (*stats.Table, error) {
 				if err != nil {
 					return renamerCell{}, err
 				}
-				s.Reset()
-				xb := xbcore.New(xbcore.DefaultConfig(o.Budget), fe).Run(s).Bandwidth()
-				s.Reset()
-				tb := tcache.New(tcache.DefaultConfig(o.Budget), fe).Run(s).Bandwidth()
+				xb := frontend.Run(xbcore.New(xbcore.DefaultConfig(o.Budget), fe), s).Bandwidth()
+				tb := frontend.Run(tcache.New(tcache.DefaultConfig(o.Budget), fe), s).Bandwidth()
 				one := xbcore.DefaultConfig(o.Budget)
 				one.XBsPerCycle = 1
-				s.Reset()
-				ob := xbcore.New(one, fe).Run(s).Bandwidth()
+				ob := frontend.Run(xbcore.New(one, fe), s).Bandwidth()
 				return renamerCell{XBC: xb, TC: tb, One: ob}, nil
 			})
 		if err != nil {
@@ -153,12 +149,10 @@ func ContextSwitch(o Options) (*stats.Table, error) {
 				return ctxSwitchCell{}, err
 			}
 			runXBC := func(s *trace.Stream) float64 {
-				s.Reset()
-				return xbcore.New(xbcore.DefaultConfig(o.Budget), o.FE).Run(s).UopMissRate()
+				return frontend.Run(xbcore.New(xbcore.DefaultConfig(o.Budget), o.FE), s).UopMissRate()
 			}
 			runTC := func(s *trace.Stream) float64 {
-				s.Reset()
-				return tcache.New(tcache.DefaultConfig(o.Budget), o.FE).Run(s).UopMissRate()
+				return frontend.Run(tcache.New(tcache.DefaultConfig(o.Budget), o.FE), s).UopMissRate()
 			}
 			cell := ctxSwitchCell{
 				XBCSolo: (runXBC(sa) + runXBC(sb)) / 2,
@@ -212,10 +206,8 @@ func Phases(o Options) (*stats.Table, error) {
 			if err != nil {
 				return phasesCell{}, err
 			}
-			s.Reset()
-			px := xbcore.New(xbcore.DefaultConfig(o.Budget), o.FE).Run(s).Phases()
-			s.Reset()
-			pt := tcache.New(tcache.DefaultConfig(o.Budget), o.FE).Run(s).Phases()
+			px := frontend.Run(xbcore.New(xbcore.DefaultConfig(o.Budget), o.FE), s).Phases()
+			pt := frontend.Run(tcache.New(tcache.DefaultConfig(o.Budget), o.FE), s).Phases()
 			return phasesCell{XBC: px, TC: pt}, nil
 		})
 	if err != nil {
@@ -266,10 +258,8 @@ func IPCEstimate(o Options) (*stats.Table, error) {
 				if err != nil {
 					return ipcCell{}, err
 				}
-				s.Reset()
-				mx := xbcore.New(xbcore.DefaultConfig(size), o.FE).Run(s)
-				s.Reset()
-				mt := tcache.New(tcache.DefaultConfig(size), o.FE).Run(s)
+				mx := frontend.Run(xbcore.New(xbcore.DefaultConfig(size), o.FE), s)
+				mt := frontend.Run(tcache.New(tcache.DefaultConfig(size), o.FE), s)
 				ex, err := interval.FromMetrics(mx, core)
 				if err != nil {
 					return ipcCell{}, err

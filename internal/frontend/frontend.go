@@ -190,28 +190,39 @@ func (m Metrics) Phases() PhaseBreakdown {
 	}
 }
 
-// Frontend is an instruction-supply model that can replay a dynamic
-// stream.
+// Frontend is an instruction-supply model. Every model replays a dynamic
+// stream the same way: a fresh session stepped from the first record to
+// the last (Run, RunSafe), or paused and resumed along the way (the
+// snapshot and sampling paths).
 type Frontend interface {
 	// Name identifies the model ("ic", "tc", "xbc", ...).
 	Name() string
-	// Run replays the stream from its current position to EOF and returns
-	// finalized metrics. Implementations start from a cold structure.
-	Run(s *trace.Stream) Metrics
+	// NewSession returns a fresh cold-state session. The frontend value
+	// itself stays stateless across sessions.
+	NewSession() Session
 }
 
-// Builder constructs a fresh frontend instance for one run; the runner
-// uses it to sweep configurations.
-type Builder func() Frontend
+// SessionFrontend is an alias of Frontend, kept for code that still names
+// it.
+type SessionFrontend = Frontend
 
-// Checked is implemented by frontends that can report robustness or
-// invariant violations as errors instead of panicking (e.g. the XBC with
-// its cycle-level invariant checker enabled).
-type Checked interface {
-	// RunChecked replays the stream like Run but returns an error on the
-	// first detected violation instead of panicking. The returned metrics
-	// cover the run up to the violation.
-	RunChecked(s *trace.Stream) (Metrics, error)
+// run replays every record of s through a fresh session of f.
+func run(f Frontend, s *trace.Stream) (Metrics, error) {
+	ses := f.NewSession()
+	recs := s.Records()
+	ses.StepTo(recs, len(recs))
+	return ses.Finish()
+}
+
+// Run replays every record of s through a fresh session of f and returns
+// the finalized metrics. It panics on an error the session reports (the
+// XBC invariant checker's first violation); RunSafe returns it instead.
+func Run(f Frontend, s *trace.Stream) Metrics {
+	m, err := run(f, s)
+	if err != nil {
+		panic(err)
+	}
+	return m
 }
 
 // PanicError wraps a panic recovered from a frontend run: hostile input
@@ -227,10 +238,9 @@ func (e *PanicError) Error() string {
 	return fmt.Sprintf("frontend %s: panic: %v", e.Frontend, e.Recovered)
 }
 
-// RunSafe replays the stream through f with panic isolation: any panic is
-// recovered into a *PanicError, so hostile input yields an error or
-// degraded metrics, never a crash. Frontends implementing Checked run
-// through RunChecked, surfacing invariant violations the same way.
+// RunSafe is Run with panic isolation: an error the session reports is
+// returned with the metrics up to it, and any panic is recovered into a
+// *PanicError, so hostile input yields an error, never a crash.
 func RunSafe(f Frontend, s *trace.Stream) (m Metrics, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -238,8 +248,5 @@ func RunSafe(f Frontend, s *trace.Stream) (m Metrics, err error) {
 			err = &PanicError{Frontend: f.Name(), Recovered: r, Stack: string(debug.Stack())}
 		}
 	}()
-	if c, ok := f.(Checked); ok {
-		return c.RunChecked(s)
-	}
-	return f.Run(s), nil
+	return run(f, s)
 }

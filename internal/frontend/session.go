@@ -7,13 +7,12 @@ import (
 	"xbc/internal/trace"
 )
 
-// Session is an incremental run of one frontend over one record stream:
-// the same simulation Run performs, split at outer-loop boundaries so the
-// caller can pause it (to snapshot warm state), fast-forward it (the
-// sampled fidelity's functional warming), and resume it. A session that
-// is stepped straight from 0 to the end produces metrics bit-identical
-// to Run — the property test in internal/service/jobspec asserts this
-// for every frontend.
+// Session is an incremental run of one frontend over one record stream,
+// split at outer-loop boundaries so the caller can pause it (to snapshot
+// warm state), fast-forward it (the sampled fidelity's functional
+// warming), and resume it. Run is a session stepped straight from 0 to
+// the end; the session property tests assert that pausing, snapshotting
+// and resuming it produces bit-identical metrics.
 type Session interface {
 	// Pos returns the current record position.
 	Pos() int
@@ -34,30 +33,15 @@ type Session interface {
 	// counters accumulated so far, for per-interval deltas.
 	Metrics() Metrics
 	// Finish computes the structure-specific extras and finalizes the
-	// metrics, ending the run.
-	Finish() Metrics
+	// metrics, ending the run. The error is the first invariant violation
+	// a checking session detected (the XBC with Config.Check); the
+	// metrics then cover the run up to it.
+	Finish() (Metrics, error)
 	// SaveState serializes the complete session state, position included.
 	SaveState(w *snapshot.Writer)
 	// LoadState restores state saved by SaveState into a session built
 	// from the same spec. On error the session is unusable.
 	LoadState(r *snapshot.Reader) error
-}
-
-// SessionFrontend is implemented by frontends that can run incrementally.
-// All frontends in this repository implement it; the interface exists so
-// external Frontend implementations remain valid.
-type SessionFrontend interface {
-	Frontend
-	// NewSession returns a fresh cold-state session. The frontend value
-	// itself stays stateless across sessions, as with Run.
-	NewSession() Session
-}
-
-// RunSession drives a session from start to finish — the shared Run
-// implementation for every session-based frontend.
-func RunSession(s Session, recs []trace.Rec) Metrics {
-	s.StepTo(recs, len(recs))
-	return s.Finish()
 }
 
 // WarmPath is the shared functional-warming loop: it trains the full

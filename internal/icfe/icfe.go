@@ -15,7 +15,6 @@ import (
 
 	"xbc/internal/cachesim"
 	"xbc/internal/frontend"
-	"xbc/internal/trace"
 )
 
 // Frontend is the instruction-cache fetch model. With Ports > 1 it
@@ -49,12 +48,6 @@ func (f *Frontend) Name() string {
 		return fmt.Sprintf("ic:%dport", f.ports)
 	}
 	return "ic"
-}
-
-// Run replays the stream through the IC fetch path: a session stepped
-// straight from start to end.
-func (f *Frontend) Run(s *trace.Stream) frontend.Metrics {
-	return frontend.RunSession(f.NewSession(), s.Records())
 }
 
 var _ frontend.Frontend = (*Frontend)(nil)

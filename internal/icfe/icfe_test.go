@@ -22,7 +22,7 @@ func testStream(t *testing.T, seed int64, uops uint64) *trace.Stream {
 func TestConservation(t *testing.T) {
 	s := testStream(t, 3, 100_000)
 	fe := New(frontend.DefaultConfig(), frontend.DefaultICConfig())
-	m := fe.Run(s)
+	m := frontend.Run(fe, s)
 	if m.Uops != s.Uops() || m.DeliveredUops != m.Uops || m.BuildUops != 0 {
 		t.Fatalf("IC accounting wrong: uops=%d delivered=%d build=%d stream=%d",
 			m.Uops, m.DeliveredUops, m.BuildUops, s.Uops())
@@ -37,7 +37,7 @@ func TestBandwidthLimited(t *testing.T) {
 	// bounded further by the decoder. Bandwidth must stay well under the
 	// renamer width on branchy code.
 	s := testStream(t, 4, 100_000)
-	m := New(frontend.DefaultConfig(), frontend.DefaultICConfig()).Run(s)
+	m := frontend.Run(New(frontend.DefaultConfig(), frontend.DefaultICConfig()), s)
 	if bw := m.Bandwidth(); bw <= 0 || bw > 8 {
 		t.Fatalf("bandwidth = %v", bw)
 	}
@@ -48,7 +48,7 @@ func TestBandwidthLimited(t *testing.T) {
 
 func TestICMissRateReported(t *testing.T) {
 	s := testStream(t, 5, 60_000)
-	m := New(frontend.DefaultConfig(), frontend.DefaultICConfig()).Run(s)
+	m := frontend.Run(New(frontend.DefaultConfig(), frontend.DefaultICConfig()), s)
 	if _, ok := m.Extra["ic_miss_rate"]; !ok {
 		t.Fatal("ic miss rate missing")
 	}
@@ -57,9 +57,9 @@ func TestICMissRateReported(t *testing.T) {
 func TestDeterministic(t *testing.T) {
 	s := testStream(t, 6, 60_000)
 	s.Reset()
-	a := New(frontend.DefaultConfig(), frontend.DefaultICConfig()).Run(s)
+	a := frontend.Run(New(frontend.DefaultConfig(), frontend.DefaultICConfig()), s)
 	s.Reset()
-	b := New(frontend.DefaultConfig(), frontend.DefaultICConfig()).Run(s)
+	b := frontend.Run(New(frontend.DefaultConfig(), frontend.DefaultICConfig()), s)
 	if a.DeliveredUops != b.DeliveredUops || a.PenaltyCycles != b.PenaltyCycles {
 		t.Fatal("non-deterministic run")
 	}
@@ -74,9 +74,9 @@ func TestName(t *testing.T) {
 func TestMultiPortedICFasterThanSingle(t *testing.T) {
 	s := testStream(t, 7, 120_000)
 	s.Reset()
-	one := New(frontend.DefaultConfig(), frontend.DefaultICConfig()).Run(s)
+	one := frontend.Run(New(frontend.DefaultConfig(), frontend.DefaultICConfig()), s)
 	s.Reset()
-	two := NewMultiPorted(frontend.DefaultConfig(), frontend.DefaultICConfig(), 2).Run(s)
+	two := frontend.Run(NewMultiPorted(frontend.DefaultConfig(), frontend.DefaultICConfig(), 2), s)
 	if two.Uops != s.Uops() {
 		t.Fatal("multi-ported IC dropped uops")
 	}

@@ -76,10 +76,10 @@ func (s *session) Warm(recs []trace.Rec, target int) {
 func (s *session) Metrics() frontend.Metrics { return s.m }
 
 // Finish attaches the extras and finalizes.
-func (s *session) Finish() frontend.Metrics {
+func (s *session) Finish() (frontend.Metrics, error) {
 	s.m.AddExtra("ic_miss_rate", s.path.MissRate())
 	s.m.Finalize(s.f.cfg)
-	return s.m
+	return s.m, nil
 }
 
 // SaveState serializes the complete session state.
@@ -104,5 +104,3 @@ func (s *session) LoadState(r *snapshot.Reader) error {
 	}
 	return s.preds.LoadState(r)
 }
-
-var _ frontend.SessionFrontend = (*Frontend)(nil)

@@ -105,11 +105,11 @@ func TestBetterFrontendHigherIPC(t *testing.T) {
 	for name, run := range map[string]func(int) frontend.Metrics{
 		"xbc": func(budget int) frontend.Metrics {
 			s.Reset()
-			return xbcore.New(xbcore.DefaultConfig(budget), fe).Run(s)
+			return frontend.Run(xbcore.New(xbcore.DefaultConfig(budget), fe), s)
 		},
 		"tc": func(budget int) frontend.Metrics {
 			s.Reset()
-			return tcache.New(tcache.DefaultConfig(budget), fe).Run(s)
+			return frontend.Run(tcache.New(tcache.DefaultConfig(budget), fe), s)
 		},
 	} {
 		small := run(2 * 1024)

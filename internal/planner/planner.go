@@ -239,8 +239,7 @@ type Options struct {
 	// plans executing the same key coalesce onto one run.
 	Memo *Memo
 	// Runner carries the per-cell isolation machinery (timeout, retries,
-	// journal, report) for fresh executions. Its Parallel field is
-	// ignored; the planner's pool bounds concurrency.
+	// journal, report) for fresh executions.
 	Runner runner.Options
 }
 
@@ -379,10 +378,8 @@ const sourceJournal = "journal"
 // RunOne adds its own row to Options.Runner.Report, so the results it
 // produces are marked reported.
 func (o Options) runFresh(ctx context.Context, c Cell) Result {
-	ro := o.Runner
-	ro.Parallel = 1
-	cr := runner.RunOne(ctx, ro, runner.Task{Cell: c.RCell, Run: c.Run})
-	reported := ro.Report != nil
+	cr := runner.RunOne(ctx, o.Runner, runner.Task{Cell: c.RCell, Run: c.Run})
+	reported := o.Runner.Report != nil
 	switch cr.Status {
 	case runner.StatusDone:
 		return Result{Status: StatusSimulated, Value: cr.Payload, Attempts: cr.Attempts, reported: reported}

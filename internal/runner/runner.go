@@ -1,12 +1,13 @@
 // Package runner is the fault-tolerant execution layer underneath every
-// experiment driver: it fans a set of (figure, workload, config) cells out
-// over a bounded worker pool while providing the robustness guarantees a
-// paper-scale sweep needs and a bare sync.WaitGroup does not:
+// experiment driver and the job service: RunOne executes one (figure,
+// workload, config) cell with the robustness guarantees a paper-scale
+// sweep needs and a bare goroutine does not. The worker pool that fans a
+// sweep's cells out is planner.Run, which runs each fresh cell through
+// RunOne.
 //
-//   - context plumbing: cancelling the parent context (e.g. on SIGINT via
-//     NotifyContext) drains the sweep gracefully — in-flight cells run to
-//     completion and are reported, queued cells are marked aborted instead
-//     of silently vanishing;
+//   - context plumbing: a cell whose context is already cancelled (e.g.
+//     on SIGINT via NotifyContext) is reported aborted instead of
+//     silently vanishing, and a cell in flight runs to completion;
 //   - panic isolation: a panicking cell is converted into a structured
 //     CellError carrying the cell identity and the goroutine stack, so one
 //     bad configuration degrades that cell, not the whole sweep;
@@ -124,8 +125,6 @@ type Task struct {
 
 // Options configures a sweep execution.
 type Options struct {
-	// Parallel bounds concurrent cells (default 4).
-	Parallel int
 	// CellTimeout bounds each attempt of each cell (0 = unbounded). A cell
 	// that ignores its context and overruns is abandoned: its goroutine is
 	// leaked and the cell reports failed with context.DeadlineExceeded.
@@ -144,15 +143,12 @@ type Options struct {
 	// Journal, when non-nil, is consulted before running a cell (completed
 	// cells are skipped and replayed) and appended to after each completion.
 	Journal *Journal
-	// Report, when non-nil, accumulates every cell result across multiple
-	// Run invocations (e.g. all figures of one CLI run).
+	// Report, when non-nil, accumulates every cell result across many
+	// RunOne calls (e.g. all figures of one CLI run).
 	Report *Report
 }
 
 func (o Options) withDefaults() Options {
-	if o.Parallel <= 0 {
-		o.Parallel = 4
-	}
 	if o.Backoff <= 0 {
 		o.Backoff = 100 * time.Millisecond
 	}
@@ -173,56 +169,6 @@ func DefaultRetryIf(err error) bool {
 		return false
 	}
 	return !errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded)
-}
-
-// Run executes the tasks with bounded parallelism and returns one result
-// per task, index-aligned. It never returns early: every task is accounted
-// for as done, skipped, failed, or aborted. Cancelling ctx stops new cells
-// from starting (graceful drain); in-flight cells run to completion and
-// are still reported and journaled.
-func Run(ctx context.Context, o Options, tasks []Task) []CellResult {
-	o = o.withDefaults()
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	results := make([]CellResult, len(tasks))
-	sem := make(chan struct{}, o.Parallel)
-	var wg sync.WaitGroup
-	for i, t := range tasks {
-		results[i].Cell = t.Cell
-		if o.Journal != nil {
-			if raw, ok := o.Journal.Lookup(t.Cell); ok {
-				results[i].Status = StatusSkipped
-				results[i].Payload = raw
-				continue
-			}
-		}
-		select {
-		case <-ctx.Done():
-			results[i].Status = StatusAborted
-			continue
-		case sem <- struct{}{}:
-			// A cancellation that raced the semaphore acquire still wins:
-			// the drain must not start new cells.
-			if ctx.Err() != nil {
-				<-sem
-				results[i].Status = StatusAborted
-				continue
-			}
-		}
-		wg.Add(1)
-		go func(i int, t Task) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			results[i] = o.runCell(ctx, t)
-		}(i, t)
-	}
-	//xbc:ignore ctxflow graceful drain by contract: cancellation stops new cells above, and every started worker runs one ctx-aware cell and exits
-	wg.Wait()
-	if o.Report != nil {
-		o.Report.Add(results...)
-	}
-	return results
 }
 
 // runCell executes one cell through the attempt/retry loop.
@@ -317,11 +263,10 @@ func (o Options) attempt(ctx context.Context, t Task) (any, error) {
 	}
 }
 
-// RunOne executes a single task synchronously through the same machinery
-// as Run — panic isolation, the per-attempt deadline, bounded retry, and
-// journal replay/recording — and returns its result. It is the primitive a
-// long-running job service uses per accepted job, where Run's
-// slice-in/slice-out shape does not fit.
+// RunOne executes a single task synchronously — panic isolation, the
+// per-attempt deadline, bounded retry, and journal replay/recording — and
+// returns its result. It is the panic-isolation boundary for every sweep
+// cell (through planner.Run) and every job the service accepts.
 func RunOne(ctx context.Context, o Options, t Task) CellResult {
 	o = o.withDefaults()
 	if ctx == nil {
@@ -350,7 +295,7 @@ func RunOne(ctx context.Context, o Options, t Task) CellResult {
 	return res
 }
 
-// Report accumulates cell results across Run invocations. It is safe for
+// Report accumulates cell results across RunOne calls. It is safe for
 // concurrent use.
 type Report struct {
 	mu    sync.Mutex
@@ -475,8 +420,8 @@ func Retry(ctx context.Context, attempts int, backoff, maxBackoff time.Duration,
 }
 
 // NotifyContext returns a context cancelled on SIGINT/SIGTERM, wired for
-// the graceful-drain behavior of Run: the first signal stops new cells and
-// lets in-flight ones finish; a second signal kills the process through
+// graceful drain: the first signal stops new cells and lets in-flight ones
+// finish; a second signal kills the process through
 // the default handler (signal.NotifyContext unregisters on cancel).
 func NotifyContext(parent context.Context) (context.Context, context.CancelFunc) {
 	if parent == nil {

@@ -16,43 +16,14 @@ func cell(i int) Cell {
 	return Cell{Figure: "test", Workload: fmt.Sprintf("w%d", i), Config: "cfg"}
 }
 
-// TestCancellationMidSweep cancels the context from inside the first cell:
-// the first cell still completes (graceful drain), every queued cell is
-// marked aborted, and no cell vanishes.
-func TestCancellationMidSweep(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	var ran atomic.Int32
-	tasks := make([]Task, 6)
-	for i := range tasks {
-		i := i
-		tasks[i] = Task{Cell: cell(i), Run: func(context.Context) (any, error) {
-			ran.Add(1)
-			if i == 0 {
-				cancel() // SIGINT arrives while cell 0 is in flight
-			}
-			return i, nil
-		}}
+// runAll runs the tasks one after another through RunOne. The pool that
+// runs cells concurrently is planner.Run (see pool_test.go).
+func runAll(o Options, tasks []Task) []CellResult {
+	results := make([]CellResult, len(tasks))
+	for i, t := range tasks {
+		results[i] = RunOne(context.Background(), o, t)
 	}
-	results := Run(ctx, Options{Parallel: 1}, tasks)
-	if len(results) != len(tasks) {
-		t.Fatalf("got %d results for %d tasks", len(results), len(tasks))
-	}
-	if results[0].Status != StatusDone {
-		t.Errorf("in-flight cell: status %v, want done (graceful drain)", results[0].Status)
-	}
-	aborted := 0
-	for _, r := range results[1:] {
-		if r.Status == StatusAborted {
-			aborted++
-		}
-	}
-	if aborted != len(tasks)-1 {
-		t.Errorf("aborted %d of %d queued cells, want all", aborted, len(tasks)-1)
-	}
-	if got := ran.Load(); got != 1 {
-		t.Errorf("%d cells ran after cancellation, want 1", got)
-	}
+	return results
 }
 
 // TestPanicToCellError verifies panic isolation: a panicking cell degrades
@@ -65,7 +36,7 @@ func TestPanicToCellError(t *testing.T) {
 		{Cell: cell(2), Run: func(context.Context) (any, error) { return "ok", nil }},
 	}
 	rep := &Report{}
-	results := Run(context.Background(), Options{Parallel: 2, Report: rep}, tasks)
+	results := runAll(Options{Report: rep}, tasks)
 	if results[0].Status != StatusDone || results[2].Status != StatusDone {
 		t.Fatalf("sibling cells degraded: %v / %v", results[0].Status, results[2].Status)
 	}
@@ -122,7 +93,7 @@ func TestResumeFromJournal(t *testing.T) {
 		t.Fatal(err)
 	}
 	var ran1 atomic.Int32
-	Run(context.Background(), Options{Journal: j1}, mk(&ran1))
+	runAll(Options{Journal: j1}, mk(&ran1))
 	if err := j1.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +110,7 @@ func TestResumeFromJournal(t *testing.T) {
 		t.Fatalf("journal resumed %d cells, want 4", j2.Len())
 	}
 	var ran2 atomic.Int32
-	results := Run(context.Background(), Options{Journal: j2}, mk(&ran2))
+	results := runAll(Options{Journal: j2}, mk(&ran2))
 	if ran2.Load() != 0 {
 		t.Errorf("resume re-ran %d completed cells", ran2.Load())
 	}
@@ -178,7 +149,7 @@ func TestResumeSkipsOnlyCompleted(t *testing.T) {
 			return i, nil
 		}}
 	}
-	Run(context.Background(), Options{Journal: j1}, []Task{run(0), run(1), run(2)})
+	runAll(Options{Journal: j1}, []Task{run(0), run(1), run(2)})
 	j1.Close()
 
 	j2, err := OpenJournal(path, true)
@@ -187,7 +158,7 @@ func TestResumeSkipsOnlyCompleted(t *testing.T) {
 	}
 	defer j2.Close()
 	fail = false
-	results := Run(context.Background(), Options{Journal: j2}, []Task{run(0), run(1), run(2)})
+	results := runAll(Options{Journal: j2}, []Task{run(0), run(1), run(2)})
 	want := []Status{StatusSkipped, StatusDone, StatusSkipped}
 	for i, r := range results {
 		if r.Status != want[i] {
@@ -205,7 +176,7 @@ func TestRetryExhaustion(t *testing.T) {
 		attempts.Add(1)
 		return nil, fmt.Errorf("io blip %d", attempts.Load())
 	}}}
-	results := Run(context.Background(), Options{
+	results := runAll(Options{
 		Retries: 2, Backoff: time.Millisecond, MaxBackoff: 2 * time.Millisecond,
 	}, tasks)
 	if got := attempts.Load(); got != 3 {
@@ -230,7 +201,7 @@ func TestRetryRecovers(t *testing.T) {
 		}
 		return "ok", nil
 	}}}
-	results := Run(context.Background(), Options{Retries: 3, Backoff: time.Millisecond}, tasks)
+	results := runAll(Options{Retries: 3, Backoff: time.Millisecond}, tasks)
 	if r := results[0]; r.Status != StatusDone || r.Attempts != 2 {
 		t.Fatalf("result %+v, want done on attempt 2", r)
 	}
@@ -253,7 +224,7 @@ func TestCellTimeout(t *testing.T) {
 		}},
 	}
 	start := time.Now()
-	results := Run(context.Background(), Options{Parallel: 2, CellTimeout: 30 * time.Millisecond}, tasks)
+	results := runAll(Options{CellTimeout: 30 * time.Millisecond}, tasks)
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
 		t.Fatalf("sweep hung for %v on a non-cooperative cell", elapsed)
 	}

@@ -149,7 +149,7 @@ func Analyze(recs []trace.Rec, cfg Config) (Analysis, error) {
 // fe. The interval boundaries, clustering, and warming windows are pure
 // functions of the stream and cfg, so a sampled run is as deterministic
 // as a full one.
-func Run(fe frontend.SessionFrontend, recs []trace.Rec, fecfg frontend.Config, cfg Config) (Result, error) {
+func Run(fe frontend.Frontend, recs []trace.Rec, fecfg frontend.Config, cfg Config) (Result, error) {
 	a, err := Analyze(recs, cfg)
 	if err != nil {
 		return Result{}, err
@@ -162,16 +162,21 @@ func Run(fe frontend.SessionFrontend, recs []trace.Rec, fecfg frontend.Config, c
 // analysis is deterministic, so a cached copy is indistinguishable from
 // a fresh one). An analysis whose final boundary is not the end of recs
 // was made for another stream and is rejected.
-func RunAnalyzed(fe frontend.SessionFrontend, recs []trace.Rec, fecfg frontend.Config, cfg Config, a Analysis) (Result, error) {
+func RunAnalyzed(fe frontend.Frontend, recs []trace.Rec, fecfg frontend.Config, cfg Config, a Analysis) (Result, error) {
 	n := len(a.Boundaries) - 1
 	if n < 0 || a.Boundaries[n] != len(recs) {
 		return Result{}, fmt.Errorf("sampling: analysis does not cover this %d-record stream", len(recs))
 	}
 	res := Result{Intervals: n, Boundaries: a.Boundaries}
+	ses := fe.NewSession()
 	if a.Exact {
 		// Too short to sample: every interval would be a representative,
 		// so run it in full. The result is exact; the bounds are zero.
-		m := frontend.RunSession(fe.NewSession(), recs)
+		ses.StepTo(recs, len(recs))
+		m, err := ses.Finish()
+		if err != nil {
+			return Result{}, err
+		}
 		res.Metrics = m
 		res.ErrorBound = map[string]float64{"ipc": 0, "uop_miss_rate": 0}
 		res.SimulatedUops = m.Uops
@@ -184,7 +189,6 @@ func RunAnalyzed(fe frontend.SessionFrontend, recs []trace.Rec, fecfg frontend.C
 	// Simulate the representatives in stream order on one session: the
 	// structures persist across skips (stale, not cold), and each
 	// representative gets a bounded functional-warming window first.
-	ses := fe.NewSession()
 	deltas := make([]frontend.Metrics, len(reps))
 	repOf := make(map[int]int, len(reps)) // interval index -> cluster
 	for c, r := range reps {
@@ -211,7 +215,10 @@ func RunAnalyzed(fe frontend.SessionFrontend, recs []trace.Rec, fecfg frontend.C
 		ses.StepTo(recs, end)
 		deltas[c] = sub(ses.Metrics(), before)
 	}
-	final := ses.Finish() // extras from the structures the sample built
+	final, err := ses.Finish() // extras from the structures the sample built
+	if err != nil {
+		return Result{}, err
+	}
 
 	// Extrapolate: scale each cluster's raw counters by its uop weight,
 	// then finalize the combined counters exactly like a full run would.

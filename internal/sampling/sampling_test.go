@@ -24,7 +24,7 @@ func genRecs(t *testing.T, name string, uops int) []trace.Rec {
 	return s.Records()
 }
 
-func newXBC() frontend.SessionFrontend {
+func newXBC() frontend.Frontend {
 	return xbcore.New(xbcore.DefaultConfig(32*1024), frontend.DefaultConfig())
 }
 
@@ -106,7 +106,7 @@ func TestRunDeterministicAndCheap(t *testing.T) {
 func TestRunAccuracyWithinBound(t *testing.T) {
 	for _, name := range []string{"gcc", "word", "doom"} {
 		recs := genRecs(t, name, 400_000)
-		full := frontend.RunSession(newXBC().NewSession(), recs)
+		full := frontend.Run(newXBC(), &trace.Stream{Recs: recs})
 		got, err := Run(newXBC(), recs, frontend.DefaultConfig(), DefaultConfig())
 		if err != nil {
 			t.Fatal(err)
@@ -149,7 +149,7 @@ func TestRunAnalyzedRejectsForeignAnalysis(t *testing.T) {
 
 func TestRunShortStreamIsExact(t *testing.T) {
 	recs := genRecs(t, "gcc", 30_000)
-	full := frontend.RunSession(newXBC().NewSession(), recs)
+	full := frontend.Run(newXBC(), &trace.Stream{Recs: recs})
 	got, err := Run(newXBC(), recs, frontend.DefaultConfig(), DefaultConfig())
 	if err != nil {
 		t.Fatal(err)

@@ -117,74 +117,50 @@ func (s Spec) SnapshotKey() (string, error) {
 	return hex.EncodeToString(sum[:]), nil
 }
 
-// executeFull runs the exact cycle-level simulation, through the session
-// path with snapshot probe/capture when a manager is attached and the
-// frontend supports sessions, and through plain RunSafe otherwise. The
-// metrics are bit-identical either way.
-func executeFull(n Spec, fe frontend.Frontend, stream *trace.Stream) (Result, error) {
-	sf, ok := fe.(frontend.SessionFrontend)
-	mgr := SnapshotManager()
-	// The checker validates cycle-level invariants over the whole run;
-	// restoring past its observation window would blind it, so checked
-	// runs never use snapshots.
-	if !ok || mgr == nil || n.Check {
-		m, err := frontend.RunSafe(fe, stream)
+// executeFull runs the exact cycle-level simulation on one session. With
+// a snapshot manager, the warmup prefix is restored from the warm state
+// saved under the spec's snapshot key, or simulated and saved there; the
+// metrics are bit-identical either way. Checked runs pass a nil manager.
+func executeFull(n Spec, fe frontend.Frontend, recs []trace.Rec, mgr *snapshot.Manager) (Result, error) {
+	ses, hit := fe.NewSession(), false
+	if mgr != nil {
+		key, err := n.SnapshotKey()
 		if err != nil {
 			return Result{}, err
 		}
-		return Result{Metrics: m, Fidelity: FidelityFull}, nil
+		if blob, ok := mgr.Load(key); ok {
+			if restored := restoreSession(fe, blob, len(recs)); restored != nil {
+				ses, hit = restored, true
+			} else {
+				mgr.Invalidate(key)
+			}
+		}
+		if !hit {
+			if warmIdx := recIndexAtUops(recs, SnapshotWarmupUops(n.Uops)); warmIdx > 0 && warmIdx < len(recs) {
+				ses.StepTo(recs, warmIdx)
+				var w snapshot.Writer
+				ses.SaveState(&w)
+				mgr.Save(key, snapshot.Seal(w.Bytes()))
+			}
+		}
 	}
-	key, err := n.SnapshotKey()
-	if err != nil {
-		return Result{}, err
-	}
-	m, hit, err := runFullWithSnapshot(sf, stream.Records(), key, SnapshotWarmupUops(n.Uops), mgr)
+	ses.StepTo(recs, len(recs))
+	m, err := ses.Finish()
 	if err != nil {
 		return Result{}, err
 	}
 	return Result{Metrics: m, Fidelity: FidelityFull, SnapshotHit: hit}, nil
 }
 
-// runFullWithSnapshot is the session-based full run: restore warm state
-// under key if the manager has it, else simulate the warmup prefix and
-// capture it, then simulate to the end. Panics are isolated exactly like
-// frontend.RunSafe.
-func runFullWithSnapshot(sf frontend.SessionFrontend, recs []trace.Rec, key string, warmup uint64, mgr *snapshot.Manager) (m frontend.Metrics, hit bool, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			m, hit = frontend.Metrics{}, false
-			err = fmt.Errorf("jobspec: %s session fault: %v", sf.Name(), r)
-		}
-	}()
-	ses := sf.NewSession()
-	if blob, ok := mgr.Load(key); ok {
-		if restored := restoreSession(sf, blob, len(recs)); restored != nil {
-			ses, hit = restored, true
-		} else {
-			mgr.Invalidate(key)
-		}
-	}
-	if !hit && warmup > 0 {
-		if warmIdx := recIndexAtUops(recs, warmup); warmIdx > 0 && warmIdx < len(recs) {
-			ses.StepTo(recs, warmIdx)
-			var w snapshot.Writer
-			ses.SaveState(&w)
-			mgr.Save(key, snapshot.Seal(w.Bytes()))
-		}
-	}
-	ses.StepTo(recs, len(recs))
-	return ses.Finish(), hit, nil
-}
-
 // restoreSession opens and decodes a snapshot blob into a fresh session,
 // returning nil if the blob is unusable (corrupt, version-skewed, or
 // positioned at or beyond this run's end).
-func restoreSession(sf frontend.SessionFrontend, blob []byte, limit int) frontend.Session {
+func restoreSession(fe frontend.Frontend, blob []byte, limit int) frontend.Session {
 	payload, err := snapshot.Open(blob)
 	if err != nil {
 		return nil
 	}
-	ses := sf.NewSession()
+	ses := fe.NewSession()
 	if err := ses.LoadState(snapshot.NewReader(payload)); err != nil {
 		return nil
 	}
@@ -237,24 +213,14 @@ func analyzeCached(n Spec, recs []trace.Rec, cfg sampling.Config) (sampling.Anal
 }
 
 // executeSampled runs the sampled or estimate rung through
-// internal/sampling, with the same panic isolation as a full run.
-func executeSampled(n Spec, fe frontend.Frontend, stream *trace.Stream) (res Result, err error) {
-	sf, ok := fe.(frontend.SessionFrontend)
-	if !ok {
-		return Result{}, fmt.Errorf("jobspec: frontend %s does not support %s fidelity", fe.Name(), n.Fidelity)
-	}
-	defer func() {
-		if r := recover(); r != nil {
-			res = Result{}
-			err = fmt.Errorf("jobspec: %s sampled fault: %v", sf.Name(), r)
-		}
-	}()
+// internal/sampling.
+func executeSampled(n Spec, fe frontend.Frontend, recs []trace.Rec) (Result, error) {
 	cfg := SamplingConfig(n.Fidelity)
-	a, err := analyzeCached(n, stream.Records(), cfg)
+	a, err := analyzeCached(n, recs, cfg)
 	if err != nil {
 		return Result{}, err
 	}
-	sr, err := sampling.RunAnalyzed(sf, stream.Records(), frontend.DefaultConfig(), cfg, a)
+	sr, err := sampling.RunAnalyzed(fe, recs, frontend.DefaultConfig(), cfg, a)
 	if err != nil {
 		return Result{}, err
 	}

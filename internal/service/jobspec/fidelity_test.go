@@ -151,6 +151,39 @@ func TestExecuteSnapshotRoundTrip(t *testing.T) {
 	}
 }
 
+// TestExecuteCheckedBypassesSnapshots: a checked run takes the same
+// session path as every full run, with the snapshot manager detached, so
+// the checker observes the whole run. An attached manager must see no
+// load and no save, and the metrics must equal the same spec run
+// unchecked without a manager.
+func TestExecuteCheckedBypassesSnapshots(t *testing.T) {
+	spec := Spec{Frontend: KindXBC, Workload: "gcc", Uops: 200_000}
+	SetSnapshotManager(nil)
+	plain, err := Execute(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	mgr := snapshot.NewManager(8, nil)
+	SetSnapshotManager(mgr)
+	defer SetSnapshotManager(nil)
+	checkedSpec := spec
+	checkedSpec.Check = true
+	checked, err := Execute(checkedSpec)
+	if err != nil {
+		t.Fatalf("checked run on a clean stream: %v", err)
+	}
+	if st := mgr.Stats(); st != (snapshot.Stats{}) {
+		t.Fatalf("checked run touched the snapshot manager: %+v", st)
+	}
+	if checked.SnapshotHit {
+		t.Fatal("checked run reports a snapshot hit")
+	}
+	if !reflect.DeepEqual(checked.Metrics, plain.Metrics) {
+		t.Fatalf("checked metrics differ from the unchecked run:\nchecked %+v\nplain   %+v", checked.Metrics, plain.Metrics)
+	}
+}
+
 // TestSampledAnalysisKeyedByStream: the process-wide analysis memo must
 // key by the stream's content, never by the workload name, which is empty
 // for inline programs and only a label beside a custom one. Every sampled
@@ -187,7 +220,7 @@ func TestSampledAnalysisKeyedByStream(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				want, err := sampling.Run(fe.(frontend.SessionFrontend), stream.Records(), frontend.DefaultConfig(), SamplingConfig(n.Fidelity))
+				want, err := sampling.Run(fe, stream.Records(), frontend.DefaultConfig(), SamplingConfig(n.Fidelity))
 				if err != nil {
 					t.Fatal(err)
 				}

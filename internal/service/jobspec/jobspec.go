@@ -265,10 +265,12 @@ func (s Spec) NewFrontend() (frontend.Frontend, error) {
 
 // Execute runs the job: the stream comes from the shared content-addressed
 // corpus (so jobs differing only in cache configuration share one
-// generation), the frontend runs through panic isolation, and the interval
+// generation), the frontend runs on one session, and the interval
 // estimate is attached when the spec carries a core config. This is the
 // one execution path behind the service worker, xbcctl selfcheck, and a
 // direct CLI run of the same spec — bit-identical by construction.
+// Execute recovers no panic: the service runs it inside runner.RunOne,
+// which is the panic-isolation boundary.
 //
 // The spec's Fidelity routes the run: full runs simulate every uop (and,
 // when a snapshot manager is attached, skip the warmup prefix via a
@@ -290,9 +292,15 @@ func Execute(s Spec) (Result, error) {
 	var res Result
 	switch n.Fidelity {
 	case FidelitySampled, FidelityEstimate:
-		res, err = executeSampled(n, fe, stream)
+		res, err = executeSampled(n, fe, stream.Records())
 	default:
-		res, err = executeFull(n, fe, stream)
+		mgr := SnapshotManager()
+		if n.Check {
+			// The checker validates invariants over the whole run; a
+			// restored prefix would hide it from the checker.
+			mgr = nil
+		}
+		res, err = executeFull(n, fe, stream.Records(), mgr)
 	}
 	if err != nil {
 		return Result{}, err

@@ -392,7 +392,6 @@ func (s *Server) run(j *Job) {
 	defer s.reg.inflightAdd(-1)
 	j.transition(JobRunning, s.opts.Clock.now(), "")
 	res := runner.RunOne(context.Background(), runner.Options{
-		Parallel:    1,
 		CellTimeout: s.opts.JobTimeout,
 		Retries:     s.opts.Retries,
 	}, runner.Task{

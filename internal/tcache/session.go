@@ -105,12 +105,12 @@ func (s *session) Warm(recs []trace.Rec, target int) {
 func (s *session) Metrics() frontend.Metrics { return s.m }
 
 // Finish attaches the extras and finalizes.
-func (s *session) Finish() frontend.Metrics {
+func (s *session) Finish() (frontend.Metrics, error) {
 	s.m.AddExtra("redundancy", s.cache.Redundancy())
 	s.m.AddExtra("fragmentation", s.cache.Fragmentation())
 	s.m.AddExtra("ic_miss_rate", s.path.MissRate())
 	s.m.Finalize(s.f.fecfg)
-	return s.m
+	return s.m, nil
 }
 
 // SaveState serializes the complete session state.
@@ -252,5 +252,3 @@ func (c *Cache) LoadState(r *snapshot.Reader) error {
 	}
 	return r.Err()
 }
-
-var _ frontend.SessionFrontend = (*Frontend)(nil)

@@ -316,15 +316,10 @@ func (rf *retireFill) flush(cache *Cache) {
 	rf.uops, rf.branches = 0, 0
 }
 
-// Run replays the stream through the trace-cache frontend: a session
-// stepped straight from start to end (see session.go).
-func (f *Frontend) Run(s *trace.Stream) frontend.Metrics {
-	return frontend.RunSession(f.NewSession(), s.Records())
-}
-
 // deliver supplies uops from the stored trace ln while the predicted path
 // follows the embedded path and both match the committed stream. Returns
 // the new stream index.
+//
 //xbc:hot
 func (f *Frontend) deliver(recs []trace.Rec, i int, ln *line, preds *frontend.PredictorSet, m *frontend.Metrics) int {
 	m.DeliveryFetches++
@@ -364,6 +359,7 @@ func (f *Frontend) deliver(recs []trace.Rec, i int, ln *line, preds *frontend.Pr
 // through the IC path, stores it, and returns the new stream index. The
 // caller owns the fill scratch; its contents are dead once build returns
 // (Insert copies them into line storage).
+//
 //xbc:hot
 func (f *Frontend) build(recs []trace.Rec, i int, cache *Cache, path *frontend.ICPath, preds *frontend.PredictorSet, fillScratch *[]traceInst, m *frontend.Metrics) int {
 	startIP := recs[i].IP

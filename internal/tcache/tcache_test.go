@@ -126,7 +126,7 @@ func TestFragmentation(t *testing.T) {
 func TestFrontendConservation(t *testing.T) {
 	s := testStream(t, 3, 120_000)
 	fe := New(DefaultConfig(16*1024), frontend.DefaultConfig())
-	m := fe.Run(s)
+	m := frontend.Run(fe, s)
 	if m.Uops != s.Uops() {
 		t.Fatalf("uops %d != stream %d", m.Uops, s.Uops())
 	}
@@ -141,9 +141,9 @@ func TestFrontendConservation(t *testing.T) {
 func TestFrontendDeterministic(t *testing.T) {
 	s := testStream(t, 4, 80_000)
 	s.Reset()
-	a := New(DefaultConfig(16*1024), frontend.DefaultConfig()).Run(s)
+	a := frontend.Run(New(DefaultConfig(16*1024), frontend.DefaultConfig()), s)
 	s.Reset()
-	b := New(DefaultConfig(16*1024), frontend.DefaultConfig()).Run(s)
+	b := frontend.Run(New(DefaultConfig(16*1024), frontend.DefaultConfig()), s)
 	if a.DeliveredUops != b.DeliveredUops || a.PenaltyCycles != b.PenaltyCycles {
 		t.Fatal("non-deterministic TC run")
 	}
@@ -154,7 +154,7 @@ func TestFrontendRedundancyAboveOne(t *testing.T) {
 	// uops. On any realistic stream redundancy must exceed 1.
 	s := testStream(t, 5, 150_000)
 	fe := New(DefaultConfig(32*1024), frontend.DefaultConfig())
-	m := fe.Run(s)
+	m := frontend.Run(fe, s)
 	if red := m.Extra["redundancy"]; red < 1.2 {
 		t.Fatalf("TC redundancy %.3f suspiciously low", red)
 	}
@@ -163,9 +163,9 @@ func TestFrontendRedundancyAboveOne(t *testing.T) {
 func TestFrontendSmallerCacheMissesMore(t *testing.T) {
 	s := testStream(t, 6, 150_000)
 	s.Reset()
-	small := New(DefaultConfig(2*1024), frontend.DefaultConfig()).Run(s)
+	small := frontend.Run(New(DefaultConfig(2*1024), frontend.DefaultConfig()), s)
 	s.Reset()
-	big := New(DefaultConfig(64*1024), frontend.DefaultConfig()).Run(s)
+	big := frontend.Run(New(DefaultConfig(64*1024), frontend.DefaultConfig()), s)
 	if small.UopMissRate() <= big.UopMissRate() {
 		t.Fatalf("2K (%.2f%%) should miss more than 64K (%.2f%%)",
 			small.UopMissRate(), big.UopMissRate())
@@ -186,7 +186,7 @@ func TestTraceLimits(t *testing.T) {
 	}
 	s := &trace.Stream{Name: "limits", Recs: recs}
 	fe := New(Config{Sets: 4, Ways: 2, MaxUops: 16, MaxBranches: 3}, frontend.DefaultConfig())
-	m := fe.Run(s)
+	m := frontend.Run(fe, s)
 	if m.Uops != 8 {
 		t.Fatalf("uops = %d", m.Uops)
 	}
@@ -258,7 +258,7 @@ func TestPathAssocFrontendRuns(t *testing.T) {
 	s := testStream(t, 9, 100_000)
 	cfg := DefaultConfig(16 * 1024)
 	cfg.PathAssoc = true
-	m := New(cfg, frontend.DefaultConfig()).Run(s)
+	m := frontend.Run(New(cfg, frontend.DefaultConfig()), s)
 	if m.Uops != s.Uops() || m.DeliveredUops+m.BuildUops != m.Uops {
 		t.Fatal("path-assoc TC does not conserve uops")
 	}

@@ -84,7 +84,7 @@ func TestPromotionMergesBlocksEndToEnd(t *testing.T) {
 	s := promotionStream(500)
 	cfg := DefaultConfig(8 * 1024)
 	fe := New(cfg, frontend.DefaultConfig())
-	m := fe.Run(s)
+	m := frontend.Run(fe, s)
 	if m.Extra["promotions"] < 1 {
 		t.Fatalf("monotonic branch never promoted: %+v", m.Extra)
 	}
@@ -102,7 +102,7 @@ func TestPromotionDisabledNeverMerges(t *testing.T) {
 	s := promotionStream(500)
 	cfg := DefaultConfig(8 * 1024)
 	cfg.Promotion = false
-	m := New(cfg, frontend.DefaultConfig()).Run(s)
+	m := frontend.Run(New(cfg, frontend.DefaultConfig()), s)
 	if m.Extra["promotions"] != 0 || m.Extra["prom_violations"] != 0 {
 		t.Fatalf("promotion activity while disabled: %+v", m.Extra)
 	}
@@ -136,7 +136,7 @@ func TestDeepCallChainStream(t *testing.T) {
 			retFrom = isa.Addr(0x1000*(d)) + 8 + 4 + 8
 		}
 	}
-	m := New(DefaultConfig(8*1024), frontend.DefaultConfig()).Run(s)
+	m := frontend.Run(New(DefaultConfig(8*1024), frontend.DefaultConfig()), s)
 	if m.Uops != s.Uops() {
 		t.Fatalf("deep chain broke conservation: %d vs %d", m.Uops, s.Uops())
 	}
@@ -161,7 +161,7 @@ func TestQuotaChainStream(t *testing.T) {
 		last := mkRec(ip, isa.Jump, 2, true, 0x100)
 		s.Recs = append(s.Recs, last)
 	}
-	m := New(DefaultConfig(8*1024), frontend.DefaultConfig()).Run(s)
+	m := frontend.Run(New(DefaultConfig(8*1024), frontend.DefaultConfig()), s)
 	if m.Uops != s.Uops() {
 		t.Fatal("conservation broken")
 	}
@@ -190,7 +190,7 @@ func TestQuotaAlignmentDrift(t *testing.T) {
 		}
 		s.Recs = append(s.Recs, mkRec(ip, isa.Jump, 1, true, 0x100)) // 81 uops
 	}
-	m := New(DefaultConfig(16*1024), frontend.DefaultConfig()).Run(s)
+	m := frontend.Run(New(DefaultConfig(16*1024), frontend.DefaultConfig()), s)
 	// 16 alignments x 81 uops build once ~= 1296/16200 = 8%; allow slack.
 	if m.UopMissRate() > 12 {
 		t.Fatalf("alignment drift did not converge: %.1f%% misses", m.UopMissRate())
@@ -226,7 +226,7 @@ func TestComplexXBEndToEnd(t *testing.T) {
 	}
 	cfg := DefaultConfig(8 * 1024)
 	cfg.Promotion = false // keep the cut stable for this test
-	m := New(cfg, frontend.DefaultConfig()).Run(s)
+	m := frontend.Run(New(cfg, frontend.DefaultConfig()), s)
 	if m.Extra["complex_xbs"] < 1 {
 		t.Fatalf("case 3 never triggered: %+v", m.Extra)
 	}
@@ -264,7 +264,7 @@ func TestComplexXBDisabledRedundancy(t *testing.T) {
 		cfg := DefaultConfig(8 * 1024)
 		cfg.Promotion = false
 		cfg.ComplexXB = complexOn
-		return New(cfg, frontend.DefaultConfig()).Run(s).Extra["redundancy"]
+		return frontend.Run(New(cfg, frontend.DefaultConfig()), s).Extra["redundancy"]
 	}
 	on, off := mk(true), mk(false)
 	if off <= on {

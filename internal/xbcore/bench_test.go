@@ -70,7 +70,7 @@ func BenchmarkRunEndToEnd(b *testing.B) {
 	for n := 0; n < b.N; n++ {
 		fe := New(DefaultConfig(32*1024), frontend.DefaultConfig())
 		s.Reset()
-		m := fe.Run(s)
+		m := frontend.Run(fe, s)
 		if m.Uops != s.Uops() {
 			b.Fatal("dropped uops")
 		}

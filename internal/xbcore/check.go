@@ -22,8 +22,8 @@ import (
 //     leave the old block as an exact reverse-prefix of the extended one
 //     (checked at insert time in Cache.Insert, surfaced here).
 //
-// The first violation ends the run: RunChecked returns it; bare Run panics
-// with it (frontend.RunSafe converts that panic back into an error).
+// The first violation ends the run: the session stops stepping and its
+// Finish returns the violation.
 type checker struct {
 	cfg        Config
 	cache      *Cache

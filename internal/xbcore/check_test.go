@@ -20,10 +20,10 @@ func TestCheckedRunCleanStream(t *testing.T) {
 	// A well-formed stream must pass every invariant, and the checker must
 	// be purely observational: metrics identical to an unchecked run.
 	s := xbcTestStream(t, 11, 150_000)
-	s.Reset()
-	plain := New(DefaultConfig(16*1024), frontend.DefaultConfig()).Run(s)
-	s.Reset()
-	checked, err := New(checkedConfig(16*1024), frontend.DefaultConfig()).RunChecked(s)
+	plain := frontend.Run(New(DefaultConfig(16*1024), frontend.DefaultConfig()), s)
+	ses := New(checkedConfig(16*1024), frontend.DefaultConfig()).NewSession()
+	ses.StepTo(s.Records(), s.Len())
+	checked, err := ses.Finish()
 	if err != nil {
 		t.Fatalf("checked run failed on a clean stream: %v", err)
 	}
@@ -34,12 +34,34 @@ func TestCheckedRunCleanStream(t *testing.T) {
 }
 
 func TestCheckedRunThroughRunSafe(t *testing.T) {
-	// frontend.RunSafe must route through RunChecked for a Checked
-	// frontend, and Run must panic on a violation so RunSafe can catch it.
+	// frontend.RunSafe returns the checked session's verdict, which on a
+	// clean stream is no error.
 	s := xbcTestStream(t, 12, 60_000)
-	s.Reset()
 	if _, err := frontend.RunSafe(New(checkedConfig(16*1024), frontend.DefaultConfig()), s); err != nil {
 		t.Fatalf("RunSafe on clean stream: %v", err)
+	}
+}
+
+func TestCheckerErrorThroughSession(t *testing.T) {
+	// A violation the checker finds must come out of Finish as an error,
+	// with the metrics up to it.
+	s := xbcTestStream(t, 13, 60_000)
+	recs := s.Records()
+	ses := New(checkedConfig(16*1024), frontend.DefaultConfig()).NewSession()
+	ses.StepTo(recs, len(recs)/2)
+	st := ses.(*session).st
+	const dangling = isa.Addr(0xdead)
+	if st.cache.entryOf(dangling) >= 0 {
+		t.Fatalf("%#x unexpectedly resident; pick another address", dangling)
+	}
+	e := st.xbtb.Ensure(0x200, isa.CondBranch)
+	e.Taken = Ptr{EndIP: dangling, Variant: 0, Offset: 4, Valid: true}
+	m, err := ses.Finish()
+	if err == nil || !strings.Contains(err.Error(), "no cache entry") {
+		t.Fatalf("Finish dropped the dangling pointer: err=%v", err)
+	}
+	if m.Uops == 0 {
+		t.Fatal("Finish returned no metrics for the run up to the violation")
 	}
 }
 

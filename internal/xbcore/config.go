@@ -74,9 +74,9 @@ type Config struct {
 	// committed XB the run verifies the block quota, the bank-mask/offset
 	// consistency of the touched cache entry, and the wired XBTB pointers;
 	// a full cache/XBTB sweep runs periodically and at end of stream. A
-	// violation ends the run: RunChecked returns it as an error (Run
-	// panics — use frontend.RunSafe to convert). Off in production runs;
-	// intended for tests and hostile-input hardening.
+	// violation ends the run: the session's Finish returns it as an error
+	// (frontend.Run panics with it, frontend.RunSafe returns it). Off in
+	// production runs; intended for tests and hostile-input hardening.
 	Check bool
 
 	// Promotion thresholds on the 7-bit counter (0..127). A branch

@@ -110,31 +110,6 @@ func reasonKey(r abandonReason) string {
 	}
 }
 
-// Run replays the stream through the XBC frontend. With Config.Check set
-// it panics on the first invariant violation; use RunChecked (or
-// frontend.RunSafe) to receive violations as errors instead.
-func (f *Frontend) Run(s *trace.Stream) frontend.Metrics {
-	m, err := f.run(s)
-	if err != nil {
-		panic(err)
-	}
-	return m
-}
-
-// RunChecked replays the stream like Run but returns the first invariant
-// violation (Config.Check) as an error; the returned metrics cover the run
-// up to the violation. It implements frontend.Checked.
-func (f *Frontend) RunChecked(s *trace.Stream) (frontend.Metrics, error) {
-	return f.run(s)
-}
-
-func (f *Frontend) run(s *trace.Stream) (frontend.Metrics, error) {
-	ses := f.NewSession().(*session)
-	ses.StepTo(s.Records(), len(s.Records()))
-	m := ses.Finish()
-	return m, ses.err
-}
-
 // charge adds a misprediction penalty to the metrics (suppressed in the
 // oracle limit study, where prediction is perfect).
 func (f *Frontend) charge(st *runState, m *frontend.Metrics, c int) {
@@ -256,6 +231,7 @@ func (f *Frontend) resolvePrev(st *runState, cur *dynXB, m *frontend.Metrics) Pt
 
 // deliverXB tries to supply cur from the XBC; returns false on any miss
 // (caller switches to build mode).
+//
 //xbc:hot
 func (f *Frontend) deliverXB(st *runState, cur *dynXB, follow Ptr, m *frontend.Metrics) bool {
 	if !follow.Valid {
@@ -304,6 +280,7 @@ func (f *Frontend) deliverXB(st *runState, cur *dynXB, follow Ptr, m *frontend.M
 // (the XBTB supplies two pointers), subject to bank conflicts and the
 // 16-uop fetch width. Conflicting blocks are deferred to the next cycle
 // and feed the dynamic-placement counters (section 3.10).
+//
 //xbc:hot
 func (f *Frontend) packFetch(st *runState, cur *dynXB, p Ptr, banks uint, m *frontend.Metrics) {
 	fetchWidth := f.cfg.Banks * f.cfg.BankUops
@@ -366,6 +343,7 @@ func (f *Frontend) buildXB(st *runState, recs []trace.Rec, cur *dynXB, m *fronte
 // cur's entry, updates the previous XB's pointer along the committed path,
 // trains promotion counters, and maintains the XRSB and its learning
 // shadow stack.
+//
 //xbc:hot
 func (f *Frontend) commit(st *runState, cur *dynXB, m *frontend.Metrics) {
 	e := st.xbtb.Ensure(cur.endIP, cur.class)
@@ -449,7 +427,4 @@ func (f *Frontend) commit(st *runState, cur *dynXB, m *frontend.Metrics) {
 	st.prevPromoted = cur.endPromoted
 }
 
-var (
-	_ frontend.Frontend = (*Frontend)(nil)
-	_ frontend.Checked  = (*Frontend)(nil)
-)
+var _ frontend.Frontend = (*Frontend)(nil)

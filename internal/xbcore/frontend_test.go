@@ -24,7 +24,7 @@ func TestFrontendConservation(t *testing.T) {
 	// from the IC path.
 	s := xbcTestStream(t, 3, 150_000)
 	fe := New(DefaultConfig(16*1024), frontend.DefaultConfig())
-	m := fe.Run(s)
+	m := frontend.Run(fe, s)
 	if m.Uops != s.Uops() {
 		t.Fatalf("uops consumed %d != stream uops %d", m.Uops, s.Uops())
 	}
@@ -40,10 +40,10 @@ func TestFrontendDeterministic(t *testing.T) {
 	s := xbcTestStream(t, 4, 100_000)
 	fe := New(DefaultConfig(16*1024), frontend.DefaultConfig())
 	s.Reset()
-	a := fe.Run(s)
+	a := frontend.Run(fe, s)
 	fe2 := New(DefaultConfig(16*1024), frontend.DefaultConfig())
 	s.Reset()
-	b := fe2.Run(s)
+	b := frontend.Run(fe2, s)
 	if a.DeliveredUops != b.DeliveredUops || a.BuildUops != b.BuildUops ||
 		a.CondMiss != b.CondMiss || a.ModeSwitches != b.ModeSwitches ||
 		a.PenaltyCycles != b.PenaltyCycles {
@@ -56,7 +56,7 @@ func TestFrontendReachesDelivery(t *testing.T) {
 	// must come from the XBC.
 	s := xbcTestStream(t, 5, 200_000)
 	fe := New(DefaultConfig(64*1024), frontend.DefaultConfig())
-	m := fe.Run(s)
+	m := frontend.Run(fe, s)
 	if m.UopMissRate() > 40 {
 		t.Fatalf("miss rate %.1f%% absurdly high for a covered working set", m.UopMissRate())
 	}
@@ -76,7 +76,7 @@ func TestFrontendRedundancyLow(t *testing.T) {
 	// the same streams measures well above 1.5.
 	s := xbcTestStream(t, 6, 150_000)
 	fe := New(DefaultConfig(16*1024), frontend.DefaultConfig())
-	m := fe.Run(s)
+	m := frontend.Run(fe, s)
 	red := m.Extra["redundancy"]
 	if red == 0 {
 		t.Fatal("redundancy not measured")
@@ -90,10 +90,10 @@ func TestFrontendSmallerCacheMissesMore(t *testing.T) {
 	s := xbcTestStream(t, 7, 200_000)
 	small := New(DefaultConfig(2*1024), frontend.DefaultConfig())
 	s.Reset()
-	ms := small.Run(s)
+	ms := frontend.Run(small, s)
 	big := New(DefaultConfig(64*1024), frontend.DefaultConfig())
 	s.Reset()
-	mb := big.Run(s)
+	mb := frontend.Run(big, s)
 	if ms.UopMissRate() <= mb.UopMissRate() {
 		t.Fatalf("2K cache (%.2f%%) should miss more than 64K (%.2f%%)",
 			ms.UopMissRate(), mb.UopMissRate())
@@ -119,7 +119,7 @@ func TestFrontendAblationsRun(t *testing.T) {
 		mut(&cfg)
 		fe := New(cfg, frontend.DefaultConfig())
 		s.Reset()
-		m := fe.Run(s)
+		m := frontend.Run(fe, s)
 		if m.DeliveredUops+m.BuildUops != m.Uops || m.Uops != s.Uops() {
 			t.Fatalf("ablation %d does not conserve uops", i)
 		}
@@ -134,9 +134,9 @@ func TestPromotionImprovesBandwidthOrNeutral(t *testing.T) {
 	off := on
 	off.Promotion = false
 	s.Reset()
-	mOn := New(on, frontend.DefaultConfig()).Run(s)
+	mOn := frontend.Run(New(on, frontend.DefaultConfig()), s)
 	s.Reset()
-	mOff := New(off, frontend.DefaultConfig()).Run(s)
+	mOff := frontend.Run(New(off, frontend.DefaultConfig()), s)
 	if mOn.Bandwidth() < 0.8*mOff.Bandwidth() {
 		t.Fatalf("promotion collapsed bandwidth: %.2f vs %.2f", mOn.Bandwidth(), mOff.Bandwidth())
 	}
@@ -148,9 +148,9 @@ func TestDualFetchImprovesBandwidth(t *testing.T) {
 	single := dual
 	single.XBsPerCycle = 1
 	s.Reset()
-	mDual := New(dual, frontend.DefaultConfig()).Run(s)
+	mDual := frontend.Run(New(dual, frontend.DefaultConfig()), s)
 	s.Reset()
-	mSingle := New(single, frontend.DefaultConfig()).Run(s)
+	mSingle := frontend.Run(New(single, frontend.DefaultConfig()), s)
 	// With an 8-wide renamer the ceiling often binds both configurations;
 	// dual fetch must never be materially slower, and its fetch-cycle
 	// count must be lower.
@@ -189,13 +189,13 @@ func TestOracleMode(t *testing.T) {
 	cfg := DefaultConfig(32 * 1024)
 	cfg.Oracle = true
 	s.Reset()
-	m := New(cfg, frontend.DefaultConfig()).Run(s)
+	m := frontend.Run(New(cfg, frontend.DefaultConfig()), s)
 	if m.Uops != s.Uops() || m.DeliveredUops+m.BuildUops != m.Uops {
 		t.Fatal("oracle mode does not conserve uops")
 	}
 	base := DefaultConfig(32 * 1024)
 	s.Reset()
-	mb := New(base, frontend.DefaultConfig()).Run(s)
+	mb := frontend.Run(New(base, frontend.DefaultConfig()), s)
 	if m.UopMissRate() > mb.UopMissRate() {
 		t.Fatalf("oracle misses more than baseline: %.2f vs %.2f",
 			m.UopMissRate(), mb.UopMissRate())
@@ -213,14 +213,14 @@ func TestXBsPerCycleFour(t *testing.T) {
 	cfg := DefaultConfig(32 * 1024)
 	cfg.XBsPerCycle = 4
 	s.Reset()
-	m4 := New(cfg, frontend.DefaultConfig()).Run(s)
+	m4 := frontend.Run(New(cfg, frontend.DefaultConfig()), s)
 	if m4.Uops != s.Uops() {
 		t.Fatal("4-wide fetch does not conserve uops")
 	}
 	cfg1 := DefaultConfig(32 * 1024)
 	cfg1.XBsPerCycle = 1
 	s.Reset()
-	m1 := New(cfg1, frontend.DefaultConfig()).Run(s)
+	m1 := frontend.Run(New(cfg1, frontend.DefaultConfig()), s)
 	if m4.DeliveryFetches >= m1.DeliveryFetches {
 		t.Fatalf("wider fetch did not reduce fetch cycles: %d vs %d",
 			m4.DeliveryFetches, m1.DeliveryFetches)

@@ -10,9 +10,9 @@ import (
 	"xbc/internal/trace"
 )
 
-// session is one incremental run of the XBC frontend: the Run loop with
-// its state (cache, XBTB complex, XBP, fetch path, previous-XB context,
-// counters, position) lifted into a struct so it can pause at a
+// session is one incremental run of the XBC frontend: the committed-block
+// loop's state (cache, XBTB complex, XBP, fetch path, previous-XB
+// context, counters, position) lifted into a struct so it can pause at a
 // committed-block boundary.
 type session struct {
 	f  *Frontend
@@ -25,7 +25,7 @@ type session struct {
 	// err is the first invariant violation; once set, StepTo stops.
 	err error
 	// cur is the per-run cut scratch, reused across iterations so the
-	// committed-block loop does not allocate (see Run).
+	// committed-block loop does not allocate.
 	cur      dynXB
 	promoted promQuery
 	pos      int
@@ -140,16 +140,16 @@ func (s *session) Warm(recs []trace.Rec, target int) {
 func (s *session) Metrics() frontend.Metrics { return s.m }
 
 // Finish runs the end-of-stream checker sweep, attaches the extras, and
-// finalizes. After a checker violation the extras are skipped, matching
-// the early return of the non-session run path.
-func (s *session) Finish() frontend.Metrics {
+// finalizes. After a checker violation the extras are skipped and the
+// violation is returned with the metrics up to it.
+func (s *session) Finish() (frontend.Metrics, error) {
 	f, st, m := s.f, s.st, &s.m
 	if s.chk != nil && s.err == nil {
 		s.err = s.chk.sweep()
 	}
 	if s.err != nil {
 		m.Finalize(f.fecfg)
-		return s.m
+		return s.m, s.err
 	}
 	m.AddExtra("redundancy", st.cache.Redundancy())
 	m.AddExtra("fragmentation", st.cache.Fragmentation())
@@ -173,7 +173,7 @@ func (s *session) Finish() frontend.Metrics {
 		}
 	}
 	m.Finalize(f.fecfg)
-	return s.m
+	return s.m, nil
 }
 
 // SaveState serializes the complete session state.
@@ -285,5 +285,3 @@ func (s *session) LoadState(r *snapshot.Reader) error {
 	}
 	return r.Err()
 }
-
-var _ frontend.SessionFrontend = (*Frontend)(nil)

@@ -13,7 +13,7 @@ func TestXBPKindsDiffer(t *testing.T) {
 		cfg := DefaultConfig(32 * 1024)
 		cfg.XBP = kind
 		s.Reset()
-		results[kind.String()] = New(cfg, frontend.DefaultConfig()).Run(s)
+		results[kind.String()] = frontend.Run(New(cfg, frontend.DefaultConfig()), s)
 	}
 	t.Logf("gshare: miss=%d/%d bw=%.3f", results["gshare"].CondMiss, results["gshare"].CondExec, results["gshare"].Bandwidth())
 	t.Logf("bimodal: miss=%d/%d bw=%.3f", results["bimodal"].CondMiss, results["bimodal"].CondExec, results["bimodal"].Bandwidth())
@@ -24,7 +24,7 @@ func TestXBPKindsDiffer(t *testing.T) {
 	cfg := DefaultConfig(32 * 1024)
 	cfg.NextXB = true
 	s.Reset()
-	mn := New(cfg, frontend.DefaultConfig()).Run(s)
+	mn := frontend.Run(New(cfg, frontend.DefaultConfig()), s)
 	t.Logf("nextxb: hits=%v misses=%v miss%%=%.2f", mn.Extra["nxb_hits"], mn.Extra["nxb_misses"], mn.UopMissRate())
 	if mn.Extra["nxb_hits"] == 0 {
 		t.Error("next-XB predictor never hit")

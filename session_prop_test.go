@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"xbc"
-	"xbc/internal/frontend"
 	"xbc/internal/snapshot"
 )
 
@@ -27,11 +26,8 @@ func TestSessionRestoreContinueBitIdentical(t *testing.T) {
 	for fn, mk := range goldenModels() {
 		fn, mk := fn, mk
 		t.Run(fn, func(t *testing.T) {
-			fe, ok := mk().(frontend.SessionFrontend)
-			if !ok {
-				t.Fatalf("%s does not implement SessionFrontend", fn)
-			}
-			ref := frontend.RunSession(fe.NewSession(), recs)
+			fe := mk()
+			ref := xbc.Run(fe, s)
 
 			// Two snapshot hops: save at ~1/3 and ~2/3, each time sealing
 			// the payload into a blob and reopening it (the exact bytes a
@@ -56,7 +52,10 @@ func TestSessionRestoreContinueBitIdentical(t *testing.T) {
 				ses = restored
 			}
 			ses.StepTo(recs, len(recs))
-			got := ses.Finish()
+			got, err := ses.Finish()
+			if err != nil {
+				t.Fatal(err)
+			}
 
 			if !reflect.DeepEqual(metricsToGolden(ref), metricsToGolden(got)) {
 				t.Errorf("split run diverged from uninterrupted run\nref: %+v\ngot: %+v",
@@ -80,7 +79,7 @@ func TestSessionLoadStateCorruptPayload(t *testing.T) {
 	for fn, mk := range goldenModels() {
 		fn, mk := fn, mk
 		t.Run(fn, func(t *testing.T) {
-			fe := mk().(frontend.SessionFrontend)
+			fe := mk()
 			ses := fe.NewSession()
 			ses.StepTo(recs, len(recs)/2)
 			var sw snapshot.Writer

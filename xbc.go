@@ -12,7 +12,7 @@
 //	w, _ := xbc.WorkloadByName("gcc")
 //	stream, _ := xbc.Generate(w, 1_000_000) // 1M dynamic uops
 //	fe := xbc.NewXBCFrontend(32 * 1024)     // 32K-uop XBC, paper config
-//	metrics := fe.Run(stream)
+//	metrics := xbc.Run(fe, stream)
 //	fmt.Printf("miss %.2f%%, bandwidth %.2f uops/cycle\n",
 //	    metrics.UopMissRate(), metrics.Bandwidth())
 //
@@ -131,6 +131,11 @@ func WriteTrace(w io.Writer, s *Stream) error { return trace.Write(w, s) }
 
 // ReadTrace deserializes a stream written by WriteTrace.
 func ReadTrace(r io.Reader) (*Stream, error) { return trace.Read(r) }
+
+// Run replays every record of the stream through a fresh session of f and
+// returns the finalized metrics. It panics on an invariant violation of a
+// checked XBC; RunSafe returns that as an error instead.
+func Run(f Frontend, s *Stream) Metrics { return frontend.Run(f, s) }
 
 // DefaultFrontendConfig returns the paper's timing parameters (renamer
 // width 8, the penalties used throughout the evaluation).
@@ -303,10 +308,9 @@ func DefaultExperimentOptions() ExperimentOptions { return experiments.DefaultOp
 // the recovered value, and the goroutine stack.
 type PanicError = frontend.PanicError
 
-// RunSafe replays the stream through f with panic isolation: hostile
-// input yields an error, never a crash. Frontends supporting invariant
-// checking (the XBC with Check enabled) surface violations as errors the
-// same way.
+// RunSafe is Run with panic isolation: hostile input yields an error,
+// never a crash, and an invariant violation of a checked XBC is returned
+// as an error.
 func RunSafe(f Frontend, s *Stream) (Metrics, error) { return frontend.RunSafe(f, s) }
 
 // NewCheckedXBCFrontend returns an XBC frontend with cycle-level

@@ -18,7 +18,7 @@ func TestQuickstart(t *testing.T) {
 		t.Fatal(err)
 	}
 	fe := xbc.NewXBCFrontend(32 * 1024)
-	m := fe.Run(stream)
+	m := xbc.Run(fe, stream)
 	if m.Uops != stream.Uops() {
 		t.Fatalf("uops consumed %d != stream %d", m.Uops, stream.Uops())
 	}
@@ -48,7 +48,7 @@ func TestAllFrontendConstructors(t *testing.T) {
 	names := map[string]bool{}
 	for _, fe := range frontends {
 		stream.Reset()
-		m := fe.Run(stream)
+		m := xbc.Run(fe, stream)
 		if m.Uops != stream.Uops() {
 			t.Errorf("%s: consumed %d of %d uops", fe.Name(), m.Uops, stream.Uops())
 		}
@@ -122,7 +122,7 @@ func TestMultiPortedICFacade(t *testing.T) {
 		t.Fatal(err)
 	}
 	fe := xbc.NewMultiPortedICFrontend(2)
-	m := fe.Run(s)
+	m := xbc.Run(fe, s)
 	if m.Uops != s.Uops() {
 		t.Fatal("conservation broken")
 	}
@@ -137,7 +137,7 @@ func TestPhasesFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := xbc.NewXBCFrontend(16 * 1024).Run(s)
+	m := xbc.Run(xbc.NewXBCFrontend(16*1024), s)
 	p := m.Phases()
 	sum := p.SteadyPct + p.TransitionPct + p.StallPct
 	if sum < 99 || sum > 101 {
