@@ -3,13 +3,11 @@
 GO ?= go
 
 # Where `make bench` records the frontend benchmark numbers. The checked-in
-# baselines are BENCH_SEED.json (the original tree), BENCH_PR2.json (the
-# allocation-free frontends) and BENCH_PR4.json (the arena-backed storage);
-# record the working tree into BENCH_CURRENT.json and diff against a
-# baseline:
+# frontend baseline is BENCH_PR4.json (the arena-backed storage); record
+# the working tree into BENCH_CURRENT.json and diff against it:
 #
 #	make bench                                        # writes BENCH_CURRENT.json
-#	make bench-compare OLD=BENCH_PR2.json NEW=BENCH_CURRENT.json
+#	make bench-compare OLD=BENCH_PR4.json NEW=BENCH_CURRENT.json
 #	make bench-gate                                   # record + gate vs BENCH_PR4.json
 #
 BENCH_OUT ?= BENCH_CURRENT.json

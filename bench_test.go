@@ -172,7 +172,6 @@ func benchFrontend(b *testing.B, mk func() xbc.Frontend) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		fe := mk()
-		s.Reset()
 		m := xbc.Run(fe, s)
 		if m.Uops != want {
 			b.Fatal("frontend dropped uops")

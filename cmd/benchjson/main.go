@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	benchjson -o BENCH_PR2.json                  # run frontend benches, write JSON
+//	benchjson -o BENCH_PR4.json                  # run frontend benches, write JSON
 //	benchjson -bench 'BenchmarkGenerate' -o g.json
 //	benchjson -pkg ./internal/planner -bench 'BenchmarkSweep' -o BENCH_PR7.json
 //	benchjson -in raw.txt -o old.json            # parse an existing `go test -bench` log

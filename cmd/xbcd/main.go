@@ -121,8 +121,8 @@ func main() {
 			opts.StoreErr = err.Error()
 		} else {
 			stats := st.Stats()
-			log.Printf("store %s: %d records (%d replayed, %d quarantined)",
-				*storeDir, stats.Records, stats.Replayed, stats.Quarantined+stats.QuarantinedFiles)
+			log.Printf("store %s: %d records (%d quarantined)",
+				*storeDir, stats.Records, stats.Quarantined+stats.QuarantinedFiles)
 			opts.Store = st
 			defer func() {
 				if err := st.Close(); err != nil {

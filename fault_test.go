@@ -49,7 +49,6 @@ func TestFaultMatrix(t *testing.T) {
 		for _, fe := range frontends {
 			t.Run(fmt.Sprintf("%s/%s", fault.name, fe.name), func(t *testing.T) {
 				s := fault.make()
-				s.Reset()
 				// RunSafe must contain the damage: an error is acceptable,
 				// a panic escaping to this goroutine is not (the test
 				// binary would crash, which is itself the failure signal).
@@ -78,12 +77,10 @@ func TestCheckedXBCCleanOnHealthyStream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.Reset()
 	checked, err := xbc.RunSafe(xbc.NewCheckedXBCFrontend(8*1024), s)
 	if err != nil {
 		t.Fatalf("checker flagged a healthy stream: %v", err)
 	}
-	s.Reset()
 	plain := xbc.Run(xbc.NewXBCFrontend(8*1024), s)
 	if checked.UopMissRate() != plain.UopMissRate() || checked.Bandwidth() != plain.Bandwidth() {
 		t.Fatalf("checking changed the simulation: %.4f/%.4f vs %.4f/%.4f",

@@ -110,7 +110,6 @@ func computeGolden(t testing.TB) map[string]goldenMetrics {
 			t.Fatal(err)
 		}
 		for fn, mk := range goldenModels() {
-			s.Reset()
 			m := xbc.Run(mk(), s)
 			out[wn+"/"+fn] = metricsToGolden(m)
 		}

@@ -55,9 +55,7 @@ func TestConservation(t *testing.T) {
 
 func TestDeterministic(t *testing.T) {
 	s := testStream(t, 4, 60_000)
-	s.Reset()
 	a := frontend.Run(New(DefaultConfig(8*1024), frontend.DefaultConfig()), s)
-	s.Reset()
 	b := frontend.Run(New(DefaultConfig(8*1024), frontend.DefaultConfig()), s)
 	if a.DeliveredUops != b.DeliveredUops || a.StructMisses != b.StructMisses {
 		t.Fatal("non-deterministic run")
@@ -93,9 +91,7 @@ func TestTinyCacheTerminates(t *testing.T) {
 
 func TestSmallerCacheMissesMore(t *testing.T) {
 	s := testStream(t, 7, 120_000)
-	s.Reset()
 	small := frontend.Run(New(DefaultConfig(2*1024), frontend.DefaultConfig()), s)
-	s.Reset()
 	big := frontend.Run(New(DefaultConfig(64*1024), frontend.DefaultConfig()), s)
 	if small.UopMissRate() <= big.UopMissRate() {
 		t.Fatalf("2K (%.2f%%) should miss more than 64K (%.2f%%)",

@@ -55,9 +55,7 @@ func TestConservation(t *testing.T) {
 
 func TestDeterministic(t *testing.T) {
 	s := testStream(t, 4, 60_000)
-	s.Reset()
 	a := frontend.Run(New(DefaultConfig(8*1024), frontend.DefaultConfig()), s)
-	s.Reset()
 	b := frontend.Run(New(DefaultConfig(8*1024), frontend.DefaultConfig()), s)
 	if a.DeliveredUops != b.DeliveredUops || a.BuildCycles != b.BuildCycles {
 		t.Fatal("non-deterministic run")

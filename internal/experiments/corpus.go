@@ -25,10 +25,8 @@ import (
 // (the singleflight of internal/lru) — while any difference in the
 // spec or the length yields a distinct entry, never an aliased stream.
 //
-// Sharing is safe because callers receive private *trace.Stream views
-// over one shared, immutable record slice: frontends and segmentation
-// passes only read Recs, and the read cursor (Read/Reset/Seek) lives in
-// the per-caller view.
+// Sharing is safe because every caller receives the same immutable
+// *trace.Stream: frontends and segmentation passes only read Recs.
 
 // defaultCorpusStreams bounds the shared corpus. 64 entries hold the full
 // 21-workload suite at three different stream lengths; at the default 1M
@@ -39,8 +37,8 @@ const defaultCorpusStreams = 64
 // private instances with newCorpus.
 var sharedCorpus = newCorpus(defaultCorpusStreams)
 
-// StreamFor returns a private Stream view over the process-wide shared
-// corpus for (spec, minUops): the simulation service and the experiment
+// StreamFor returns the process-wide shared corpus's Stream for
+// (spec, minUops): the simulation service and the experiment
 // harness draw from one content-addressed pool, so a sweep of jobs that
 // differ only in cache configuration generates each dynamic stream once.
 func StreamFor(spec program.Spec, minUops uint64) (*trace.Stream, error) {
@@ -91,10 +89,9 @@ func newCorpus(max int) *corpus {
 	return &corpus{streams: lru.New[CorpusKey, *trace.Stream](max)}
 }
 
-// stream returns a private Stream view for (spec, minUops), loading or
-// generating the underlying records at most once per key no matter how
-// many callers race. The views share one record slice; each has its own
-// read cursor.
+// stream returns the cached Stream for (spec, minUops), loading or
+// generating it at most once per key no matter how many callers race.
+// Every caller shares the one Stream, which must be treated as immutable.
 func (c *corpus) stream(spec program.Spec, minUops uint64) (*trace.Stream, error) {
 	key, err := CorpusKeyFor(spec, minUops)
 	if err != nil {
@@ -103,10 +100,7 @@ func (c *corpus) stream(spec program.Spec, minUops uint64) (*trace.Stream, error
 	s, _, err := c.streams.Do(context.TODO(), key, func() (*trace.Stream, error) {
 		return c.load(key, spec, minUops)
 	})
-	if err != nil {
-		return nil, err
-	}
-	return &trace.Stream{Name: s.Name, Recs: s.Recs}, nil
+	return s, err
 }
 
 // load reads the stream for key from the attached store, or generates it

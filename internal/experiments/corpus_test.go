@@ -11,9 +11,8 @@ import (
 
 // TestCorpusSingleflight races many goroutines — like parallel runner
 // cells — at the same (spec, uops) key and checks that exactly one
-// generation happens, every caller shares the same backing records, and
-// each caller still gets an independent read cursor. Run under -race this
-// is also the data-race proof for the sharing scheme.
+// generation happens and every caller gets the one cached Stream. Run
+// under -race this is also the data-race proof for the sharing scheme.
 func TestCorpusSingleflight(t *testing.T) {
 	w, ok := workload.ByName("gcc")
 	if !ok {
@@ -23,7 +22,7 @@ func TestCorpusSingleflight(t *testing.T) {
 	const callers = 16
 	const uops = 30_000
 	var wg sync.WaitGroup
-	streams := make([]*streamView, callers)
+	streams := make([]*trace.Stream, callers)
 	for i := 0; i < callers; i++ {
 		wg.Add(1)
 		go func(i int) {
@@ -33,15 +32,7 @@ func TestCorpusSingleflight(t *testing.T) {
 				t.Errorf("caller %d: %v", i, err)
 				return
 			}
-			// Advance this caller's cursor a caller-specific distance to
-			// prove cursors are private.
-			for k := 0; k <= i; k++ {
-				if _, err := s.Read(); err != nil {
-					t.Errorf("caller %d: read %d: %v", i, k, err)
-					return
-				}
-			}
-			streams[i] = &streamView{s: s, read: i + 1}
+			streams[i] = s
 		}(i)
 	}
 	wg.Wait()
@@ -51,26 +42,11 @@ func TestCorpusSingleflight(t *testing.T) {
 	if n := c.generates.Load(); n != 1 {
 		t.Fatalf("generated %d times for one key, want 1", n)
 	}
-	base := &streams[0].s.Recs[0]
-	for i, v := range streams {
-		if &v.s.Recs[0] != base {
-			t.Fatalf("caller %d does not share the corpus backing array", i)
-		}
-		r, err := v.s.Read()
-		if err != nil {
-			t.Fatalf("caller %d: post-read: %v", i, err)
-		}
-		// The next record must be the one after this caller's private
-		// position, i.e. Recs[read].
-		if r != v.s.Recs[v.read] {
-			t.Fatalf("caller %d: cursor shared or corrupted (got %+v want %+v)", i, r, v.s.Recs[v.read])
+	for i, s := range streams {
+		if s != streams[0] {
+			t.Fatalf("caller %d does not share the cached stream", i)
 		}
 	}
-}
-
-type streamView struct {
-	s    *trace.Stream
-	read int
 }
 
 // TestCorpusDistinctKeysNeverAlias checks the content addressing: the

@@ -126,7 +126,7 @@ func (o Options) withDefaults() Options {
 // stream returns the dynamic stream for one workload at the configured
 // length, served from the shared content-addressed corpus cache: parallel
 // cells asking for the same (spec, length) share a single generation and
-// get private read cursors over one record slice (see corpus.go).
+// one Stream (see corpus.go).
 func stream(o Options, w workload.Workload) (*trace.Stream, error) {
 	return sharedCorpus.stream(w.Spec, o.UopsPerTrace)
 }

@@ -31,9 +31,7 @@ func TestHeadlineXBCBeatsTCUnderCapacityPressure(t *testing.T) {
 			t.Fatal(err)
 		}
 		fe := frontend.DefaultConfig()
-		s.Reset()
 		xbcMiss += frontend.Run(xbcore.New(xbcore.DefaultConfig(8*1024), fe), s).UopMissRate()
-		s.Reset()
 		tcMiss += frontend.Run(tcache.New(tcache.DefaultConfig(8*1024), fe), s).UopMissRate()
 	}
 	xbcMiss /= float64(len(names))
@@ -59,9 +57,7 @@ func TestBandwidthParity(t *testing.T) {
 		t.Fatal(err)
 	}
 	fe := frontend.DefaultConfig()
-	s.Reset()
 	bx := frontend.Run(xbcore.New(xbcore.DefaultConfig(32*1024), fe), s).Bandwidth()
-	s.Reset()
 	bt := frontend.Run(tcache.New(tcache.DefaultConfig(32*1024), fe), s).Bandwidth()
 	if ratio := bx / bt; ratio < 0.8 || ratio > 1.25 {
 		t.Fatalf("bandwidth not comparable: XBC %.2f vs TC %.2f", bx, bt)
@@ -83,9 +79,7 @@ func TestRedundancyContrast(t *testing.T) {
 		t.Fatal(err)
 	}
 	fe := frontend.DefaultConfig()
-	s.Reset()
 	rx := frontend.Run(xbcore.New(xbcore.DefaultConfig(32*1024), fe), s).Extra["redundancy"]
-	s.Reset()
 	rt := frontend.Run(tcache.New(tcache.DefaultConfig(32*1024), fe), s).Extra["redundancy"]
 	if rx > 1.25 {
 		t.Errorf("XBC redundancy %.3f (should be ~1)", rx)
@@ -118,7 +112,6 @@ func TestAssociativityKnee(t *testing.T) {
 		cfg := xbcore.DefaultConfig(8 * 1024)
 		cfg.Ways = ways
 		cfg.Sets = sizeToSets(8*1024, cfg.Banks*cfg.BankUops*ways)
-		s.Reset()
 		miss[ways] = frontend.Run(xbcore.New(cfg, fe), s).UopMissRate()
 	}
 	if !(miss[1] > miss[2]) {
@@ -147,9 +140,7 @@ func TestSuiteAveragesAcrossSizes(t *testing.T) {
 	fe := frontend.DefaultConfig()
 	var prevX, prevT float64 = 101, 101
 	for _, size := range []int{4 * 1024, 16 * 1024, 64 * 1024} {
-		s.Reset()
 		mx := frontend.Run(xbcore.New(xbcore.DefaultConfig(size), fe), s).UopMissRate()
-		s.Reset()
 		mt := frontend.Run(tcache.New(tcache.DefaultConfig(size), fe), s).UopMissRate()
 		if mx > prevX+0.5 {
 			t.Errorf("XBC miss grew with size: %.2f -> %.2f at %d", prevX, mx, size)

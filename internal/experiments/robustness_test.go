@@ -35,9 +35,7 @@ func TestHeadlineRobustToSeeds(t *testing.T) {
 				t.Fatal(err)
 			}
 			fe := frontend.DefaultConfig()
-			s.Reset()
 			xs = append(xs, frontend.Run(xbcore.New(xbcore.DefaultConfig(8*1024), fe), s).UopMissRate())
-			s.Reset()
 			ts = append(ts, frontend.Run(tcache.New(tcache.DefaultConfig(8*1024), fe), s).UopMissRate())
 		}
 		ax, at := stats.Mean(xs), stats.Mean(ts)
@@ -68,9 +66,7 @@ func TestRedundancyRobustToSeeds(t *testing.T) {
 			t.Fatal(err)
 		}
 		fe := frontend.DefaultConfig()
-		s.Reset()
 		rx := frontend.Run(xbcore.New(xbcore.DefaultConfig(32*1024), fe), s).Extra["redundancy"]
-		s.Reset()
 		rt := frontend.Run(tcache.New(tcache.DefaultConfig(32*1024), fe), s).Extra["redundancy"]
 		if rx > 1.25 || rt < 1.3 || rx >= rt {
 			t.Errorf("seed offset %d: redundancy contrast broken (XBC %.3f, TC %.3f)", offset, rx, rt)

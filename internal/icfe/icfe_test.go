@@ -56,9 +56,7 @@ func TestICMissRateReported(t *testing.T) {
 
 func TestDeterministic(t *testing.T) {
 	s := testStream(t, 6, 60_000)
-	s.Reset()
 	a := frontend.Run(New(frontend.DefaultConfig(), frontend.DefaultICConfig()), s)
-	s.Reset()
 	b := frontend.Run(New(frontend.DefaultConfig(), frontend.DefaultICConfig()), s)
 	if a.DeliveredUops != b.DeliveredUops || a.PenaltyCycles != b.PenaltyCycles {
 		t.Fatal("non-deterministic run")
@@ -73,9 +71,7 @@ func TestName(t *testing.T) {
 
 func TestMultiPortedICFasterThanSingle(t *testing.T) {
 	s := testStream(t, 7, 120_000)
-	s.Reset()
 	one := frontend.Run(New(frontend.DefaultConfig(), frontend.DefaultICConfig()), s)
-	s.Reset()
 	two := frontend.Run(NewMultiPorted(frontend.DefaultConfig(), frontend.DefaultICConfig(), 2), s)
 	if two.Uops != s.Uops() {
 		t.Fatal("multi-ported IC dropped uops")

@@ -104,11 +104,9 @@ func TestBetterFrontendHigherIPC(t *testing.T) {
 	fe := frontend.DefaultConfig()
 	for name, run := range map[string]func(int) frontend.Metrics{
 		"xbc": func(budget int) frontend.Metrics {
-			s.Reset()
 			return frontend.Run(xbcore.New(xbcore.DefaultConfig(budget), fe), s)
 		},
 		"tc": func(budget int) frontend.Metrics {
-			s.Reset()
 			return frontend.Run(tcache.New(tcache.DefaultConfig(budget), fe), s)
 		},
 	} {

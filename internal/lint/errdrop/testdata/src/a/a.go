@@ -9,19 +9,19 @@ import (
 	"strings"
 )
 
-func mayFail() error                { return nil }
-func open() (*os.File, error)       { return nil, nil }
-func twoResults() (int, error)      { return 0, nil }
-func noError() int                  { return 0 }
-func cleanup()                      {}
-func value() (int, bool)            { return 0, true }
+func mayFail() error           { return nil }
+func open() (*os.File, error)  { return nil, nil }
+func twoResults() (int, error) { return 0, nil }
+func noError() int             { return 0 }
+func cleanup()                 {}
+func value() (int, bool)       { return 0, true }
 
 // Triggering forms.
 func dropped(f *os.File) {
-	mayFail()         // want "call to mayFail discards its error"
-	defer f.Close()   // want "deferred call to f.Close discards its error"
-	go mayFail()      // want "spawned call to mayFail discards its error"
-	_ = mayFail()     // want "error value assigned to _"
+	mayFail()            // want "call to mayFail discards its error"
+	defer f.Close()      // want "deferred call to f.Close discards its error"
+	go mayFail()         // want "spawned call to mayFail discards its error"
+	_ = mayFail()        // want "error value assigned to _"
 	n, _ := twoResults() // want "error result of twoResults assigned to _"
 	_ = n
 	v, _ := strconv.Atoi("7") // want "error result of strconv.Atoi assigned to _"

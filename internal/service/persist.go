@@ -263,7 +263,6 @@ func (p *persister) renderMetrics(b *strings.Builder) {
 	counter("xbcd_store_quarantined_total", "corrupt records quarantined at open or read time", st.Quarantined)
 	counter("xbcd_store_torn_truncations_total", "torn tails truncated at open", st.TornTruncations)
 	counter("xbcd_store_quarantined_files_total", "whole files set aside for an unrecognizable header", st.QuarantinedFiles)
-	counter("xbcd_store_replayed_total", "journal records replayed into the segment at open", st.Replayed)
 	counter("xbcd_store_compactions_total", "segment compactions", st.Compactions)
 	counter("xbcd_store_evicted_total", "records evicted by the size bound", st.Evicted)
 	gauge("xbcd_store_records", "live records in the store", int64(st.Records))

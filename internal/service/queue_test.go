@@ -5,7 +5,9 @@ import (
 	"testing"
 )
 
-func testJob(id string) *Job { return &Job{ID: id, notify: make(chan struct{}), done: make(chan struct{})} }
+func testJob(id string) *Job {
+	return &Job{ID: id, notify: make(chan struct{}), done: make(chan struct{})}
+}
 
 func TestQueueRoutingIsStable(t *testing.T) {
 	q := newQueue(4, 8)

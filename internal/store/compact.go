@@ -3,7 +3,6 @@ package store
 import (
 	"fmt"
 	"hash/crc32"
-	"io"
 	"os"
 	"path/filepath"
 )
@@ -47,9 +46,8 @@ func (s *Store) Compact() error {
 
 // compactLocked is the rewrite: evict past the size bound, copy the
 // surviving records (oldest first, preserving insertion order) into
-// segment.xbs.tmp, fsync it, rename it over the segment, fsync the
-// directory, then reset the journal — whose contents the new durable
-// segment now fully covers. Caller holds s.mu.
+// segment.xbs.tmp, fsync it, rename it over the segment, then fsync the
+// directory. Caller holds s.mu.
 func (s *Store) compactLocked() error {
 	s.evictLocked()
 	tmpPath := filepath.Join(s.dir, segmentTmp)
@@ -118,19 +116,6 @@ func (s *Store) compactLocked() error {
 	}
 	s.adoptCompacted(f, newSize, newIndex, newOrder, newLive)
 	s.stats.Compactions++
-	if err := s.hookAt("compact.journal.reset"); err != nil {
-		return err
-	}
-	if err := s.jrn.Truncate(fileHeaderLen); err != nil {
-		return fmt.Errorf("store: resetting journal after compaction: %w", err)
-	}
-	if _, err := s.jrn.Seek(fileHeaderLen, io.SeekStart); err != nil {
-		return fmt.Errorf("store: seeking journal after compaction: %w", err)
-	}
-	s.jrnSize = fileHeaderLen
-	if err := s.syncStep(s.jrn, "journal.reset.sync"); err != nil {
-		return fmt.Errorf("store: syncing journal after compaction: %w", err)
-	}
 	return nil
 }
 

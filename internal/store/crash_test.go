@@ -13,11 +13,11 @@ import (
 // The crash-injection suite. The hook machinery lets a test kill the
 // store (panic errCrash, files left exactly as the completed syscalls
 // left them — the kill -9 model) at any durability-relevant point:
-// mid-journal, between journal and segment, mid-segment, inside a
-// checkpoint, and at every step of a compaction. After each crash the
-// directory is reopened and every acked write must still be served, bit
-// identical. Real SIGKILL against a live daemon is exercised by
-// scripts/e2e.sh; this suite covers the state machine deterministically.
+// mid-append, between the append and its fsync, and at every step of a
+// compaction. After each crash the directory is reopened and every acked
+// write must still be served, bit identical. Real SIGKILL against a live
+// daemon is exercised by scripts/e2e.sh; this suite covers the state
+// machine deterministically.
 
 var errDiskFull = errors.New("injected: no space left on device")
 
@@ -120,13 +120,10 @@ func TestCrashDuringPut(t *testing.T) {
 		point string
 		tear  int
 	}{
-		{"journal-write-nothing", "journal.write", 0},
-		{"journal-write-torn", "journal.write", tearHalf},
-		{"journal-write-complete", "journal.write", -1},
-		{"before-journal-sync", "journal.sync", -1},
 		{"segment-write-nothing", "segment.write", 0},
 		{"segment-write-torn", "segment.write", tearHalf},
 		{"segment-write-complete", "segment.write", -1},
+		{"before-segment-sync", "segment.sync", -1},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -147,72 +144,12 @@ func TestCrashDuringPut(t *testing.T) {
 	}
 }
 
-// TestCrashDuringPutRecoversInflightWhenJournaled: once the journal
-// append completed and synced, the in-flight record is acked-equivalent —
-// a crash anywhere later (mid-segment) must still recover it via replay.
-func TestCrashDuringPutRecoversInflightWhenJournaled(t *testing.T) {
-	for _, tear := range []int{0, tearHalf, -1} {
-		t.Run(fmt.Sprintf("segment-tear%d", tear), func(t *testing.T) {
-			dir := t.TempDir()
-			arm := &faultArm{}
-			s, want := seedStore(t, dir, arm, 4)
-			inVal := []byte("journaled-then-killed")
-			arm.arm("segment.write", hookAction{Tear: tear, Crash: true})
-			runToCrash(t, func() {
-				//xbc:ignore errdrop the injected crash panics out of Put
-				s.Put("inflight", inVal)
-			})
-			s2, err := Open(Options{Dir: dir})
-			if err != nil {
-				t.Fatalf("reopen: %v", err)
-			}
-			defer s2.Close()
-			// The journal held the complete record: replay must restore
-			// it no matter what the segment saw.
-			got, ok := s2.Get("inflight")
-			if !ok {
-				t.Fatal("journaled write lost: replay failed to restore it")
-			}
-			if !bytes.Equal(got, inVal) {
-				t.Fatal("journaled write recovered corrupt")
-			}
-			if tear != -1 && s2.Stats().Replayed == 0 {
-				t.Error("expected a journal replay to repair the torn segment")
-			}
-			for k, v := range want {
-				mustGet(t, s2, k, v)
-			}
-		})
-	}
-}
-
-// TestCrashDuringCheckpoint kills the store inside the checkpoint state
-// machine (segment sync -> journal truncate -> journal sync); every
-// acked record must survive whichever half completed.
-func TestCrashDuringCheckpoint(t *testing.T) {
-	for _, point := range []string{"checkpoint.segment.sync", "journal.reset", "journal.reset.sync"} {
-		t.Run(point, func(t *testing.T) {
-			dir := t.TempDir()
-			arm := &faultArm{}
-			// A tiny journal bound makes every Put checkpoint.
-			s, want := seedStore(t, dir, arm, 6, func(o *Options) { o.JournalMaxBytes = 1 })
-			arm.arm(point, hookAction{Tear: -1, Crash: true})
-			inVal := []byte("checkpoint-crash")
-			runToCrash(t, func() {
-				//xbc:ignore errdrop the injected crash panics out of Put
-				s.Put("inflight", inVal)
-			})
-			verifyRecovered(t, dir, want, "inflight", inVal)
-		})
-	}
-}
-
 // TestCrashDuringCompaction kills the store at every step of a
-// compaction: writing the temp segment, syncing it, just before the
-// atomic rename, and resetting the journal afterwards. Recovery must
-// serve every live record from whichever segment won the swap.
+// compaction: writing the temp segment, syncing it, and just before the
+// atomic rename. Recovery must serve every live record from whichever
+// segment won the swap.
 func TestCrashDuringCompaction(t *testing.T) {
-	for _, point := range []string{"compact.header.write", "compact.write", "compact.sync", "compact.rename", "compact.journal.reset"} {
+	for _, point := range []string{"compact.header.write", "compact.write", "compact.sync", "compact.rename"} {
 		t.Run(point, func(t *testing.T) {
 			dir := t.TempDir()
 			arm := &faultArm{}
@@ -238,17 +175,11 @@ func TestKillReopenLoop(t *testing.T) {
 	dir := t.TempDir()
 	rng := rand.New(rand.NewSource(42))
 	want := map[string][]byte{}
-	points := []string{
-		"journal.write", "journal.sync", "segment.write",
-		"checkpoint.segment.sync", "journal.reset", "journal.reset.sync",
-	}
+	points := []string{"segment.write", "segment.sync"}
 	const rounds = 40
 	for round := 0; round < rounds; round++ {
 		arm := &faultArm{}
-		s := openT(t, dir, func(o *Options) {
-			o.hook = arm.hook
-			o.JournalMaxBytes = 512 // frequent checkpoints, more crash windows
-		})
+		s := openT(t, dir, func(o *Options) { o.hook = arm.hook })
 		// Verify everything acked so far before doing anything else.
 		for k, v := range want {
 			got, ok := s.Get(k)
@@ -279,8 +210,7 @@ func TestKillReopenLoop(t *testing.T) {
 				if r != nil && r != errCrash {
 					panic(r)
 				}
-				// The armed point may not be on this Put's path (e.g. no
-				// checkpoint due); a completed Put is an acked write.
+				// A completed Put is an acked write.
 				if r == nil {
 					want["victim"] = []byte("survived")
 				}
@@ -375,40 +305,6 @@ func TestBitFlipEveryByte(t *testing.T) {
 	}
 }
 
-// TestJournalSegmentMismatch corrupts the segment copy of a record whose
-// journal copy is intact (the store was killed before its checkpoint):
-// replay must repair the segment from the journal.
-func TestJournalSegmentMismatch(t *testing.T) {
-	dir := t.TempDir()
-	// A huge checkpoint bound keeps every record in the journal.
-	s := openT(t, dir, func(o *Options) { o.JournalMaxBytes = 1 << 30 })
-	mustPut(t, s, "alpha", bytes.Repeat([]byte("a"), 128))
-	mustPut(t, s, "beta", bytes.Repeat([]byte("b"), 128))
-	ref := s.index["beta"]
-	// Abandon without Close — the kill model — then corrupt beta's
-	// segment copy only.
-	f, err := os.OpenFile(filepath.Join(dir, segmentName), os.O_RDWR, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.WriteAt([]byte{0x00, 0xFF, 0x00}, ref.off+recHeaderLen+8); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-	s2, err := Open(Options{Dir: dir})
-	if err != nil {
-		t.Fatalf("reopen: %v", err)
-	}
-	defer s2.Close()
-	mustGet(t, s2, "alpha", bytes.Repeat([]byte("a"), 128))
-	mustGet(t, s2, "beta", bytes.Repeat([]byte("b"), 128))
-	if st := s2.Stats(); st.Replayed == 0 {
-		t.Fatal("segment corruption not repaired from the journal")
-	}
-}
-
 // TestDiskFullMidCompaction: an I/O error while writing the temp segment
 // aborts the compaction, removes the temp, latches degraded — and loses
 // nothing.
@@ -446,9 +342,7 @@ func TestAckedNeverLostProperty(t *testing.T) {
 		dir := t.TempDir()
 		acked := map[string][]byte{}
 		for session := 0; session < 6; session++ {
-			s := openT(t, dir, func(o *Options) {
-				o.JournalMaxBytes = int64(64 + rng.Intn(2048))
-			})
+			s := openT(t, dir)
 			for k, v := range acked {
 				got, ok := s.Get(k)
 				if !ok || !bytes.Equal(got, v) {

@@ -9,10 +9,10 @@ import (
 )
 
 // Fuzz targets for the three readers that parse untrusted bytes: the
-// record scanner (segment and journal), the export reader, and Open
-// itself over arbitrary segment+journal contents. The invariants under
-// fuzz are no panics, no record served that fails its checksum, and a
-// scan end point that never exceeds the input.
+// record scanner, the export reader, and Open itself over arbitrary
+// segment contents. The invariants under fuzz are no panics, no record
+// served that fails its checksum, and a scan end point that never exceeds
+// the input.
 
 // validSegment frames a few records for the seed corpus.
 func validSegment(kv ...string) []byte {
@@ -114,24 +114,19 @@ func FuzzReadExport(f *testing.F) {
 	})
 }
 
-// FuzzOpen throws arbitrary bytes at both store files: Open must never
-// fail (records quarantine, files quarantine, tails truncate), the store
-// must serve Puts afterwards, and a second open must agree with the
-// first.
+// FuzzOpen throws arbitrary bytes at the segment: Open must never fail
+// (records quarantine, files quarantine, tails truncate), the store must
+// serve Puts afterwards, and a second open must agree with the first.
 func FuzzOpen(f *testing.F) {
-	f.Add([]byte{}, []byte{})
-	f.Add(append([]byte(segmentMagic), validSegment("a", "1")...), []byte(journalMagic))
-	f.Add(append([]byte(segmentMagic), validSegment("a", "1", "b", "2")...),
-		append([]byte(journalMagic), validSegment("b", "999")...))
-	f.Add([]byte("garbage not a header"), []byte("also garbage"))
+	f.Add([]byte{})
+	f.Add(append([]byte(segmentMagic), validSegment("a", "1")...))
+	f.Add(append([]byte(segmentMagic), validSegment("a", "1", "b", "2", "b", "999")...))
+	f.Add([]byte("garbage not a header"))
 	torn := append([]byte(segmentMagic), validSegment("k", "v")...)
-	f.Add(torn[:len(torn)-3], append([]byte(journalMagic), validSegment("k", "v")...))
-	f.Fuzz(func(t *testing.T, seg, jrn []byte) {
+	f.Add(torn[:len(torn)-3])
+	f.Fuzz(func(t *testing.T, seg []byte) {
 		dir := t.TempDir()
 		if err := os.WriteFile(filepath.Join(dir, segmentName), seg, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(filepath.Join(dir, journalName), jrn, 0o644); err != nil {
 			t.Fatal(err)
 		}
 		s, err := Open(Options{Dir: dir})

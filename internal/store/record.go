@@ -7,8 +7,7 @@ import (
 	"io"
 )
 
-// On-disk record framing, shared by the segment, the journal, and the
-// export format:
+// On-disk record framing, shared by the segment and the export format:
 //
 //	u32 LE  bodyLen
 //	u32 LE  CRC32C(body)   (Castagnoli polynomial)

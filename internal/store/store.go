@@ -1,21 +1,24 @@
 // Package store is the crash-safe persistent key-value store behind the
-// xbcd result cache and the trace-corpus cache: an append-only segment
-// file of length-prefixed, CRC32C-checksummed records plus an in-memory
-// index, fronted by a write-ahead journal replayed on open.
+// xbcd result cache, the trace-corpus cache and the snapshot manager: one
+// append-only segment file of length-prefixed, CRC32C-checksummed records
+// plus an in-memory index. The segment is the only log.
 //
 // Durability model:
 //
-//   - Every Put appends the record to the journal first (fsynced per the
-//     configured discipline), then to the segment. Under FsyncAlways a
-//     Put that returns nil is durable: it survives kill -9 at any later
-//     instant.
-//   - Open is crash-safe by construction: it scans the segment, truncates
-//     a torn tail at the last valid record, quarantines (skips, counts,
-//     never crashes on) corrupt records, then replays journal records the
-//     segment is missing and checkpoints.
+//   - Every Put appends the record to the segment. Under FsyncAlways it
+//     then fsyncs the segment, and that fsync is the ack point: a Put that
+//     returns nil survives kill -9 and power loss at any later instant.
+//     FsyncInterval fsyncs from a background ticker; FsyncNever leaves it
+//     to the OS. Sync and Close fsync under every discipline.
+//   - Open is one scan: it truncates a torn tail at the last valid record
+//     and quarantines (skips, counts, never crashes on) corrupt records
+//     and files with a foreign header.
 //   - Compaction rewrites live records into a temporary segment and
 //     atomically swaps it in via rename; a crash at any point leaves
 //     either the old segment (tmp is discarded on open) or the new one.
+//
+// Everything xbcd persists is regenerable from its spec, so a record lost
+// to a crash outside the ack discipline is recomputed, never served wrong.
 //
 // A write error (disk full, I/O fault) latches the store into a degraded
 // state: Get keeps serving, Put fails fast, and Stats reports the cause,
@@ -38,25 +41,23 @@ import (
 // File names inside a store directory.
 const (
 	segmentName = "segment.xbs"
-	journalName = "journal.xbj"
 	segmentTmp  = "segment.xbs.tmp"
 )
 
-// File headers: 8 bytes of magic versioning each file independently.
+// The segment header: 8 bytes of magic versioning the file format.
 const (
 	segmentMagic  = "XBCSEG1\n"
-	journalMagic  = "XBCJNL1\n"
 	fileHeaderLen = 8
 )
 
-// FsyncMode is the journal fsync discipline.
+// FsyncMode is the segment fsync discipline.
 type FsyncMode string
 
 const (
-	// FsyncAlways syncs the journal on every Put: an acked write is
+	// FsyncAlways syncs the segment on every Put: an acked write is
 	// durable against kill -9 and power loss. The default.
 	FsyncAlways FsyncMode = "always"
-	// FsyncInterval syncs the journal from a background ticker
+	// FsyncInterval syncs the segment from a background ticker
 	// (Options.FsyncInterval): bounded data loss, much cheaper Puts.
 	FsyncInterval FsyncMode = "interval"
 	// FsyncNever leaves syncing to the OS (and Close): fastest, loses
@@ -87,7 +88,7 @@ var ErrClosed = errors.New("store: closed")
 type Options struct {
 	// Dir is the store directory (created if missing).
 	Dir string
-	// Fsync is the journal sync discipline (default FsyncAlways).
+	// Fsync is the segment sync discipline (default FsyncAlways).
 	Fsync FsyncMode
 	// FsyncInterval is the background sync period under FsyncInterval
 	// (default 1s).
@@ -96,10 +97,6 @@ type Options struct {
 	// compaction that drops the oldest-written records until the live set
 	// fits. 0 means unbounded.
 	MaxBytes int64
-	// JournalMaxBytes bounds the journal between checkpoints (default
-	// 1 MiB): exceeding it fsyncs the segment and resets the journal,
-	// keeping replay-on-open short.
-	JournalMaxBytes int64
 
 	// hook, when non-nil (tests only), intercepts durability-relevant
 	// operations to inject torn writes, I/O errors, and kill -9 crashes.
@@ -112,9 +109,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.FsyncInterval <= 0 {
 		o.FsyncInterval = time.Second
-	}
-	if o.JournalMaxBytes <= 0 {
-		o.JournalMaxBytes = 1 << 20
 	}
 	return o
 }
@@ -165,7 +159,6 @@ type Stats struct {
 	Records      int
 	SegmentBytes int64
 	LiveBytes    int64
-	JournalBytes int64
 
 	Puts   uint64 // successful Put calls
 	Gets   uint64 // Get calls
@@ -181,9 +174,6 @@ type Stats struct {
 	// QuarantinedFiles counts whole files set aside at open because their
 	// header was unrecognizable.
 	QuarantinedFiles uint64
-	// Replayed counts journal records re-applied to the segment at open —
-	// the writes a crash left journaled but not (validly) in the segment.
-	Replayed uint64
 	// Compactions counts segment rewrites; Evicted the records dropped by
 	// the MaxBytes bound during them.
 	Compactions uint64
@@ -203,9 +193,7 @@ type Store struct {
 
 	mu        sync.Mutex
 	seg       file
-	jrn       file
 	segSize   int64
-	jrnSize   int64
 	index     map[string]recRef
 	order     []string // insertion/refresh order, oldest first
 	liveBytes int64
@@ -218,7 +206,7 @@ type Store struct {
 	syncDone chan struct{}
 }
 
-// Open opens (or creates) the store at opts.Dir, replays the journal, and
+// Open opens (or creates) the store at opts.Dir, scans the segment, and
 // returns a store ready to serve. Open never fails on corrupt *records* —
 // they are quarantined and counted — only on I/O errors that make the
 // directory unusable.
@@ -240,23 +228,11 @@ func Open(opts Options) (*Store, error) {
 	if err := os.Remove(filepath.Join(opts.Dir, segmentTmp)); err != nil && !os.IsNotExist(err) {
 		return nil, fmt.Errorf("store: clearing stale compaction temp: %w", err)
 	}
-	var err error
-	s.seg, s.segSize, err = s.openDataFile(segmentName, segmentMagic)
-	if err != nil {
+	if err := s.openSegment(); err != nil {
 		return nil, err
 	}
 	if err := s.loadSegment(); err != nil {
 		closeQuiet(s.seg)
-		return nil, err
-	}
-	s.jrn, s.jrnSize, err = s.openDataFile(journalName, journalMagic)
-	if err != nil {
-		closeQuiet(s.seg)
-		return nil, err
-	}
-	if err := s.replayJournal(); err != nil {
-		closeQuiet(s.seg)
-		closeQuiet(s.jrn)
 		return nil, err
 	}
 	if opts.Fsync == FsyncInterval {
@@ -274,51 +250,54 @@ func closeQuiet(f file) {
 	f.Close()
 }
 
-// openDataFile opens dir/name read-write, validating its header. An empty
-// (or new) file gets the header written and synced; a file whose first
-// bytes are not the expected magic is set aside whole as quarantined and
-// replaced with a fresh one — a store must open on any input.
-func (s *Store) openDataFile(name, magic string) (file, int64, error) {
-	path := filepath.Join(s.dir, name)
+// openSegment opens the segment read-write into s.seg, validating its
+// header. An empty (or new) file gets the header written and synced; a
+// file whose first bytes are not the segment magic is set aside whole as
+// quarantined and replaced with a fresh one — a store must open on any
+// input.
+func (s *Store) openSegment() error {
+	path := filepath.Join(s.dir, segmentName)
 	for attempt := 0; ; attempt++ {
 		f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
 		if err != nil {
-			return nil, 0, fmt.Errorf("store: opening %s: %w", name, err)
+			return fmt.Errorf("store: opening segment: %w", err)
 		}
 		st, err := f.Stat()
 		if err != nil {
 			closeQuiet(f)
-			return nil, 0, fmt.Errorf("store: stat %s: %w", name, err)
+			return fmt.Errorf("store: stat segment: %w", err)
 		}
 		size := st.Size()
 		if size == 0 {
-			if _, err := f.Write([]byte(magic)); err != nil {
+			if _, err := f.Write([]byte(segmentMagic)); err != nil {
 				closeQuiet(f)
-				return nil, 0, fmt.Errorf("store: writing %s header: %w", name, err)
+				return fmt.Errorf("store: writing segment header: %w", err)
 			}
 			if err := f.Sync(); err != nil {
 				closeQuiet(f)
-				return nil, 0, fmt.Errorf("store: syncing %s header: %w", name, err)
+				return fmt.Errorf("store: syncing segment header: %w", err)
 			}
-			return f, fileHeaderLen, nil
+			s.seg, s.segSize = f, fileHeaderLen
+			return nil
 		}
 		head := make([]byte, fileHeaderLen)
-		if n, err := f.ReadAt(head, 0); (err == nil || err == io.EOF) && n == fileHeaderLen && string(head) == magic {
+		if n, err := f.ReadAt(head, 0); (err == nil || err == io.EOF) && n == fileHeaderLen && string(head) == segmentMagic {
 			if _, err := f.Seek(size, io.SeekStart); err != nil {
 				closeQuiet(f)
-				return nil, 0, fmt.Errorf("store: seeking %s: %w", name, err)
+				return fmt.Errorf("store: seeking segment: %w", err)
 			}
-			return f, size, nil
+			s.seg, s.segSize = f, size
+			return nil
 		}
 		// Unrecognizable header: quarantine the whole file and retry with
 		// a fresh one. attempt bounds the loop against a directory where
 		// renames do not stick.
 		closeQuiet(f)
 		if attempt > 0 {
-			return nil, 0, fmt.Errorf("store: %s header unrecognizable even after quarantining", name)
+			return errors.New("store: segment header unrecognizable even after quarantining")
 		}
 		if err := s.quarantineFile(path); err != nil {
-			return nil, 0, err
+			return err
 		}
 		s.stats.QuarantinedFiles++
 	}
@@ -363,42 +342,6 @@ func (s *Store) loadSegment() error {
 			return fmt.Errorf("store: seeking after truncation: %w", err)
 		}
 		s.segSize = end
-	}
-	return nil
-}
-
-// replayJournal applies journal records the segment lacks, then
-// checkpoints (segment fsync, journal reset) so open always hands back a
-// store whose journal is empty and whose segment is durable.
-func (s *Store) replayJournal() error {
-	sec := io.NewSectionReader(s.jrn, fileHeaderLen, s.jrnSize-fileHeaderLen)
-	_, st, err := scanRecords(sec, fileHeaderLen, func(_, _ int64, crc uint32, key string, val []byte) error {
-		if ref, ok := s.index[key]; ok && ref.crc == crc {
-			return nil // the segment already holds this exact write
-		}
-		rec, err := encodeRecord(key, val)
-		if err != nil {
-			return err
-		}
-		off := s.segSize
-		if err := s.writeStep(s.seg, &s.segSize, rec, "replay.segment.write"); err != nil {
-			return fmt.Errorf("store: replaying journal record: %w", err)
-		}
-		s.indexPutLocked(key, recRef{off: off, size: int64(len(rec)), crc: crc})
-		s.stats.Replayed++
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-	s.stats.Quarantined += st.quarantined
-	if st.torn {
-		s.stats.TornTruncations++
-	}
-	if s.jrnSize > fileHeaderLen || s.stats.Replayed > 0 {
-		if err := s.checkpointLocked(); err != nil {
-			return err
-		}
 	}
 	return nil
 }
@@ -478,9 +421,10 @@ func (s *Store) failLocked(err error) error {
 	return fmt.Errorf("%w: %v", ErrDegraded, err)
 }
 
-// Put durably records key -> val (per the fsync discipline): journal
-// append first, segment append second. The first write error latches the
-// store degraded; later Puts fail fast with ErrDegraded.
+// Put durably records key -> val (per the fsync discipline): a segment
+// append, then under FsyncAlways a segment fsync, which is the ack point.
+// The first write error latches the store degraded; later Puts fail fast
+// with ErrDegraded.
 func (s *Store) Put(key string, val []byte) error {
 	rec, err := encodeRecord(key, val)
 	if err != nil {
@@ -494,27 +438,17 @@ func (s *Store) Put(key string, val []byte) error {
 	if s.failed != nil {
 		return fmt.Errorf("%w: %v", ErrDegraded, s.failed)
 	}
-	if err := s.writeStep(s.jrn, &s.jrnSize, rec, "journal.write"); err != nil {
-		return s.failLocked(fmt.Errorf("journal append: %w", err))
-	}
-	if s.opts.Fsync == FsyncAlways {
-		if err := s.syncStep(s.jrn, "journal.sync"); err != nil {
-			return s.failLocked(fmt.Errorf("journal sync: %w", err))
-		}
-	}
-	// The write is acked once journaled; a segment failure from here on
-	// degrades the store but the record replays on next open.
 	off := s.segSize
 	if err := s.writeStep(s.seg, &s.segSize, rec, "segment.write"); err != nil {
 		return s.failLocked(fmt.Errorf("segment append: %w", err))
 	}
-	s.indexPutLocked(key, recRef{off: off, size: int64(len(rec)), crc: recCRC(rec)})
-	s.stats.Puts++
-	if s.jrnSize-fileHeaderLen >= s.opts.JournalMaxBytes {
-		if err := s.checkpointLocked(); err != nil {
-			return s.failLocked(err)
+	if s.opts.Fsync == FsyncAlways {
+		if err := s.syncStep(s.seg, "segment.sync"); err != nil {
+			return s.failLocked(fmt.Errorf("segment sync: %w", err))
 		}
 	}
+	s.indexPutLocked(key, recRef{off: off, size: int64(len(rec)), crc: recCRC(rec)})
+	s.stats.Puts++
 	if s.needsCompactLocked() {
 		if err := s.compactLocked(); err != nil {
 			return s.failLocked(err)
@@ -624,10 +558,6 @@ func (s *Store) Stats() Stats {
 	st.Records = len(s.index)
 	st.SegmentBytes = s.segSize
 	st.LiveBytes = s.liveBytes
-	st.JournalBytes = s.jrnSize - fileHeaderLen
-	if st.JournalBytes < 0 {
-		st.JournalBytes = 0
-	}
 	st.Degraded = s.failed != nil
 	if s.failed != nil {
 		st.DegradedCause = s.failed.Error()
@@ -635,30 +565,8 @@ func (s *Store) Stats() Stats {
 	return st
 }
 
-// checkpointLocked makes the segment durable and resets the journal: the
-// point after which replay has nothing to do. Caller holds s.mu.
-func (s *Store) checkpointLocked() error {
-	if err := s.syncStep(s.seg, "checkpoint.segment.sync"); err != nil {
-		return fmt.Errorf("store: checkpoint segment sync: %w", err)
-	}
-	if err := s.hookAt("journal.reset"); err != nil {
-		return fmt.Errorf("store: journal reset: %w", err)
-	}
-	if err := s.jrn.Truncate(fileHeaderLen); err != nil {
-		return fmt.Errorf("store: resetting journal: %w", err)
-	}
-	if _, err := s.jrn.Seek(fileHeaderLen, io.SeekStart); err != nil {
-		return fmt.Errorf("store: seeking journal: %w", err)
-	}
-	s.jrnSize = fileHeaderLen
-	if err := s.syncStep(s.jrn, "journal.reset.sync"); err != nil {
-		return fmt.Errorf("store: journal reset sync: %w", err)
-	}
-	return nil
-}
-
-// Sync forces everything written so far durable regardless of the fsync
-// discipline: journal first, then a full checkpoint.
+// Sync fsyncs the segment regardless of the fsync discipline, making
+// everything written so far durable.
 func (s *Store) Sync() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -668,11 +576,8 @@ func (s *Store) Sync() error {
 	if s.failed != nil {
 		return fmt.Errorf("%w: %v", ErrDegraded, s.failed)
 	}
-	if err := s.syncStep(s.jrn, "journal.sync"); err != nil {
-		return s.failLocked(fmt.Errorf("journal sync: %w", err))
-	}
-	if err := s.checkpointLocked(); err != nil {
-		return s.failLocked(err)
+	if err := s.syncStep(s.seg, "segment.sync"); err != nil {
+		return s.failLocked(fmt.Errorf("segment sync: %w", err))
 	}
 	return nil
 }
@@ -689,9 +594,9 @@ func (s *Store) syncLoop() {
 		case <-t.C:
 			s.mu.Lock()
 			if !s.closed && s.failed == nil {
-				if err := s.syncStep(s.jrn, "journal.sync"); err != nil {
+				if err := s.syncStep(s.seg, "segment.sync"); err != nil {
 					//xbc:ignore errdrop failLocked both records and returns the error; the background syncer has no caller to hand it to
-					s.failLocked(fmt.Errorf("interval journal sync: %w", err))
+					s.failLocked(fmt.Errorf("interval segment sync: %w", err))
 				}
 			}
 			s.mu.Unlock()
@@ -699,7 +604,7 @@ func (s *Store) syncLoop() {
 	}
 }
 
-// Close checkpoints (unless degraded) and closes the files. The store is
+// Close fsyncs the segment (unless degraded) and closes it. The store is
 // unusable afterwards. Concurrent and repeated calls are safe: the first
 // caller latches closing and does the work; later callers return nil
 // immediately (without the latch, two racing Closes would both observe
@@ -724,16 +629,9 @@ func (s *Store) Close() error {
 	s.closed = true
 	var firstErr error
 	if s.failed == nil {
-		if err := s.syncStep(s.jrn, "journal.sync"); err != nil {
-			firstErr = err
-		} else if err := s.checkpointLocked(); err != nil {
-			firstErr = err
-		}
+		firstErr = s.syncStep(s.seg, "segment.sync")
 	}
 	if err := s.seg.Close(); err != nil && firstErr == nil {
-		firstErr = err
-	}
-	if err := s.jrn.Close(); err != nil && firstErr == nil {
 		firstErr = err
 	}
 	return firstErr

@@ -66,20 +66,13 @@ func TestPutGetReopen(t *testing.T) {
 		t.Fatalf("Close: %v", err)
 	}
 
-	// A clean reopen serves everything from the segment; the journal was
-	// checkpointed away.
+	// A clean reopen serves everything from the segment.
 	s2 := openT(t, dir)
 	defer s2.Close()
 	for k, v := range vals {
 		mustGet(t, s2, k, v)
 	}
 	st := s2.Stats()
-	if st.Replayed != 0 {
-		t.Errorf("clean reopen replayed %d records, want 0", st.Replayed)
-	}
-	if st.JournalBytes != 0 {
-		t.Errorf("journal holds %d bytes after clean open, want 0", st.JournalBytes)
-	}
 	if st.Quarantined != 0 || st.TornTruncations != 0 {
 		t.Errorf("clean reopen quarantined=%d torn=%d, want 0/0", st.Quarantined, st.TornTruncations)
 	}
@@ -144,21 +137,6 @@ func TestFsyncNeverAndIntervalStillRecoverOnCleanClose(t *testing.T) {
 			defer s2.Close()
 			mustGet(t, s2, "k", []byte("v"))
 		})
-	}
-}
-
-func TestJournalCheckpointBoundsReplay(t *testing.T) {
-	dir := t.TempDir()
-	// A tiny journal bound forces a checkpoint nearly every Put.
-	s := openT(t, dir, func(o *Options) { o.JournalMaxBytes = 64 })
-	for i := 0; i < 10; i++ {
-		mustPut(t, s, fmt.Sprintf("k%d", i), bytes.Repeat([]byte("v"), 50))
-	}
-	if jb := s.Stats().JournalBytes; jb > 64+recHeaderLen+64 {
-		t.Fatalf("journal grew to %d bytes despite a 64-byte checkpoint bound", jb)
-	}
-	if err := s.Close(); err != nil {
-		t.Fatalf("Close: %v", err)
 	}
 }
 
@@ -279,36 +257,98 @@ func TestReadTimeBitRotQuarantined(t *testing.T) {
 }
 
 func TestDegradedModeLatchesAndServesReads(t *testing.T) {
-	dir := t.TempDir()
-	fail := &faultArm{}
-	s := openT(t, dir, func(o *Options) { o.hook = fail.hook })
-	mustPut(t, s, "before", []byte("fine"))
-	// Inject ENOSPC-style failure on the next journal append: the write
-	// fails before any byte persists, so the record must not resurface.
-	fail.arm("journal.write", hookAction{Tear: 0, Err: errDiskFull})
-	if err := s.Put("during", []byte("x")); err == nil {
-		t.Fatal("Put during disk-full succeeded")
+	for _, point := range []string{"segment.write", "segment.sync"} {
+		t.Run(point, func(t *testing.T) {
+			dir := t.TempDir()
+			fail := &faultArm{}
+			s := openT(t, dir, func(o *Options) { o.hook = fail.hook })
+			mustPut(t, s, "before", []byte("fine"))
+			// Inject an ENOSPC-style failure on the next append or its
+			// fsync. A failed append persists no byte; a failed fsync
+			// leaves the record in the page cache, unacked.
+			fail.arm(point, hookAction{Tear: 0, Err: errDiskFull})
+			if err := s.Put("during", []byte("x")); err == nil {
+				t.Fatal("Put during disk-full succeeded")
+			}
+			if err := s.Put("after", []byte("y")); err == nil {
+				t.Fatal("Put after degradation succeeded")
+			} else if got := s.Degraded(); got == nil {
+				t.Fatal("Degraded() nil after write error")
+			}
+			st := s.Stats()
+			if !st.Degraded || st.WriteErrors == 0 || st.DegradedCause == "" {
+				t.Fatalf("stats after failure: %+v", st)
+			}
+			// Reads keep working in degraded mode.
+			mustGet(t, s, "before", []byte("fine"))
+			if _, ok := s.Get("during"); ok {
+				t.Fatal("failed Put served before reopen")
+			}
+			if err := s.Close(); err != nil {
+				t.Fatalf("Close (degraded): %v", err)
+			}
+			// Reopen recovers: the acked write survives, the failed append
+			// is absent, and a record whose fsync failed is served intact
+			// or not at all.
+			s2 := openT(t, dir)
+			defer s2.Close()
+			mustGet(t, s2, "before", []byte("fine"))
+			got, ok := s2.Get("during")
+			if ok && (point == "segment.write" || !bytes.Equal(got, []byte("x"))) {
+				t.Fatalf("failed Put visible after reopen: %q", got)
+			}
+		})
 	}
-	if err := s.Put("after", []byte("y")); err == nil {
-		t.Fatal("Put after degradation succeeded")
-	} else if got := s.Degraded(); got == nil {
-		t.Fatal("Degraded() nil after write error")
-	}
-	st := s.Stats()
-	if !st.Degraded || st.WriteErrors == 0 || st.DegradedCause == "" {
-		t.Fatalf("stats after failure: %+v", st)
-	}
-	// Reads keep working in degraded mode.
-	mustGet(t, s, "before", []byte("fine"))
-	if err := s.Close(); err != nil {
-		t.Fatalf("Close (degraded): %v", err)
-	}
-	// Reopen recovers: the acked write survives, the failed one is absent.
-	s2 := openT(t, dir)
-	defer s2.Close()
-	mustGet(t, s2, "before", []byte("fine"))
-	if _, ok := s2.Get("during"); ok {
-		t.Fatal("failed Put visible after reopen")
+}
+
+// TestFsyncDiscipline counts segment fsyncs: the ack point of every Put
+// under FsyncAlways, none per Put under the other disciplines (the
+// interval ticker is set to an hour so it stays silent), and one each
+// for an explicit Sync and for Close. The kill -9 harness keeps the page
+// cache, so only this count catches a lost fsync.
+func TestFsyncDiscipline(t *testing.T) {
+	for _, tc := range []struct {
+		mode   FsyncMode
+		perPut int
+	}{
+		{FsyncAlways, 1},
+		{FsyncInterval, 0},
+		{FsyncNever, 0},
+	} {
+		t.Run(string(tc.mode), func(t *testing.T) {
+			var syncs int // hook calls are serialised by the store lock
+			s := openT(t, t.TempDir(), func(o *Options) {
+				o.Fsync = tc.mode
+				o.FsyncInterval = time.Hour
+				o.hook = func(point string, _ []byte) hookAction {
+					if point == "segment.sync" {
+						syncs++
+					}
+					return proceed()
+				}
+			})
+			const puts = 5
+			for i := 0; i < puts; i++ {
+				mustPut(t, s, fmt.Sprintf("k%d", i), []byte("v"))
+			}
+			if want := puts * tc.perPut; syncs != want {
+				t.Fatalf("%d Puts fsynced the segment %d times, want %d", puts, syncs, want)
+			}
+			before := syncs
+			if err := s.Sync(); err != nil {
+				t.Fatalf("Sync: %v", err)
+			}
+			if syncs != before+1 {
+				t.Fatalf("Sync fsynced the segment %d times, want 1", syncs-before)
+			}
+			before = syncs
+			if err := s.Close(); err != nil {
+				t.Fatalf("Close: %v", err)
+			}
+			if syncs != before+1 {
+				t.Fatalf("Close fsynced the segment %d times, want 1", syncs-before)
+			}
+		})
 	}
 }
 

@@ -140,9 +140,7 @@ func TestFrontendConservation(t *testing.T) {
 
 func TestFrontendDeterministic(t *testing.T) {
 	s := testStream(t, 4, 80_000)
-	s.Reset()
 	a := frontend.Run(New(DefaultConfig(16*1024), frontend.DefaultConfig()), s)
-	s.Reset()
 	b := frontend.Run(New(DefaultConfig(16*1024), frontend.DefaultConfig()), s)
 	if a.DeliveredUops != b.DeliveredUops || a.PenaltyCycles != b.PenaltyCycles {
 		t.Fatal("non-deterministic TC run")
@@ -162,9 +160,7 @@ func TestFrontendRedundancyAboveOne(t *testing.T) {
 
 func TestFrontendSmallerCacheMissesMore(t *testing.T) {
 	s := testStream(t, 6, 150_000)
-	s.Reset()
 	small := frontend.Run(New(DefaultConfig(2*1024), frontend.DefaultConfig()), s)
-	s.Reset()
 	big := frontend.Run(New(DefaultConfig(64*1024), frontend.DefaultConfig()), s)
 	if small.UopMissRate() <= big.UopMissRate() {
 		t.Fatalf("2K (%.2f%%) should miss more than 64K (%.2f%%)",

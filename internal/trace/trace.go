@@ -11,7 +11,6 @@ package trace
 
 import (
 	"fmt"
-	"io"
 
 	"xbc/internal/isa"
 	"xbc/internal/program"
@@ -30,46 +29,14 @@ type Rec struct {
 // FallThrough returns the address of the sequentially next instruction.
 func (r Rec) FallThrough() isa.Addr { return r.IP + isa.Addr(r.Size) }
 
-// Reader yields dynamic instruction records; io.EOF ends the stream.
-type Reader interface {
-	Read() (Rec, error)
-}
-
 // Stream is an in-memory trace, replayable any number of times.
 type Stream struct {
 	Name string
 	Recs []Rec
-	pos  int
 }
 
-// Read returns the next record or io.EOF.
-func (s *Stream) Read() (Rec, error) {
-	if s.pos >= len(s.Recs) {
-		return Rec{}, io.EOF
-	}
-	r := s.Recs[s.pos]
-	s.pos++
-	return r, nil
-}
-
-// Reset rewinds the stream to the beginning.
-func (s *Stream) Reset() { s.pos = 0 }
-
-// Seek positions the read cursor at record index i, so the next Read
-// returns Recs[i]. Seek(Len()) is legal and leaves the stream at EOF;
-// anything outside [0, Len()] is a caller bug and reports an error
-// without moving the cursor.
-func (s *Stream) Seek(i int) error {
-	if i < 0 || i > len(s.Recs) {
-		return fmt.Errorf("trace %q: seek %d outside [0, %d]", s.Name, i, len(s.Recs))
-	}
-	s.pos = i
-	return nil
-}
-
-// Records returns the stream's backing record slice for allocation-free
-// replay: frontends range over it directly instead of paying a Read call
-// (and its Rec copy) per instruction. The slice is shared — corpus-cached
+// Records returns the stream's backing record slice: frontends range over
+// it directly. The slice is shared — corpus-cached
 // streams hand the same backing array to every caller — so it must be
 // treated as immutable.
 func (s *Stream) Records() []Rec { return s.Recs }

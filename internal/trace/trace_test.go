@@ -2,7 +2,6 @@ package trace
 
 import (
 	"bytes"
-	"io"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -52,28 +51,6 @@ func TestStreamValidate(t *testing.T) {
 	bad.Recs[4].Next += 2
 	if err := bad.Validate(); err == nil {
 		t.Fatal("continuity violation not detected")
-	}
-}
-
-func TestStreamReadReset(t *testing.T) {
-	s := testStream(t, 8, 5_000)
-	var n int
-	for {
-		_, err := s.Read()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		n++
-	}
-	if n != s.Len() {
-		t.Fatalf("read %d records, stream has %d", n, s.Len())
-	}
-	s.Reset()
-	if _, err := s.Read(); err != nil {
-		t.Fatal("reset did not rewind")
 	}
 }
 

@@ -69,7 +69,6 @@ func BenchmarkRunEndToEnd(b *testing.B) {
 	b.ResetTimer()
 	for n := 0; n < b.N; n++ {
 		fe := New(DefaultConfig(32*1024), frontend.DefaultConfig())
-		s.Reset()
 		m := frontend.Run(fe, s)
 		if m.Uops != s.Uops() {
 			b.Fatal("dropped uops")

@@ -573,7 +573,7 @@ func (c *Cache) newVariant(eidx int32, rseq []isa.UopID) int32 {
 // before reading), doubling the backing array when capacity runs out.
 func grown[T any](s []T, n int) []T {
 	if len(s)+n <= cap(s) {
-		return s[: len(s)+n]
+		return s[:len(s)+n]
 	}
 	ns := make([]T, len(s)+n, 2*(len(s)+n))
 	copy(ns, s)

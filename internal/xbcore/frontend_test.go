@@ -39,10 +39,8 @@ func TestFrontendConservation(t *testing.T) {
 func TestFrontendDeterministic(t *testing.T) {
 	s := xbcTestStream(t, 4, 100_000)
 	fe := New(DefaultConfig(16*1024), frontend.DefaultConfig())
-	s.Reset()
 	a := frontend.Run(fe, s)
 	fe2 := New(DefaultConfig(16*1024), frontend.DefaultConfig())
-	s.Reset()
 	b := frontend.Run(fe2, s)
 	if a.DeliveredUops != b.DeliveredUops || a.BuildUops != b.BuildUops ||
 		a.CondMiss != b.CondMiss || a.ModeSwitches != b.ModeSwitches ||
@@ -89,10 +87,8 @@ func TestFrontendRedundancyLow(t *testing.T) {
 func TestFrontendSmallerCacheMissesMore(t *testing.T) {
 	s := xbcTestStream(t, 7, 200_000)
 	small := New(DefaultConfig(2*1024), frontend.DefaultConfig())
-	s.Reset()
 	ms := frontend.Run(small, s)
 	big := New(DefaultConfig(64*1024), frontend.DefaultConfig())
-	s.Reset()
 	mb := frontend.Run(big, s)
 	if ms.UopMissRate() <= mb.UopMissRate() {
 		t.Fatalf("2K cache (%.2f%%) should miss more than 64K (%.2f%%)",
@@ -118,7 +114,6 @@ func TestFrontendAblationsRun(t *testing.T) {
 		cfg := DefaultConfig(8 * 1024)
 		mut(&cfg)
 		fe := New(cfg, frontend.DefaultConfig())
-		s.Reset()
 		m := frontend.Run(fe, s)
 		if m.DeliveredUops+m.BuildUops != m.Uops || m.Uops != s.Uops() {
 			t.Fatalf("ablation %d does not conserve uops", i)
@@ -133,9 +128,7 @@ func TestPromotionImprovesBandwidthOrNeutral(t *testing.T) {
 	on := DefaultConfig(32 * 1024)
 	off := on
 	off.Promotion = false
-	s.Reset()
 	mOn := frontend.Run(New(on, frontend.DefaultConfig()), s)
-	s.Reset()
 	mOff := frontend.Run(New(off, frontend.DefaultConfig()), s)
 	if mOn.Bandwidth() < 0.8*mOff.Bandwidth() {
 		t.Fatalf("promotion collapsed bandwidth: %.2f vs %.2f", mOn.Bandwidth(), mOff.Bandwidth())
@@ -147,9 +140,7 @@ func TestDualFetchImprovesBandwidth(t *testing.T) {
 	dual := DefaultConfig(32 * 1024)
 	single := dual
 	single.XBsPerCycle = 1
-	s.Reset()
 	mDual := frontend.Run(New(dual, frontend.DefaultConfig()), s)
-	s.Reset()
 	mSingle := frontend.Run(New(single, frontend.DefaultConfig()), s)
 	// With an 8-wide renamer the ceiling often binds both configurations;
 	// dual fetch must never be materially slower, and its fetch-cycle
@@ -188,13 +179,11 @@ func TestOracleMode(t *testing.T) {
 	s := xbcTestStream(t, 11, 150_000)
 	cfg := DefaultConfig(32 * 1024)
 	cfg.Oracle = true
-	s.Reset()
 	m := frontend.Run(New(cfg, frontend.DefaultConfig()), s)
 	if m.Uops != s.Uops() || m.DeliveredUops+m.BuildUops != m.Uops {
 		t.Fatal("oracle mode does not conserve uops")
 	}
 	base := DefaultConfig(32 * 1024)
-	s.Reset()
 	mb := frontend.Run(New(base, frontend.DefaultConfig()), s)
 	if m.UopMissRate() > mb.UopMissRate() {
 		t.Fatalf("oracle misses more than baseline: %.2f vs %.2f",
@@ -212,14 +201,12 @@ func TestXBsPerCycleFour(t *testing.T) {
 	s := xbcTestStream(t, 12, 100_000)
 	cfg := DefaultConfig(32 * 1024)
 	cfg.XBsPerCycle = 4
-	s.Reset()
 	m4 := frontend.Run(New(cfg, frontend.DefaultConfig()), s)
 	if m4.Uops != s.Uops() {
 		t.Fatal("4-wide fetch does not conserve uops")
 	}
 	cfg1 := DefaultConfig(32 * 1024)
 	cfg1.XBsPerCycle = 1
-	s.Reset()
 	m1 := frontend.Run(New(cfg1, frontend.DefaultConfig()), s)
 	if m4.DeliveryFetches >= m1.DeliveryFetches {
 		t.Fatalf("wider fetch did not reduce fetch cycles: %d vs %d",

@@ -12,7 +12,6 @@ func TestXBPKindsDiffer(t *testing.T) {
 	for _, kind := range []XBPKind{XBPGshare, XBPBimodal, XBPTournament} {
 		cfg := DefaultConfig(32 * 1024)
 		cfg.XBP = kind
-		s.Reset()
 		results[kind.String()] = frontend.Run(New(cfg, frontend.DefaultConfig()), s)
 	}
 	t.Logf("gshare: miss=%d/%d bw=%.3f", results["gshare"].CondMiss, results["gshare"].CondExec, results["gshare"].Bandwidth())
@@ -23,7 +22,6 @@ func TestXBPKindsDiffer(t *testing.T) {
 	}
 	cfg := DefaultConfig(32 * 1024)
 	cfg.NextXB = true
-	s.Reset()
 	mn := frontend.Run(New(cfg, frontend.DefaultConfig()), s)
 	t.Logf("nextxb: hits=%v misses=%v miss%%=%.2f", mn.Extra["nxb_hits"], mn.Extra["nxb_misses"], mn.UopMissRate())
 	if mn.Extra["nxb_hits"] == 0 {

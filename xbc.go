@@ -43,7 +43,7 @@ import (
 // Core simulation types.
 type (
 	// Stream is an in-memory dynamic instruction trace, replayable any
-	// number of times (call Reset between runs).
+	// number of times.
 	Stream = trace.Stream
 	// Rec is one dynamic instruction record.
 	Rec = trace.Rec

@@ -47,7 +47,6 @@ func TestAllFrontendConstructors(t *testing.T) {
 	}
 	names := map[string]bool{}
 	for _, fe := range frontends {
-		stream.Reset()
 		m := xbc.Run(fe, stream)
 		if m.Uops != stream.Uops() {
 			t.Errorf("%s: consumed %d of %d uops", fe.Name(), m.Uops, stream.Uops())
