@@ -2,9 +2,13 @@
 //
 // Usage:
 //
-//	experiments [-fig 1|8|9|10|all] [-extra redundancy|frontends|ablation]
-//	            [-uops N] [-budget N] [-traces a,b,c] [-csv] [-parallel N]
-//	            [-timeout D] [-retries N] [-journal FILE] [-resume]
+//	experiments [-fig 1|8|9|10|all|none] [-extra STUDY[,STUDY...]|all]
+//	            [-uops N] [-budget N] [-traces a,b,c] [-fidelity RUNG]
+//	            [-csv] [-plot] [-parallel N] [-timeout D]
+//	            [-journal FILE] [-resume]
+//
+// STUDY is one of redundancy, frontends, ablation, pathassoc, xbtb,
+// renamer, ctxswitch, phases or ipc.
 //
 // With no flags it reproduces all four figures at the default scale
 // (21 workloads, 1M uops each, 32K-uop caches).
@@ -12,8 +16,8 @@
 // The run is interruptible and resumable: SIGINT drains in-flight cells
 // and prints whatever completed; with -journal FILE every finished cell
 // is checkpointed, and a later run with -journal FILE -resume replays
-// completed cells instead of recomputing them. A cell that panics or
-// errors costs only its own table row.
+// completed cells instead of recomputing them. Each cell runs once: a
+// cell that panics or errors costs only its own table row.
 package main
 
 import (
@@ -35,20 +39,18 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("experiments: ")
 	var (
-		fig       = flag.String("fig", "all", "figure to reproduce: 1, 8, 9, 10, all, or none")
-		extra     = flag.String("extra", "", "extra studies: redundancy, frontends, ablation, pathassoc, xbtb, renamer, ctxswitch, phases, ipc (comma separated, or 'all')")
-		uops      = flag.Uint64("uops", 1_000_000, "dynamic uops per workload")
-		budget    = flag.Int("budget", 32*1024, "cache uop budget for fixed-size experiments")
-		traces    = flag.String("traces", "", "comma-separated workload subset (default: all 21)")
-		fidelity  = flag.String("fidelity", "", "simulation rung for figures 8-10: full, sampled, or estimate (default full)")
-		csv       = flag.Bool("csv", false, "emit CSV instead of aligned text")
-		plot      = flag.Bool("plot", false, "also draw ASCII charts for figures 9 and 10")
-		parallel  = flag.Int("parallel", runtime.NumCPU(), "concurrent workload simulations")
-		timeout   = flag.Duration("timeout", 0, "per-cell deadline (0 = unbounded), e.g. 2m")
-		retries   = flag.Int("retries", 0, "retries per cell on transient errors")
-		journal   = flag.String("journal", "", "checkpoint journal file (completed cells recorded as they finish)")
-		resume    = flag.Bool("resume", false, "with -journal: replay completed cells instead of recomputing")
-		memoCells = flag.Int("memo", 1024, "sweep-planner memo capacity in cells (0 = default)")
+		fig      = flag.String("fig", "all", "figure to reproduce: 1, 8, 9, 10, all, or none")
+		extra    = flag.String("extra", "", "extra studies: redundancy, frontends, ablation, pathassoc, xbtb, renamer, ctxswitch, phases, ipc (comma separated, or 'all')")
+		uops     = flag.Uint64("uops", 1_000_000, "dynamic uops per workload")
+		budget   = flag.Int("budget", 32*1024, "cache uop budget for fixed-size experiments")
+		traces   = flag.String("traces", "", "comma-separated workload subset (default: all 21)")
+		fidelity = flag.String("fidelity", "", "simulation rung for figures 8-10: full, sampled, or estimate (default full)")
+		csv      = flag.Bool("csv", false, "emit CSV instead of aligned text")
+		plot     = flag.Bool("plot", false, "also draw ASCII charts for figures 9 and 10")
+		parallel = flag.Int("parallel", runtime.NumCPU(), "concurrent workload simulations")
+		timeout  = flag.Duration("timeout", 0, "per-cell deadline (0 = unbounded), e.g. 2m")
+		journal  = flag.String("journal", "", "checkpoint journal file (completed cells recorded as they finish)")
+		resume   = flag.Bool("resume", false, "with -journal: replay completed cells instead of recomputing")
 	)
 	profFlags := prof.AddFlags(flag.CommandLine)
 	flag.Parse()
@@ -75,11 +77,7 @@ func main() {
 	opts.Parallel = *parallel
 	opts.Ctx = ctx
 	opts.CellTimeout = *timeout
-	opts.Retries = *retries
 	opts.Report = report
-	// One process, one memo: cells repeated across the requested figures
-	// and studies (same figure/workload/config key) simulate once.
-	opts.Memo = xbc.NewPlanMemo(*memoCells)
 	opts.Plan = plan
 	if *journal != "" {
 		j, err := xbc.OpenJournal(*journal, *resume)

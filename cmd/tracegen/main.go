@@ -9,7 +9,6 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -48,21 +47,13 @@ func main() {
 		if err != nil {
 			log.Fatalf("generating %s: %v", w.Name, err)
 		}
-		// File IO is retried end to end (create, write, close): a failed
-		// attempt is restarted from a fresh file so a partial write never
-		// survives as the final artifact.
-		err = xbc.RetryIO(context.Background(), 3, func() error {
-			f, err := os.Create(path)
-			if err != nil {
-				return err
+		f, err := os.Create(path)
+		if err == nil {
+			err = xbc.WriteTrace(f, s)
+			if cerr := f.Close(); err == nil {
+				err = cerr
 			}
-			if err := xbc.WriteTrace(f, s); err != nil {
-				//xbc:ignore errdrop best-effort cleanup; the write error is already being returned
-				f.Close()
-				return err
-			}
-			return f.Close()
-		})
+		}
 		if err != nil {
 			log.Fatalf("writing %s: %v", path, err)
 		}

@@ -1,7 +1,8 @@
 // Command xbcd is the simulation daemon: a long-running HTTP/JSON server
-// that accepts simulation jobs, coalesces identical specs, executes them
-// on a sharded worker pool with panic isolation and timeouts, caches
-// results content-addressed, and exposes Prometheus metrics.
+// that accepts simulation jobs, coalesces identical specs, executes each
+// once on a sharded worker pool with panic isolation and a per-job
+// deadline, caches results content-addressed, and exposes Prometheus
+// metrics.
 //
 // Usage:
 //
@@ -68,7 +69,6 @@ func main() {
 		queue    = flag.Int("queue", 64, "queued-job bound per shard")
 		cache    = flag.Int("cache", 256, "completed jobs retained by the result cache")
 		timeout  = flag.Duration("timeout", 5*time.Minute, "per-job execution deadline (0 = unbounded)")
-		retries  = flag.Int("retries", 0, "retries per job on transient errors")
 		maxUops  = flag.Uint64("maxuops", 50_000_000, "largest stream length a job may request")
 		drainJrn = flag.String("drain-journal", "", "journal file recording jobs a drain rejects from the queue")
 		storeDir = flag.String("store", "", "directory of the persistent result/corpus store (empty = memory-only)")
@@ -89,7 +89,6 @@ func main() {
 		QueueDepth:      *queue,
 		CacheJobs:       *cache,
 		JobTimeout:      *timeout,
-		Retries:         *retries,
 		MaxUops:         *maxUops,
 		SnapshotEntries: *snapshot,
 		UpgradeSampled:  *upgrade,

@@ -12,7 +12,6 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -54,18 +53,13 @@ func main() {
 	var s *xbc.Stream
 	switch {
 	case *in != "":
-		// Trace-file IO is retried: a transient open/read failure (NFS
-		// hiccup, racing writer) should not kill a scripted sweep.
-		err := xbc.RetryIO(context.Background(), 3, func() error {
-			f, err := os.Open(*in)
-			if err != nil {
-				return err
-			}
-			//xbc:ignore errdrop read-only trace input; decode errors surface from ReadTrace
-			defer f.Close()
-			s, err = xbc.ReadTrace(f)
-			return err
-		})
+		f, err := os.Open(*in)
+		if err != nil {
+			log.Fatal(err)
+		}
+		s, err = xbc.ReadTrace(f)
+		//xbc:ignore errdrop read-only trace input; decode errors surface from ReadTrace
+		f.Close()
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -42,8 +42,6 @@ type Options struct {
 	Assocs []int
 	// Workloads defaults to all 21.
 	Workloads []workload.Workload
-	// FE carries the shared timing parameters.
-	FE frontend.Config
 	// Fidelity selects the simulation rung for the metric-producing
 	// figures (8, 9, 10): "" or "full" simulates every uop; "sampled"
 	// and "estimate" extrapolate from representative intervals (see
@@ -60,24 +58,12 @@ type Options struct {
 	Ctx context.Context
 	// CellTimeout bounds each per-workload simulation (0 = unbounded).
 	CellTimeout time.Duration
-	// Retries is how many times a transiently failing cell is retried;
-	// RetryBackoff is the initial backoff between attempts.
-	Retries      int
-	RetryBackoff time.Duration
 	// Journal, when non-nil, checkpoints each completed cell and replays
 	// completed cells on resume instead of recomputing them.
 	Journal *runner.Journal
 	// Report, when non-nil, accumulates every cell outcome across all
 	// figures of a run (for CLI summaries and exit codes).
 	Report *runner.Report
-	// Memo, when non-nil, is the sweep planner's cross-run reuse layer: a
-	// cell whose (figure, workload, config) key was already computed under
-	// this memo is served from it with zero simulation, and concurrent
-	// sweeps sharing keys coalesce onto one execution. Opt-in because it
-	// makes runs share state: callers that assert fresh execution (or vary
-	// non-keyed inputs like frontend timing config between runs) must not
-	// share one.
-	Memo *planner.Memo
 	// Plan, when non-nil, accumulates the planner's reuse accounting
 	// (planned / deduped / reused / simulated) across all figures of a run
 	// for CLI epilogues.
@@ -92,7 +78,6 @@ func DefaultOptions() Options {
 		Sizes:        []int{8 * 1024, 16 * 1024, 32 * 1024, 64 * 1024},
 		Assocs:       []int{1, 2, 4},
 		Workloads:    workload.All(),
-		FE:           frontend.DefaultConfig(),
 		Parallel:     4,
 	}
 }
@@ -114,9 +99,6 @@ func (o Options) withDefaults() Options {
 	if len(o.Workloads) == 0 {
 		o.Workloads = d.Workloads
 	}
-	if o.FE == (frontend.Config{}) {
-		o.FE = d.FE
-	}
 	if o.Parallel <= 0 {
 		o.Parallel = d.Parallel
 	}
@@ -136,7 +118,7 @@ func stream(o Options, w workload.Workload) (*trace.Stream, error) {
 // representative intervals, anything else runs every uop.
 func runModel(o Options, fe frontend.Frontend, s *trace.Stream) (frontend.Metrics, error) {
 	if o.Fidelity == "sampled" || o.Fidelity == "estimate" {
-		res, err := sampling.Run(fe, s.Records(), o.FE, sampling.ConfigFor(o.Fidelity))
+		res, err := sampling.Run(fe, s.Records(), frontend.DefaultConfig(), sampling.ConfigFor(o.Fidelity))
 		if err != nil {
 			return frontend.Metrics{}, err
 		}
@@ -240,11 +222,11 @@ func Figure8(o Options) (*Fig8Result, error) {
 			if err != nil {
 				return Fig8Row{}, err
 			}
-			mx, err := runModel(o, xbcore.New(xbcore.DefaultConfig(o.Budget), o.FE), s)
+			mx, err := runModel(o, xbcore.New(xbcore.DefaultConfig(o.Budget), frontend.DefaultConfig()), s)
 			if err != nil {
 				return Fig8Row{}, err
 			}
-			mt, err := runModel(o, tcache.New(tcache.DefaultConfig(o.Budget), o.FE), s)
+			mt, err := runModel(o, tcache.New(tcache.DefaultConfig(o.Budget), frontend.DefaultConfig()), s)
 			if err != nil {
 				return Fig8Row{}, err
 			}
@@ -326,11 +308,11 @@ func Figure9(o Options) (*Fig9Result, error) {
 				if err != nil {
 					return fig9Cell{}, err
 				}
-				xm, err := runModel(o, xbcore.New(xbcore.DefaultConfig(size), o.FE), s)
+				xm, err := runModel(o, xbcore.New(xbcore.DefaultConfig(size), frontend.DefaultConfig()), s)
 				if err != nil {
 					return fig9Cell{}, err
 				}
-				tm, err := runModel(o, tcache.New(tcache.DefaultConfig(size), o.FE), s)
+				tm, err := runModel(o, tcache.New(tcache.DefaultConfig(size), frontend.DefaultConfig()), s)
 				if err != nil {
 					return fig9Cell{}, err
 				}
@@ -408,7 +390,7 @@ func Figure10(o Options) (*Fig10Result, error) {
 				xc := xbcore.DefaultConfig(o.Budget)
 				xc.Ways = ways
 				xc.Sets = sizeToSets(o.Budget, xc.Banks*xc.BankUops*ways)
-				xm, err := runModel(o, xbcore.New(xc, o.FE), s)
+				xm, err := runModel(o, xbcore.New(xc, frontend.DefaultConfig()), s)
 				if err != nil {
 					return fig9Cell{}, err
 				}
@@ -416,7 +398,7 @@ func Figure10(o Options) (*Fig10Result, error) {
 				tc := tcache.DefaultConfig(o.Budget)
 				tc.Ways = ways
 				tc.Sets = sizeToSets(o.Budget, tc.MaxUops*ways)
-				tm, err := runModel(o, tcache.New(tc, o.FE), s)
+				tm, err := runModel(o, tcache.New(tc, frontend.DefaultConfig()), s)
 				if err != nil {
 					return fig9Cell{}, err
 				}

@@ -37,9 +37,9 @@ func Redundancy(o Options) (*stats.Table, error) {
 			if err != nil {
 				return redundancyCell{}, err
 			}
-			x := xbcore.New(xbcore.DefaultConfig(o.Budget), o.FE)
+			x := xbcore.New(xbcore.DefaultConfig(o.Budget), frontend.DefaultConfig())
 			mx := frontend.Run(x, s)
-			tc := tcache.New(tcache.DefaultConfig(o.Budget), o.FE)
+			tc := tcache.New(tcache.DefaultConfig(o.Budget), frontend.DefaultConfig())
 			mt := frontend.Run(tc, s)
 			return redundancyCell{
 				Suite:  w.Suite,
@@ -93,11 +93,11 @@ func Frontends(o Options) (*stats.Table, error) {
 				return frontendsCell{}, err
 			}
 			models := []frontend.Frontend{
-				icfe.New(o.FE, frontend.DefaultICConfig()),
-				decoded.New(decoded.DefaultConfig(o.Budget), o.FE),
-				tcache.New(tcache.DefaultConfig(o.Budget), o.FE),
-				bbtc.New(bbtc.DefaultConfig(o.Budget), o.FE),
-				xbcore.New(xbcore.DefaultConfig(o.Budget), o.FE),
+				icfe.New(frontend.DefaultConfig(), frontend.DefaultICConfig()),
+				decoded.New(decoded.DefaultConfig(o.Budget), frontend.DefaultConfig()),
+				tcache.New(tcache.DefaultConfig(o.Budget), frontend.DefaultConfig()),
+				bbtc.New(bbtc.DefaultConfig(o.Budget), frontend.DefaultConfig()),
+				xbcore.New(xbcore.DefaultConfig(o.Budget), frontend.DefaultConfig()),
 			}
 			var cell frontendsCell
 			for mi, fe := range models {
@@ -188,7 +188,7 @@ func Ablation(o Options) (*stats.Table, error) {
 				}
 				cfg := xbcore.DefaultConfig(o.Budget)
 				ab.Mutate(&cfg)
-				x := xbcore.New(cfg, o.FE)
+				x := xbcore.New(cfg, frontend.DefaultConfig())
 				m := frontend.Run(x, s)
 				return ablationCell{
 					Miss: m.UopMissRate(),
@@ -262,9 +262,9 @@ func PathAssociativity(o Options) (*stats.Table, error) {
 			base := tcache.DefaultConfig(o.Budget)
 			pa := base
 			pa.PathAssoc = true
-			mt := frontend.Run(tcache.New(base, o.FE), s)
-			mp := frontend.Run(tcache.New(pa, o.FE), s)
-			mx := frontend.Run(xbcore.New(xbcore.DefaultConfig(o.Budget), o.FE), s)
+			mt := frontend.Run(tcache.New(base, frontend.DefaultConfig()), s)
+			mp := frontend.Run(tcache.New(pa, frontend.DefaultConfig()), s)
+			mx := frontend.Run(xbcore.New(xbcore.DefaultConfig(o.Budget), frontend.DefaultConfig()), s)
 			return pathAssocCell{
 				TC: mt.UopMissRate(), TCPath: mp.UopMissRate(), XBC: mx.UopMissRate(),
 				TCRed: mt.Extra["redundancy"], TCPathRed: mp.Extra["redundancy"], XBCRed: mx.Extra["redundancy"],

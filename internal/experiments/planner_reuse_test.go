@@ -1,15 +1,15 @@
 package experiments
 
 import (
-	"sync"
+	"path/filepath"
 	"testing"
 
 	"xbc/internal/planner"
+	"xbc/internal/runner"
 )
 
-// sweepFigures are the figures that ISSUE's sweep planner must serve
-// bit-identically whether cells are simulated fresh, replayed from the
-// memo, or coalesced across concurrent runs.
+// sweepFigures are the sweep figures whose tables must be identical
+// whether each cell simulates fresh or replays from the journal.
 var sweepFigures = []struct {
 	name string
 	run  func(Options) (interface{ String() string }, error)
@@ -20,121 +20,72 @@ var sweepFigures = []struct {
 	{"phases", func(o Options) (interface{ String() string }, error) { return Phases(o) }},
 }
 
-// TestPlannerBitIdenticalToNaive is the property test for the planner
-// path: for every sweep figure the planned run (no memo — every cell
-// simulates) and two memoized runs (second is served entirely from the
-// memo) must render byte-for-byte identical tables, and the reuse must
-// actually happen — the memoized rerun may simulate nothing.
+// TestPlannerBitIdenticalToNaive is the property test for the planner's
+// one reuse path, journal replay: for every sweep figure, a run resumed
+// from the journal of a fresh run must render byte-for-byte identical
+// tables while simulating nothing — every unique cell is replayed.
+// Replayed cells come back as raw JSON, so this also round-trips each
+// figure's payload type.
 func TestPlannerBitIdenticalToNaive(t *testing.T) {
 	for _, fig := range sweepFigures {
 		fig := fig
 		t.Run(fig.name, func(t *testing.T) {
 			t.Parallel()
-			o := smallOpts()
-			o.UopsPerTrace = 60_000
-
-			naive, err := fig.run(o)
-			if err != nil {
-				t.Fatal(err)
+			path := filepath.Join(t.TempDir(), "sweep.journal")
+			run := func(resume bool) (string, planner.Report) {
+				j, err := runner.OpenJournal(path, resume)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer func() {
+					if err := j.Close(); err != nil {
+						t.Fatal(err)
+					}
+				}()
+				o := smallOpts()
+				o.UopsPerTrace = 60_000
+				o.Journal = j
+				tally := &planner.Tally{}
+				o.Plan = tally
+				tb, err := fig.run(o)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return tb.String(), tally.Snapshot()
 			}
 
-			memo := planner.NewMemo(0)
-			mo := o
-			mo.Memo = memo
-
-			first := &planner.Tally{}
-			mo.Plan = first
-			warm, err := fig.run(mo)
-			if err != nil {
-				t.Fatal(err)
+			fresh, fr := run(false)
+			resumed, rr := run(true)
+			if resumed != fresh {
+				t.Errorf("resumed run diverges from fresh run:\nfresh:\n%s\nresumed:\n%s", fresh, resumed)
 			}
-			second := &planner.Tally{}
-			mo.Plan = second
-			reused, err := fig.run(mo)
-			if err != nil {
-				t.Fatal(err)
+			if unique := fr.Planned - fr.Deduped; fr.Simulated != unique || fr.Reused != 0 || unique == 0 {
+				t.Errorf("fresh run did not simulate every unique cell: %s", fr.String())
 			}
-
-			if got, want := warm.String(), naive.String(); got != want {
-				t.Errorf("memoized run diverges from naive run:\nnaive:\n%s\nmemo:\n%s", want, got)
-			}
-			if got, want := reused.String(), naive.String(); got != want {
-				t.Errorf("reused run diverges from naive run:\nnaive:\n%s\nreused:\n%s", want, got)
-			}
-
-			fr, sr := first.Snapshot(), second.Snapshot()
-			if fr.Simulated == 0 {
-				t.Errorf("first memoized run simulated nothing: %s", fr.String())
-			}
-			if sr.Simulated != 0 {
-				t.Errorf("memoized rerun re-simulated cells: %s", sr.String())
-			}
-			if sr.ReusedTotal()+sr.Coalesced != sr.Planned {
-				t.Errorf("rerun not fully served from reuse: %s", sr.String())
+			if unique := rr.Planned - rr.Deduped; rr.Simulated != 0 || rr.Reused != unique || unique == 0 {
+				t.Errorf("resumed run not fully replayed from the journal: %s", rr.String())
 			}
 		})
 	}
 }
 
-// TestConcurrentSweepsShareMemo races several copies of the same figure
-// against one shared memo. Under -race this exercises the memo's
-// singleflight; functionally every run must produce the identical table
-// and the aggregate simulation count must stay at (or below, via
-// coalescing) one fresh run's worth.
-func TestConcurrentSweepsShareMemo(t *testing.T) {
+// TestDuplicateWorkloadsAreNotResumed: a workload listed twice is one
+// deduped cell, not a journal replay — with no journal the runner report
+// must count no resumed cells.
+func TestDuplicateWorkloadsAreNotResumed(t *testing.T) {
 	o := smallOpts()
-	o.UopsPerTrace = 60_000
-	o.Memo = planner.NewMemo(0)
+	o.UopsPerTrace = 20_000
+	o.Workloads = append(o.Workloads[:1:1], o.Workloads[0])
+	o.Report = &runner.Report{}
 	tally := &planner.Tally{}
 	o.Plan = tally
-
-	baseline, err := XBTBSweep(smallOptsAt(60_000))
-	if err != nil {
+	if _, err := Figure8(o); err != nil {
 		t.Fatal(err)
 	}
-	want := baseline.String()
-
-	const runs = 6
-	var wg sync.WaitGroup
-	outs := make([]string, runs)
-	errs := make([]error, runs)
-	for i := 0; i < runs; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			tb, err := XBTBSweep(o)
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			outs[i] = tb.String()
-		}(i)
+	if done, skipped, _, _ := o.Report.Counts(); skipped != 0 || done != 1 {
+		t.Errorf("report %q, want 1 done and none resumed", o.Report.Summary())
 	}
-	wg.Wait()
-
-	for i := 0; i < runs; i++ {
-		if errs[i] != nil {
-			t.Fatalf("run %d: %v", i, errs[i])
-		}
-		if outs[i] != want {
-			t.Errorf("run %d diverges from baseline:\nwant:\n%s\ngot:\n%s", i, want, outs[i])
-		}
+	if p := tally.Snapshot(); p.Planned != 2 || p.Deduped != 1 || p.Simulated != 1 {
+		t.Errorf("plan %s, want 2 planned, 1 deduped, 1 simulated", p.String())
 	}
-
-	rep := tally.Snapshot()
-	one := rep.Planned / runs
-	if rep.Simulated > one {
-		t.Errorf("shared memo simulated %d cells; one run plans only %d (%s)",
-			rep.Simulated, one, rep.String())
-	}
-	if rep.Failed != 0 || rep.Aborted != 0 {
-		t.Errorf("concurrent sweeps failed/aborted: %s", rep.String())
-	}
-}
-
-// smallOptsAt is smallOpts pinned to a specific trace length.
-func smallOptsAt(uops uint64) Options {
-	o := smallOpts()
-	o.UopsPerTrace = uops
-	return o
 }

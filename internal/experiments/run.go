@@ -12,8 +12,8 @@ import (
 
 // This file adapts the experiment figures to the fault-tolerant runner:
 // every per-workload simulation becomes one runner cell, gaining panic
-// isolation, cancellation with graceful drain, per-cell deadlines, retry,
-// and journal-based resume. Figures degrade cell-wise — a failed or
+// isolation, cancellation with graceful drain, per-cell deadlines and
+// journal-based resume. Figures degrade cell-wise — a failed or
 // aborted cell drops out of the tables instead of killing the sweep — and
 // the per-cell outcomes land in Options.Report when one is supplied.
 
@@ -23,8 +23,8 @@ import (
 func (o Options) tag(extra string) string {
 	t := fmt.Sprintf("u%d-b%d", o.UopsPerTrace, o.Budget)
 	if o.Fidelity != "" && o.Fidelity != "full" {
-		// Sampled payloads approximate; they must never replay into (or
-		// memo-share with) a full run of the same cell.
+		// Sampled payloads approximate; they must never replay into a full
+		// run of the same cell.
 		t += "-" + o.Fidelity
 	}
 	if extra != "" {
@@ -37,8 +37,6 @@ func (o Options) tag(extra string) string {
 func (o Options) runnerOptions() runner.Options {
 	return runner.Options{
 		CellTimeout: o.CellTimeout,
-		Retries:     o.Retries,
-		Backoff:     o.RetryBackoff,
 		Journal:     o.Journal,
 		Report:      o.Report,
 	}
@@ -63,9 +61,9 @@ func runCells[T any](o Options, figure, config string, ws []workload.Workload, f
 // runNamedCells is runCells for work not keyed by a single workload (e.g.
 // context-switch pairs): cell identities come from names and fn receives
 // the index. Every figure runs through the sweep planner: cells are
-// deduped by their journal key, served from the memo when Options.Memo is
-// set, grouped by trace locality so the corpus cache stays hot, and the
-// residue executes on the planner's bounded pool through runner.RunOne.
+// deduped by their journal key, grouped by trace locality so the corpus
+// cache stays hot, and executed once each on the planner's bounded pool
+// through runner.RunOne.
 func runNamedCells[T any](o Options, figure, config string, names []string, fn func(ctx context.Context, i int) (T, error)) ([]T, []bool, error) {
 	cells := make([]planner.Cell, len(names))
 	for i := range names {
@@ -86,7 +84,6 @@ func runNamedCells[T any](o Options, figure, config string, names []string, fn f
 	}
 	results, rep := planner.Run(ctx, cells, planner.Options{
 		Parallel: o.Parallel,
-		Memo:     o.Memo,
 		Runner:   o.runnerOptions(),
 	})
 	if o.Plan != nil {
@@ -99,9 +96,9 @@ func runNamedCells[T any](o Options, figure, config string, names []string, fn f
 	succeeded := 0
 	for i, res := range results {
 		switch res.Status {
-		case planner.StatusSimulated, planner.StatusReused, planner.StatusCoalesced:
-			// A fresh or memoized value carries the typed payload; a journal
-			// replay (directly or via the memo) carries raw JSON.
+		case planner.StatusSimulated, planner.StatusReused:
+			// A fresh value carries the typed payload; a journal replay
+			// carries raw JSON.
 			switch v := res.Value.(type) {
 			case T:
 				vals[i], ok[i] = v, true

@@ -38,7 +38,7 @@ func XBTBSweep(o Options) (*stats.Table, error) {
 				}
 				cfg := xbcore.DefaultConfig(o.Budget)
 				cfg.XBTBSets = sizeToSets(n, cfg.XBTBWays)
-				m := frontend.Run(xbcore.New(cfg, o.FE), s)
+				m := frontend.Run(xbcore.New(cfg, frontend.DefaultConfig()), s)
 				return fig9Cell{XBC: m.UopMissRate(), TC: m.Bandwidth()}, nil
 			})
 		if err != nil {
@@ -78,7 +78,7 @@ func RenamerSweep(o Options) (*stats.Table, error) {
 		"renamer", "XBC bw", "TC bw", "XBC 1/cyc bw")
 	for _, width := range widths {
 		width := width
-		fe := o.FE
+		fe := frontend.DefaultConfig()
 		fe.RenamerWidth = width
 		vals, ok, err := runCells(o, "renamer", o.tag(fmt.Sprintf("r%d", width)), ws,
 			func(ctx context.Context, w workload.Workload) (renamerCell, error) {
@@ -149,10 +149,10 @@ func ContextSwitch(o Options) (*stats.Table, error) {
 				return ctxSwitchCell{}, err
 			}
 			runXBC := func(s *trace.Stream) float64 {
-				return frontend.Run(xbcore.New(xbcore.DefaultConfig(o.Budget), o.FE), s).UopMissRate()
+				return frontend.Run(xbcore.New(xbcore.DefaultConfig(o.Budget), frontend.DefaultConfig()), s).UopMissRate()
 			}
 			runTC := func(s *trace.Stream) float64 {
-				return frontend.Run(tcache.New(tcache.DefaultConfig(o.Budget), o.FE), s).UopMissRate()
+				return frontend.Run(tcache.New(tcache.DefaultConfig(o.Budget), frontend.DefaultConfig()), s).UopMissRate()
 			}
 			cell := ctxSwitchCell{
 				XBCSolo: (runXBC(sa) + runXBC(sb)) / 2,
@@ -206,8 +206,8 @@ func Phases(o Options) (*stats.Table, error) {
 			if err != nil {
 				return phasesCell{}, err
 			}
-			px := frontend.Run(xbcore.New(xbcore.DefaultConfig(o.Budget), o.FE), s).Phases()
-			pt := frontend.Run(tcache.New(tcache.DefaultConfig(o.Budget), o.FE), s).Phases()
+			px := frontend.Run(xbcore.New(xbcore.DefaultConfig(o.Budget), frontend.DefaultConfig()), s).Phases()
+			pt := frontend.Run(tcache.New(tcache.DefaultConfig(o.Budget), frontend.DefaultConfig()), s).Phases()
 			return phasesCell{XBC: px, TC: pt}, nil
 		})
 	if err != nil {
@@ -258,8 +258,8 @@ func IPCEstimate(o Options) (*stats.Table, error) {
 				if err != nil {
 					return ipcCell{}, err
 				}
-				mx := frontend.Run(xbcore.New(xbcore.DefaultConfig(size), o.FE), s)
-				mt := frontend.Run(tcache.New(tcache.DefaultConfig(size), o.FE), s)
+				mx := frontend.Run(xbcore.New(xbcore.DefaultConfig(size), frontend.DefaultConfig()), s)
+				mt := frontend.Run(tcache.New(tcache.DefaultConfig(size), frontend.DefaultConfig()), s)
 				ex, err := interval.FromMetrics(mx, core)
 				if err != nil {
 					return ipcCell{}, err

@@ -1,26 +1,21 @@
 // Package planner turns a sweep grid into the minimum set of simulations
 // it actually requires. A naive sweep simulates every cell independently,
-// yet production sweep traffic is dominated by redundancy: neighboring
-// cells normalize to the same content key, were already computed by an
-// earlier sweep, or share a trace stream with the cell before them. The
-// planner makes that redundancy explicit as a four-stage pipeline:
+// yet sweep grids repeat themselves: neighboring cells normalize to the
+// same content key, or share a trace stream with the cell before them.
+// The planner makes that redundancy explicit as a three-stage pipeline:
 //
 //  1. dedup — cells are collapsed by content key; duplicates within one
 //     grid alias the first occurrence and cost nothing;
-//  2. probe — reuse sources (the in-memory memo, a persistent store, any
-//     caller-supplied cache) are consulted per unique key, and a hit is
-//     served with zero simulation;
-//  3. order — the residual cells are regrouped by trace locality, so the
+//  2. order — the unique cells are regrouped by trace locality, so the
 //     content-addressed corpus cache stays hot instead of thrashing when
 //     a grid's natural order interleaves workloads;
-//  4. execute — the residue runs on a bounded worker pool, each cell
-//     through runner.RunOne (panic isolation, per-cell deadline, bounded
-//     retry, journal replay), with concurrent identical keys across
-//     plans coalesced onto one execution by the memo's singleflight.
+//  3. execute — the unique cells run on a bounded worker pool, each once
+//     through runner.RunOne (panic isolation, per-cell deadline, journal
+//     replay).
 //
-// Reuse is semantically invisible by the determinism contract: a served
-// value is bit-identical to a fresh run of the same key, so a planned
-// sweep reports exactly the metrics of a naive one.
+// Reuse is semantically invisible by the determinism contract: a
+// duplicate or a journal replay is bit-identical to a fresh run of the
+// same key, so a planned sweep reports exactly the metrics of a naive one.
 package planner
 
 import (
@@ -44,8 +39,8 @@ type Cell struct {
 	// RCell is the runner identity for panic reports, journaling, and
 	// report rows.
 	RCell runner.Cell
-	// Run computes the value when no reuse source has it. It may be nil
-	// for planning-only use (NewPlan).
+	// Run computes the value when the journal does not hold it. It may be
+	// nil for planning-only use (NewPlan).
 	Run func(ctx context.Context) (any, error)
 }
 
@@ -94,27 +89,16 @@ func (p *Plan) Primary(i int) int { return p.primary[i] }
 // Deduped returns how many cells were exact duplicates of an earlier one.
 func (p *Plan) Deduped() int { return len(p.primary) - len(p.unique) }
 
-// Source answers "is this key's result already in hand" — the persistent
-// store, a warm in-memory cache, or anything else content-addressed by
-// the same keys. Load must be safe for concurrent use.
-type Source struct {
-	Name string
-	Load func(key string) (any, bool)
-}
-
 // Status classifies how one planned cell was served.
 type Status int
 
 const (
 	// StatusSimulated: the cell ran fresh in this plan.
 	StatusSimulated Status = iota
-	// StatusReused: the value came from a reuse source (memo, store,
-	// journal) with zero simulation.
+	// StatusReused: the value was replayed from the runner's journal with
+	// zero simulation.
 	StatusReused
-	// StatusCoalesced: a concurrent plan was already executing the key;
-	// this cell attached to that execution.
-	StatusCoalesced
-	// StatusFailed: every attempt errored, panicked, or timed out.
+	// StatusFailed: the cell errored, panicked, or timed out.
 	StatusFailed
 	// StatusAborted: the context was cancelled before the cell ran.
 	StatusAborted
@@ -127,8 +111,6 @@ func (s Status) String() string {
 		return "simulated"
 	case StatusReused:
 		return "reused"
-	case StatusCoalesced:
-		return "coalesced"
 	case StatusFailed:
 		return "failed"
 	case StatusAborted:
@@ -141,44 +123,25 @@ func (s Status) String() string {
 // Result is the outcome of one input cell. Duplicates share their
 // primary's result.
 type Result struct {
-	Status   Status
-	Source   string // reuse source name when Status is StatusReused
-	Value    any    // the payload; json.RawMessage for journal replays
-	Err      error  // set when Status is StatusFailed
-	Attempts int
-
-	// reported is true when runner.RunOne already accounted for this cell
-	// in Options.Runner.Report; the planner synthesizes rows for the rest
-	// (reused, coalesced, deduped, aborted-in-plan) so summaries stay
-	// complete.
-	reported bool
+	Status Status
+	Value  any   // the payload; json.RawMessage for journal replays
+	Err    error // set when Status is StatusFailed
 }
 
 // Report accounts for how a plan's cells were served.
 type Report struct {
-	Planned   int            // input cells
-	Deduped   int            // exact duplicates within the plan
-	Reused    map[string]int // unique cells served per source name
-	Coalesced int            // unique cells attached to a concurrent execution
-	Simulated int            // unique cells that ran fresh
+	Planned   int // input cells
+	Deduped   int // exact duplicates within the plan
+	Reused    int // unique cells replayed from the journal
+	Simulated int // unique cells that ran fresh
 	Failed    int
 	Aborted   int
 }
 
-// ReusedTotal sums the per-source reuse counts.
-func (r Report) ReusedTotal() int {
-	n := 0
-	//xbc:ignore nondeterm commutative sum; order cannot change the total
-	for _, v := range r.Reused {
-		n += v
-	}
-	return n
-}
-
 // String renders the report as a one-line plan summary for CLI epilogues.
 func (r Report) String() string {
-	s := fmt.Sprintf("%d planned, %d deduped, %d reused, %d coalesced, %d simulated",
-		r.Planned, r.Deduped, r.ReusedTotal(), r.Coalesced, r.Simulated)
+	s := fmt.Sprintf("%d planned, %d deduped, %d reused, %d simulated",
+		r.Planned, r.Deduped, r.Reused, r.Simulated)
 	if r.Failed > 0 {
 		s += fmt.Sprintf(", %d failed", r.Failed)
 	}
@@ -201,52 +164,34 @@ func (t *Tally) Add(r Report) {
 	defer t.mu.Unlock()
 	t.sum.Planned += r.Planned
 	t.sum.Deduped += r.Deduped
-	t.sum.Coalesced += r.Coalesced
+	t.sum.Reused += r.Reused
 	t.sum.Simulated += r.Simulated
 	t.sum.Failed += r.Failed
 	t.sum.Aborted += r.Aborted
-	if t.sum.Reused == nil {
-		t.sum.Reused = make(map[string]int)
-	}
-	//xbc:ignore nondeterm commutative map merge; order-insensitive
-	for k, v := range r.Reused {
-		t.sum.Reused[k] += v
-	}
 }
 
 // Snapshot returns the accumulated totals.
 func (t *Tally) Snapshot() Report {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	out := t.sum
-	out.Reused = make(map[string]int, len(t.sum.Reused))
-	//xbc:ignore nondeterm map copy; order-insensitive
-	for k, v := range t.sum.Reused {
-		out.Reused[k] = v
-	}
-	return out
+	return t.sum
 }
 
 // Options configures plan execution.
 type Options struct {
-	// Parallel bounds the worker pool over residual cells (default 4).
+	// Parallel bounds the worker pool over unique cells (default 4).
 	Parallel int
-	// Sources are probed in order per unique key before any execution;
-	// the first hit wins.
-	Sources []Source
-	// Memo, when non-nil, is the cross-plan reuse layer: its value cache
-	// is probed ahead of Sources, fresh values land in it, and concurrent
-	// plans executing the same key coalesce onto one run.
-	Memo *Memo
-	// Runner carries the per-cell isolation machinery (timeout, retries,
-	// journal, report) for fresh executions.
+	// Runner carries the per-cell isolation machinery (timeout, journal,
+	// report) for every unique cell.
 	Runner runner.Options
 }
 
 // Run executes cells under the plan pipeline and returns one result per
 // input cell (duplicates aliasing their primary) plus the accounting
-// report. Cancelling ctx drains gracefully: in-flight cells finish,
-// unstarted cells report StatusAborted.
+// report. The runner report, when set, gets one row per unique cell;
+// duplicates are counted only as Deduped. Cancelling ctx drains
+// gracefully: in-flight cells finish, unstarted cells report
+// StatusAborted.
 func Run(ctx context.Context, cells []Cell, opt Options) ([]Result, Report) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -256,38 +201,29 @@ func Run(ctx context.Context, cells []Cell, opt Options) ([]Result, Report) {
 	}
 	plan := NewPlan(cells)
 	results := make([]Result, len(cells))
-	rep := Report{Planned: len(cells), Deduped: plan.Deduped(), Reused: make(map[string]int)}
+	rep := Report{Planned: len(cells), Deduped: plan.Deduped()}
 
-	sources := opt.Sources
-	if opt.Memo != nil {
-		sources = append([]Source{opt.Memo.Source()}, sources...)
-	}
-
-	// Probe phase: serve every unique key a source already holds, keeping
-	// only the residue for execution.
-	var residual []int
-	for _, ui := range plan.unique {
-		if v, name, ok := probe(sources, cells[ui].Key); ok {
-			results[ui] = Result{Status: StatusReused, Source: name, Value: v}
-			continue
+	// A cell the drain stops before it reaches the runner still needs its
+	// report row, so CLI summaries account for every unique cell.
+	abort := func(ui int) {
+		results[ui] = Result{Status: StatusAborted}
+		if opt.Runner.Report != nil {
+			opt.Runner.Report.Add(runner.CellResult{Cell: cells[ui].RCell, Status: runner.StatusAborted})
 		}
-		residual = append(residual, ui)
 	}
-
-	// Execute phase: the residue in locality order on a bounded pool.
 	sem := make(chan struct{}, opt.Parallel)
 	var wg sync.WaitGroup
-	for _, ui := range residual {
+	for _, ui := range plan.unique {
 		select {
 		case <-ctx.Done():
-			results[ui] = Result{Status: StatusAborted}
+			abort(ui)
 			continue
 		case sem <- struct{}{}:
 			// A cancellation that raced the semaphore acquire still wins:
 			// the drain must not start new cells.
 			if ctx.Err() != nil {
 				<-sem
-				results[ui] = Result{Status: StatusAborted}
+				abort(ui)
 				continue
 			}
 		}
@@ -295,99 +231,42 @@ func Run(ctx context.Context, cells []Cell, opt Options) ([]Result, Report) {
 		go func(ui int) {
 			defer wg.Done()
 			defer func() { <-sem }()
-			results[ui] = opt.execute(ctx, cells[ui])
+			results[ui] = opt.run(ctx, cells[ui])
 		}(ui)
 	}
 	//xbc:ignore ctxflow graceful drain by contract: cancellation stops new cells above, and every started worker runs one ctx-aware cell and exits
 	wg.Wait()
 
-	// Alias duplicates onto their primaries, tally, and account every
-	// cell the runner did not see (reused, coalesced, aborted-in-plan,
-	// duplicates) in the shared report so CLI summaries stay complete.
 	for _, ui := range plan.unique {
-		switch r := results[ui]; r.Status {
+		switch results[ui].Status {
 		case StatusSimulated:
 			rep.Simulated++
 		case StatusReused:
-			rep.Reused[r.Source]++
-		case StatusCoalesced:
-			rep.Coalesced++
+			rep.Reused++
 		case StatusFailed:
 			rep.Failed++
 		case StatusAborted:
 			rep.Aborted++
 		}
 	}
-	if opt.Runner.Report != nil {
-		for _, ui := range plan.unique {
-			r := results[ui]
-			if r.reported {
-				continue
-			}
-			switch r.Status {
-			case StatusReused, StatusCoalesced:
-				opt.Runner.Report.Add(runner.CellResult{Cell: cells[ui].RCell, Status: runner.StatusSkipped, Payload: r.Value})
-			case StatusFailed:
-				ce, ok := r.Err.(*runner.CellError)
-				if !ok {
-					ce = &runner.CellError{Cell: cells[ui].RCell, Err: r.Err}
-				}
-				opt.Runner.Report.Add(runner.CellResult{Cell: cells[ui].RCell, Status: runner.StatusFailed, Err: ce, Attempts: r.Attempts})
-			case StatusAborted:
-				opt.Runner.Report.Add(runner.CellResult{Cell: cells[ui].RCell, Status: runner.StatusAborted})
-			}
-		}
-	}
 	for i := range cells {
-		if pi := plan.primary[i]; pi != i {
-			results[i] = results[pi]
-			if opt.Runner.Report != nil {
-				opt.Runner.Report.Add(runner.CellResult{Cell: cells[i].RCell, Status: runner.StatusSkipped, Payload: results[pi].Value})
-			}
-		}
+		results[i] = results[plan.primary[i]]
 	}
 	return results, rep
 }
 
-// probe consults the sources in order.
-func probe(sources []Source, key string) (any, string, bool) {
-	for _, s := range sources {
-		if s.Load == nil {
-			continue
-		}
-		if v, ok := s.Load(key); ok {
-			return v, s.Name, true
-		}
-	}
-	return nil, "", false
-}
-
-// execute runs one residual cell, coalescing through the memo when one is
-// configured.
-func (o Options) execute(ctx context.Context, c Cell) Result {
-	if o.Memo == nil {
-		return o.runFresh(ctx, c)
-	}
-	return o.Memo.do(ctx, c.Key, func() Result { return o.runFresh(ctx, c) })
-}
-
-// sourceJournal names the runner journal as a reuse source.
-const sourceJournal = "journal"
-
-// runFresh executes the cell through the runner's isolation machinery.
-// RunOne adds its own row to Options.Runner.Report, so the results it
-// produces are marked reported.
-func (o Options) runFresh(ctx context.Context, c Cell) Result {
+// run executes one unique cell through the runner, which adds its own
+// row to Options.Runner.Report.
+func (o Options) run(ctx context.Context, c Cell) Result {
 	cr := runner.RunOne(ctx, o.Runner, runner.Task{Cell: c.RCell, Run: c.Run})
-	reported := o.Runner.Report != nil
 	switch cr.Status {
 	case runner.StatusDone:
-		return Result{Status: StatusSimulated, Value: cr.Payload, Attempts: cr.Attempts, reported: reported}
+		return Result{Status: StatusSimulated, Value: cr.Payload}
 	case runner.StatusSkipped:
-		return Result{Status: StatusReused, Source: sourceJournal, Value: cr.Payload, reported: reported}
+		return Result{Status: StatusReused, Value: cr.Payload}
 	case runner.StatusFailed:
-		return Result{Status: StatusFailed, Err: cr.Err, Attempts: cr.Attempts, reported: reported}
+		return Result{Status: StatusFailed, Err: cr.Err}
 	default:
-		return Result{Status: StatusAborted, Attempts: cr.Attempts, reported: reported}
+		return Result{Status: StatusAborted}
 	}
 }

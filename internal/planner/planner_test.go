@@ -2,8 +2,9 @@ package planner
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
-	"fmt"
+	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -83,178 +84,6 @@ func TestRunExecutesUniqueOnceAndAliasesDuplicates(t *testing.T) {
 	}
 }
 
-func TestRunProbesSourcesBeforeExecuting(t *testing.T) {
-	var calls atomic.Int64
-	stored := map[string]any{"a": "stored:a"}
-	src := Source{Name: "store", Load: func(key string) (any, bool) {
-		v, ok := stored[key]
-		return v, ok
-	}}
-	cells := []Cell{cell("a", "w1", &calls), cell("b", "w1", &calls)}
-	results, rep := Run(context.Background(), cells, Options{Sources: []Source{src}})
-	if got := calls.Load(); got != 1 {
-		t.Fatalf("Run invocations = %d, want 1 (only the store miss)", got)
-	}
-	if results[0].Status != StatusReused || results[0].Source != "store" || results[0].Value != "stored:a" {
-		t.Fatalf("cell a = %+v, want reused from store", results[0])
-	}
-	if results[1].Status != StatusSimulated {
-		t.Fatalf("cell b = %+v, want simulated", results[1])
-	}
-	if rep.Reused["store"] != 1 || rep.Simulated != 1 {
-		t.Fatalf("report = %+v, want store=1 simulated=1", rep)
-	}
-}
-
-func TestMemoServesSecondPlanWithZeroExecutions(t *testing.T) {
-	var calls atomic.Int64
-	memo := NewMemo(0)
-	cells := []Cell{cell("a", "w1", &calls), cell("b", "w2", &calls)}
-	_, rep1 := Run(context.Background(), cells, Options{Memo: memo})
-	if rep1.Simulated != 2 {
-		t.Fatalf("first plan simulated = %d, want 2", rep1.Simulated)
-	}
-	results, rep2 := Run(context.Background(), cells, Options{Memo: memo})
-	if got := calls.Load(); got != 2 {
-		t.Fatalf("total Run invocations = %d, want 2 (second plan fully memoized)", got)
-	}
-	if rep2.Simulated != 0 || rep2.Reused["memo"] != 2 {
-		t.Fatalf("second plan report = %+v, want all memo hits", rep2)
-	}
-	for i, r := range results {
-		if r.Value != "val:"+cells[i].Key {
-			t.Fatalf("memoized value %d = %v", i, r.Value)
-		}
-	}
-}
-
-func TestMemoCoalescesConcurrentExecutions(t *testing.T) {
-	memo := NewMemo(0)
-	entered := make(chan struct{})
-	release := make(chan struct{})
-	var calls atomic.Int64
-	leaderDone := make(chan Result, 1)
-	go func() {
-		leaderDone <- memo.do(context.Background(), "k", func() Result {
-			calls.Add(1)
-			close(entered)
-			<-release
-			return Result{Status: StatusSimulated, Value: "v"}
-		})
-	}()
-	<-entered // the leader is in-flight: the key is in the flight table
-	waiterDone := make(chan Result, 1)
-	go func() {
-		waiterDone <- memo.do(context.Background(), "k", func() Result {
-			calls.Add(1)
-			return Result{Status: StatusSimulated, Value: "v"}
-		})
-	}()
-	close(release)
-	leader, waiter := <-leaderDone, <-waiterDone
-	if got := calls.Load(); got != 1 {
-		t.Fatalf("executions = %d, want 1", got)
-	}
-	if leader.Status != StatusSimulated {
-		t.Fatalf("leader status = %v", leader.Status)
-	}
-	// The waiter either attached to the flight (coalesced) or arrived after
-	// completion and hit the cache (reused) — never a second execution.
-	if waiter.Status != StatusCoalesced && !(waiter.Status == StatusReused && waiter.Source == "memo") {
-		t.Fatalf("waiter = %+v, want coalesced or memo hit", waiter)
-	}
-	if waiter.Value != "v" {
-		t.Fatalf("waiter value = %v, want v", waiter.Value)
-	}
-}
-
-func TestMemoDoesNotCacheFailures(t *testing.T) {
-	memo := NewMemo(0)
-	boom := errors.New("boom")
-	r1 := memo.do(context.Background(), "k", func() Result { return Result{Status: StatusFailed, Err: boom} })
-	if r1.Status != StatusFailed {
-		t.Fatalf("r1 = %+v", r1)
-	}
-	r2 := memo.do(context.Background(), "k", func() Result { return Result{Status: StatusSimulated, Value: "ok"} })
-	if r2.Status != StatusSimulated || r2.Value != "ok" {
-		t.Fatalf("failure was cached: r2 = %+v", r2)
-	}
-}
-
-// A waiter whose context is cancelled must stop waiting on the flight
-// and report the abort, leaving the leader undisturbed.
-func TestMemoWaiterAbortsOnCancel(t *testing.T) {
-	memo := NewMemo(0)
-	entered := make(chan struct{})
-	release := make(chan struct{})
-	leaderDone := make(chan Result, 1)
-	go func() {
-		leaderDone <- memo.do(context.Background(), "k", func() Result {
-			close(entered)
-			<-release
-			return Result{Status: StatusSimulated, Value: "v"}
-		})
-	}()
-	<-entered // the leader is in-flight: the key is in the flight table
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	r := memo.do(ctx, "k", func() Result {
-		t.Error("waiter must attach to the flight, not execute")
-		return Result{}
-	})
-	if r.Status != StatusAborted {
-		t.Fatalf("cancelled waiter = %+v, want StatusAborted", r)
-	}
-	close(release)
-	if r := <-leaderDone; r.Status != StatusSimulated {
-		t.Fatalf("leader = %+v", r)
-	}
-}
-
-// A leader whose fn panics must still tear down the flight entry and
-// close done: the panic propagates to its caller, but later plans for
-// the key run fresh instead of parking forever on a channel nobody will
-// ever close.
-func TestMemoLeaderPanicDoesNotStrand(t *testing.T) {
-	memo := NewMemo(0)
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Fatal("leader panic did not propagate")
-			}
-		}()
-		memo.do(context.Background(), "k", func() Result { panic("boom") })
-	}()
-	r := memo.do(context.Background(), "k", func() Result {
-		return Result{Status: StatusSimulated, Value: "ok"}
-	})
-	if r.Status != StatusSimulated || r.Value != "ok" {
-		t.Fatalf("post-panic do = %+v, want a fresh execution", r)
-	}
-}
-
-func TestMemoEvictsLRU(t *testing.T) {
-	memo := NewMemo(2)
-	put := func(key string, v int) {
-		memo.do(context.Background(), key, func() Result { return Result{Status: StatusSimulated, Value: v} })
-	}
-	put("a", 1)
-	put("b", 2)
-	if _, ok := memo.Get("a"); !ok { // refresh a: b is now LRU
-		t.Fatal("a missing")
-	}
-	put("c", 3)
-	if _, ok := memo.Get("b"); ok {
-		t.Fatal("b should have been evicted")
-	}
-	if _, ok := memo.Get("a"); !ok {
-		t.Fatal("a should have survived (refreshed)")
-	}
-	if memo.Len() != 2 {
-		t.Fatalf("Len = %d, want 2", memo.Len())
-	}
-}
-
 func TestRunAbortsUnstartedCellsOnCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -307,27 +136,52 @@ func TestRunFailurePropagatesPerCell(t *testing.T) {
 	}
 }
 
-// TestRunReportAccountsEveryCell: the runner report must hold one row per
-// input cell regardless of how each was served, so CLI epilogues stay
-// complete under reuse.
+// TestRunReportAccountsEveryCell: the runner report holds one row per
+// unique cell, however it was served — fresh, or replayed from the
+// journal on resume. Duplicates get no row of their own: the plan report
+// counts them as Deduped.
 func TestRunReportAccountsEveryCell(t *testing.T) {
-	memo := NewMemo(0)
-	rep := &runner.Report{}
+	path := filepath.Join(t.TempDir(), "plan.journal")
 	cells := []Cell{
 		cell("a", "w1", nil),
 		cell("a", "w1", nil), // dup
 		cell("b", "w2", nil),
 	}
-	Run(context.Background(), cells, Options{Memo: memo, Runner: runner.Options{Report: rep}})
-	done, skipped, _, _ := rep.Counts()
-	if done != 2 || skipped != 1 {
-		t.Fatalf("first run rows: done=%d skipped=%d, want 2/1", done, skipped)
+	run := func(resume bool) (Report, *runner.Report, []Result) {
+		j, err := runner.OpenJournal(path, resume)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer func() {
+			if err := j.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}()
+		rep := &runner.Report{}
+		results, prep := Run(context.Background(), cells, Options{Runner: runner.Options{Journal: j, Report: rep}})
+		return prep, rep, results
 	}
-	rep2 := &runner.Report{}
-	Run(context.Background(), cells, Options{Memo: memo, Runner: runner.Options{Report: rep2}})
-	done, skipped, _, _ = rep2.Counts()
-	if done != 0 || skipped != 3 {
-		t.Fatalf("memoized run rows: done=%d skipped=%d, want 0/3", done, skipped)
+
+	prep, rep, _ := run(false)
+	if done, skipped, _, _ := rep.Counts(); done != 2 || skipped != 0 {
+		t.Fatalf("first run rows: done=%d skipped=%d, want 2/0", done, skipped)
+	}
+	if prep.Simulated != 2 || prep.Deduped != 1 || prep.Reused != 0 {
+		t.Fatalf("first plan report = %+v", prep)
+	}
+
+	prep, rep, results := run(true)
+	if done, skipped, _, _ := rep.Counts(); done != 0 || skipped != 2 {
+		t.Fatalf("resumed run rows: done=%d skipped=%d, want 0/2", done, skipped)
+	}
+	if prep.Simulated != 0 || prep.Deduped != 1 || prep.Reused != 2 {
+		t.Fatalf("resumed plan report = %+v", prep)
+	}
+	for i, r := range results {
+		var v string
+		if err := json.Unmarshal(r.Value.(json.RawMessage), &v); err != nil || v != "val:"+cells[i].Key {
+			t.Fatalf("cell %d replayed %s (%v), want val:%s", i, r.Value, err, cells[i].Key)
+		}
 	}
 }
 
@@ -355,52 +209,10 @@ func TestRunLocalityOrderExecution(t *testing.T) {
 	}
 }
 
-// TestConcurrentPlansShareMemo drives many overlapping plans through one
-// memo under the race detector: total fresh executions must not exceed
-// the number of distinct keys, and every cell must see the key's value.
-func TestConcurrentPlansShareMemo(t *testing.T) {
-	memo := NewMemo(0)
-	var calls atomic.Int64
-	const plans, keys = 8, 5
-	var wg sync.WaitGroup
-	errs := make(chan error, plans)
-	for p := 0; p < plans; p++ {
-		wg.Add(1)
-		go func(p int) {
-			defer wg.Done()
-			var cells []Cell
-			for k := 0; k < keys; k++ {
-				key := fmt.Sprintf("k%d", (p+k)%keys)
-				cells = append(cells, cell(key, "w", &calls))
-			}
-			results, _ := Run(context.Background(), cells, Options{Parallel: 3, Memo: memo})
-			for i, r := range results {
-				if r.Err != nil {
-					errs <- fmt.Errorf("plan %d cell %d: %v", p, i, r.Err)
-					return
-				}
-				if want := "val:" + cells[i].Key; r.Value != want {
-					errs <- fmt.Errorf("plan %d cell %d: value %v, want %v", p, i, r.Value, want)
-					return
-				}
-			}
-		}(p)
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Fatal(err)
-	}
-	if got := calls.Load(); got > keys {
-		t.Fatalf("fresh executions = %d, want <= %d (coalesced/memoized)", got, keys)
-	}
-}
-
 func TestStatusString(t *testing.T) {
 	want := map[Status]string{
 		StatusSimulated: "simulated",
 		StatusReused:    "reused",
-		StatusCoalesced: "coalesced",
 		StatusFailed:    "failed",
 		StatusAborted:   "aborted",
 		Status(99):      "unknown",
@@ -409,12 +221,5 @@ func TestStatusString(t *testing.T) {
 		if s.String() != name {
 			t.Fatalf("Status(%d).String() = %q, want %q", int(s), s.String(), name)
 		}
-	}
-}
-
-func TestReusedTotal(t *testing.T) {
-	r := Report{Reused: map[string]int{"memo": 2, "store": 3}}
-	if r.ReusedTotal() != 5 {
-		t.Fatalf("ReusedTotal = %d, want 5", r.ReusedTotal())
 	}
 }

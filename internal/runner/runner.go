@@ -11,9 +11,8 @@
 //   - panic isolation: a panicking cell is converted into a structured
 //     CellError carrying the cell identity and the goroutine stack, so one
 //     bad configuration degrades that cell, not the whole sweep;
-//   - per-cell deadlines: an optional timeout bounds each attempt; a cell
+//   - per-cell deadlines: an optional timeout bounds the cell; a cell
 //     that overruns is abandoned and reported as failed;
-//   - bounded retry with capped exponential backoff for transient errors;
 //   - checkpointing: an optional Journal records each completed cell (with
 //     its result payload), and a resumed run replays completed cells from
 //     the journal instead of re-running them.
@@ -80,7 +79,7 @@ const (
 	StatusDone Status = iota
 	// StatusSkipped means the cell was replayed from the journal.
 	StatusSkipped
-	// StatusFailed means every attempt errored, panicked, or timed out.
+	// StatusFailed means the cell errored, panicked, or timed out.
 	StatusFailed
 	// StatusAborted means the run was cancelled before the cell started.
 	StatusAborted
@@ -104,10 +103,9 @@ func (s Status) String() string {
 
 // CellResult is the outcome of one cell.
 type CellResult struct {
-	Cell     Cell
-	Status   Status
-	Err      *CellError // set when Status is StatusFailed
-	Attempts int        // how many attempts ran (0 for skipped/aborted)
+	Cell   Cell
+	Status Status
+	Err    *CellError // set when Status is StatusFailed
 	// Payload is the value the cell function returned (StatusDone), or the
 	// raw journal payload as json.RawMessage (StatusSkipped).
 	Payload any
@@ -125,21 +123,10 @@ type Task struct {
 
 // Options configures a sweep execution.
 type Options struct {
-	// CellTimeout bounds each attempt of each cell (0 = unbounded). A cell
-	// that ignores its context and overruns is abandoned: its goroutine is
-	// leaked and the cell reports failed with context.DeadlineExceeded.
+	// CellTimeout bounds each cell (0 = unbounded). A cell that ignores
+	// its context and overruns is abandoned: its goroutine is leaked and
+	// the cell reports failed with context.DeadlineExceeded.
 	CellTimeout time.Duration
-	// Retries is how many times a failed attempt is retried (default 0).
-	// Panics are never retried: a deterministic simulator that panicked
-	// once will panic again.
-	Retries int
-	// Backoff is the wait before the first retry; it doubles per retry and
-	// is capped at MaxBackoff. Defaults: 100ms, capped at 2s.
-	Backoff    time.Duration
-	MaxBackoff time.Duration
-	// RetryIf decides whether an error is transient. The default retries
-	// everything except panics, cancellations, and deadline overruns.
-	RetryIf func(error) bool
 	// Journal, when non-nil, is consulted before running a cell (completed
 	// cells are skipped and replayed) and appended to after each completion.
 	Journal *Journal
@@ -148,78 +135,35 @@ type Options struct {
 	Report *Report
 }
 
-func (o Options) withDefaults() Options {
-	if o.Backoff <= 0 {
-		o.Backoff = 100 * time.Millisecond
-	}
-	if o.MaxBackoff <= 0 {
-		o.MaxBackoff = 2 * time.Second
-	}
-	if o.RetryIf == nil {
-		o.RetryIf = DefaultRetryIf
-	}
-	return o
-}
-
-// DefaultRetryIf retries any error that is not a panic, a cancellation, or
-// a deadline overrun.
-func DefaultRetryIf(err error) bool {
-	var ce *CellError
-	if errors.As(err, &ce) && ce.Stack != "" {
-		return false
-	}
-	return !errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded)
-}
-
-// runCell executes one cell through the attempt/retry loop.
+// runCell executes one cell once. Cells are deterministic functions of
+// their spec, so a failure is final: running it again fails the same way.
 func (o Options) runCell(ctx context.Context, t Task) CellResult {
-	res := CellResult{Cell: t.Cell}
-	backoff := o.Backoff
-	for {
-		res.Attempts++
-		payload, err := o.attempt(ctx, t)
-		if err == nil {
-			res.Status = StatusDone
-			res.Payload = payload
-			if o.Journal != nil {
-				if jerr := o.Journal.Record(t.Cell, payload); jerr != nil {
-					// A journal write failure must not fail the cell; the
-					// result is in hand. It just won't be resumable.
-					fmt.Fprintf(os.Stderr, "runner: journal: %v\n", jerr)
-				}
+	payload, err := o.isolated(ctx, t)
+	if err == nil {
+		if o.Journal != nil {
+			if jerr := o.Journal.Record(t.Cell, payload); jerr != nil {
+				// A journal write failure must not fail the cell; the
+				// result is in hand. It just won't be resumable.
+				fmt.Fprintf(os.Stderr, "runner: journal: %v\n", jerr)
 			}
-			return res
 		}
-		ce, ok := err.(*CellError)
-		if !ok {
-			ce = &CellError{Cell: t.Cell, Err: err}
-		}
-		res.Err = ce
-		// A cancellation surfacing through the cell means the sweep is
-		// draining: the cell did not complete and will not be retried.
-		if ctx.Err() != nil && errors.Is(err, context.Canceled) {
-			res.Status = StatusAborted
-			return res
-		}
-		if res.Attempts > o.Retries || !o.RetryIf(err) {
-			res.Status = StatusFailed
-			return res
-		}
-		select {
-		case <-ctx.Done():
-			res.Status = StatusAborted
-			return res
-		case <-time.After(backoff):
-		}
-		if backoff *= 2; backoff > o.MaxBackoff {
-			backoff = o.MaxBackoff
-		}
+		return CellResult{Cell: t.Cell, Status: StatusDone, Payload: payload}
 	}
+	ce, ok := err.(*CellError)
+	if !ok {
+		ce = &CellError{Cell: t.Cell, Err: err}
+	}
+	// A cancellation surfacing through the cell means the sweep is
+	// draining: the cell did not complete.
+	if ctx.Err() != nil && errors.Is(err, context.Canceled) {
+		return CellResult{Cell: t.Cell, Status: StatusAborted, Err: ce}
+	}
+	return CellResult{Cell: t.Cell, Status: StatusFailed, Err: ce}
 }
 
-// attempt runs the cell function once with panic isolation and the
-// per-cell deadline.
-func (o Options) attempt(ctx context.Context, t Task) (any, error) {
+// isolated runs the cell function with panic isolation and the per-cell
+// deadline.
+func (o Options) isolated(ctx context.Context, t Task) (any, error) {
 	actx := ctx
 	var cancel context.CancelFunc
 	if o.CellTimeout > 0 {
@@ -245,7 +189,7 @@ func (o Options) attempt(ctx context.Context, t Task) (any, error) {
 		ch <- outcome{payload: p, err: err}
 	}()
 	if o.CellTimeout <= 0 {
-		//xbc:ignore ctxflow the attempt goroutine sends exactly once (panics included); with no deadline the drain contract is to wait for the in-flight cell
+		//xbc:ignore ctxflow the cell goroutine sends exactly once (panics included); with no deadline the drain contract is to wait for the in-flight cell
 		out := <-ch
 		return out.payload, out.err
 	}
@@ -263,12 +207,11 @@ func (o Options) attempt(ctx context.Context, t Task) (any, error) {
 	}
 }
 
-// RunOne executes a single task synchronously — panic isolation, the
-// per-attempt deadline, bounded retry, and journal replay/recording — and
-// returns its result. It is the panic-isolation boundary for every sweep
-// cell (through planner.Run) and every job the service accepts.
+// RunOne executes a single task once, synchronously — panic isolation,
+// the per-cell deadline, and journal replay/recording — and returns its
+// result. It is the panic-isolation boundary for every sweep cell
+// (through planner.Run) and every job the service accepts.
 func RunOne(ctx context.Context, o Options, t Task) CellResult {
-	o = o.withDefaults()
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -380,43 +323,6 @@ func (r *Report) Summary() string {
 		return "0 cells"
 	}
 	return fmt.Sprintf("%d cells: %s", total, strings.Join(parts, ", "))
-}
-
-// Retry runs fn up to attempts times, waiting backoff (doubled per retry,
-// capped at maxBackoff) between attempts; it is the primitive behind the
-// runner's retry loop, exported for one-shot transient operations such as
-// trace-file IO. It returns nil on the first success, the last error after
-// exhaustion, or ctx.Err() if cancelled while waiting.
-func Retry(ctx context.Context, attempts int, backoff, maxBackoff time.Duration, fn func() error) error {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if attempts < 1 {
-		attempts = 1
-	}
-	if backoff <= 0 {
-		backoff = 100 * time.Millisecond
-	}
-	if maxBackoff <= 0 {
-		maxBackoff = 2 * time.Second
-	}
-	var err error
-	for i := 0; i < attempts; i++ {
-		if i > 0 {
-			select {
-			case <-ctx.Done():
-				return ctx.Err()
-			case <-time.After(backoff):
-			}
-			if backoff *= 2; backoff > maxBackoff {
-				backoff = maxBackoff
-			}
-		}
-		if err = fn(); err == nil {
-			return nil
-		}
-	}
-	return err
 }
 
 // NotifyContext returns a context cancelled on SIGINT/SIGTERM, wired for

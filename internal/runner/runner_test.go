@@ -57,9 +57,6 @@ func TestPanicToCellError(t *testing.T) {
 	if !strings.Contains(ce.Stack, "runner_test.go") {
 		t.Errorf("stack does not point at the panic site:\n%s", ce.Stack)
 	}
-	if r.Attempts != 1 {
-		t.Errorf("panic was retried: %d attempts", r.Attempts)
-	}
 	if err := rep.Err(); err == nil {
 		t.Error("report.Err() = nil with a failed cell")
 	}
@@ -167,46 +164,6 @@ func TestResumeSkipsOnlyCompleted(t *testing.T) {
 	}
 }
 
-// TestRetryExhaustion verifies bounded retry with backoff: a persistently
-// failing cell is attempted 1+Retries times and then reported failed with
-// the last error.
-func TestRetryExhaustion(t *testing.T) {
-	var attempts atomic.Int32
-	tasks := []Task{{Cell: cell(0), Run: func(context.Context) (any, error) {
-		attempts.Add(1)
-		return nil, fmt.Errorf("io blip %d", attempts.Load())
-	}}}
-	results := runAll(Options{
-		Retries: 2, Backoff: time.Millisecond, MaxBackoff: 2 * time.Millisecond,
-	}, tasks)
-	if got := attempts.Load(); got != 3 {
-		t.Errorf("attempts = %d, want 3 (1 + 2 retries)", got)
-	}
-	r := results[0]
-	if r.Status != StatusFailed || r.Attempts != 3 {
-		t.Fatalf("result %+v, want failed after 3 attempts", r)
-	}
-	if !strings.Contains(r.Err.Error(), "io blip 3") {
-		t.Errorf("error %q is not the last attempt's", r.Err)
-	}
-}
-
-// TestRetryRecovers verifies a transient failure followed by success ends
-// done.
-func TestRetryRecovers(t *testing.T) {
-	var attempts atomic.Int32
-	tasks := []Task{{Cell: cell(0), Run: func(context.Context) (any, error) {
-		if attempts.Add(1) == 1 {
-			return nil, errors.New("transient")
-		}
-		return "ok", nil
-	}}}
-	results := runAll(Options{Retries: 3, Backoff: time.Millisecond}, tasks)
-	if r := results[0]; r.Status != StatusDone || r.Attempts != 2 {
-		t.Fatalf("result %+v, want done on attempt 2", r)
-	}
-}
-
 // TestCellTimeout verifies the per-cell deadline: a cell that honors its
 // context fails with DeadlineExceeded, and one that ignores it is
 // abandoned rather than hanging the sweep.
@@ -232,28 +189,6 @@ func TestCellTimeout(t *testing.T) {
 		if r.Status != StatusFailed || !errors.Is(r.Err, context.DeadlineExceeded) {
 			t.Errorf("cell %d: %+v, want failed with DeadlineExceeded", i, r)
 		}
-	}
-}
-
-// TestRetryHelper exercises the exported one-shot Retry primitive.
-func TestRetryHelper(t *testing.T) {
-	n := 0
-	err := Retry(context.Background(), 3, time.Millisecond, time.Millisecond, func() error {
-		if n++; n < 3 {
-			return errors.New("again")
-		}
-		return nil
-	})
-	if err != nil || n != 3 {
-		t.Fatalf("err=%v after %d attempts", err, n)
-	}
-	n = 0
-	err = Retry(context.Background(), 2, time.Millisecond, time.Millisecond, func() error {
-		n++
-		return errors.New("always")
-	})
-	if err == nil || n != 2 {
-		t.Fatalf("err=%v after %d attempts, want exhaustion at 2", err, n)
 	}
 }
 

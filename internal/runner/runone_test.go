@@ -3,6 +3,7 @@ package runner
 import (
 	"context"
 	"errors"
+	"strings"
 	"testing"
 )
 
@@ -17,9 +18,6 @@ func TestRunOneSuccess(t *testing.T) {
 	}
 	if res.Payload != 42 {
 		t.Fatalf("payload = %v, want 42", res.Payload)
-	}
-	if res.Attempts != 1 {
-		t.Fatalf("attempts = %d, want 1", res.Attempts)
 	}
 	if done, _, _, _ := report.Counts(); done != 1 {
 		t.Fatalf("report done = %d, want 1", done)
@@ -39,20 +37,22 @@ func TestRunOnePanicIsolation(t *testing.T) {
 	}
 }
 
-func TestRunOneRetries(t *testing.T) {
-	attempts := 0
-	res := RunOne(context.Background(), Options{Retries: 2, Backoff: 1}, Task{
-		Cell: Cell{Figure: "job", Workload: "flaky"},
+// TestRunOneFailsOnce: a cell is a deterministic function of its spec,
+// so an error is final — the cell runs once and reports that error.
+func TestRunOneFailsOnce(t *testing.T) {
+	calls := 0
+	res := RunOne(context.Background(), Options{}, Task{
+		Cell: Cell{Figure: "job", Workload: "bad"},
 		Run: func(context.Context) (any, error) {
-			attempts++
-			if attempts < 3 {
-				return nil, errors.New("transient")
-			}
-			return "ok", nil
+			calls++
+			return nil, errors.New("invalid spec")
 		},
 	})
-	if res.Status != StatusDone || res.Attempts != 3 {
-		t.Fatalf("status=%v attempts=%d, want done after 3", res.Status, res.Attempts)
+	if res.Status != StatusFailed || calls != 1 {
+		t.Fatalf("status=%v calls=%d, want failed after one call", res.Status, calls)
+	}
+	if res.Err == nil || !strings.Contains(res.Err.Error(), "invalid spec") {
+		t.Fatalf("err = %v, want the cell's error", res.Err)
 	}
 }
 

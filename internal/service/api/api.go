@@ -31,11 +31,10 @@ type SubmitResponse struct {
 // Job answers GET /v1/jobs/{id}: the spec as normalized by the server,
 // the lifecycle state, and — once terminal — the result or the error.
 type Job struct {
-	ID       string       `json:"id"`
-	State    string       `json:"state"` // queued, running, done, failed, aborted
-	Spec     jobspec.Spec `json:"spec"`
-	Error    string       `json:"error,omitempty"`
-	Attempts int          `json:"attempts,omitempty"`
+	ID    string       `json:"id"`
+	State string       `json:"state"` // queued, running, done, failed, aborted
+	Spec  jobspec.Spec `json:"spec"`
+	Error string       `json:"error,omitempty"`
 
 	// Unix-milliseconds timestamps from the server's injected clock; zero
 	// when the stage has not happened (or the clock is unset in tests).

@@ -18,7 +18,7 @@ const (
 	JobRunning
 	// JobDone: completed with metrics.
 	JobDone
-	// JobFailed: every attempt errored, panicked, or timed out.
+	// JobFailed: the execution errored, panicked, or timed out.
 	JobFailed
 	// JobAborted: rejected from the queue by a drain before it started.
 	JobAborted
@@ -59,14 +59,13 @@ type Job struct {
 	ID   string
 	Spec jobspec.Spec // normalized
 
-	mu       sync.Mutex
-	state    JobState
-	err      string
-	attempts int
-	res      *jobspec.Result
-	events   []api.Event
-	notify   chan struct{} // closed and replaced on every event
-	done     chan struct{} // closed once terminal
+	mu     sync.Mutex
+	state  JobState
+	err    string
+	res    *jobspec.Result
+	events []api.Event
+	notify chan struct{} // closed and replaced on every event
+	done   chan struct{} // closed once terminal
 
 	submitted, started, finished time.Time
 }
@@ -108,19 +107,17 @@ func (j *Job) transition(state JobState, now time.Time, msg string) {
 }
 
 // complete records a successful result and transitions to done.
-func (j *Job) complete(res jobspec.Result, attempts int, now time.Time) {
+func (j *Job) complete(res jobspec.Result, now time.Time) {
 	j.mu.Lock()
 	j.res = &res
-	j.attempts = attempts
 	j.mu.Unlock()
 	j.transition(JobDone, now, "")
 }
 
 // fail records a failure and transitions to failed.
-func (j *Job) fail(errMsg string, attempts int, now time.Time) {
+func (j *Job) fail(errMsg string, now time.Time) {
 	j.mu.Lock()
 	j.err = errMsg
-	j.attempts = attempts
 	j.mu.Unlock()
 	j.transition(JobFailed, now, errMsg)
 }
@@ -168,7 +165,6 @@ func (j *Job) Snapshot() api.Job {
 		State:         j.state.String(),
 		Spec:          j.Spec,
 		Error:         j.err,
-		Attempts:      j.attempts,
 		SubmittedAtMS: unixMS(j.submitted),
 		StartedAtMS:   unixMS(j.started),
 		FinishedAtMS:  unixMS(j.finished),
@@ -190,13 +186,13 @@ func (j *Job) Snapshot() api.Job {
 
 // result returns the completed job's result for persistence; false when
 // the job is not done.
-func (j *Job) result() (jobspec.Result, int, bool) {
+func (j *Job) result() (jobspec.Result, bool) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.state != JobDone || j.res == nil {
-		return jobspec.Result{}, 0, false
+		return jobspec.Result{}, false
 	}
-	return *j.res, j.attempts, true
+	return *j.res, true
 }
 
 // resultFidelity reports the fidelity of a completed job's result, for

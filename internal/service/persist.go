@@ -35,10 +35,10 @@ const (
 
 // storedResult is the persisted form of one completed job. The spec is
 // not stored: the submitter supplies it, and the store key is its content
-// hash, so key equality is spec equality.
+// hash, so key equality is spec equality. Records written by older
+// binaries also carry an "attempts" count, which decoding ignores.
 type storedResult struct {
-	Attempts int            `json:"attempts,omitempty"`
-	Result   jobspec.Result `json:"result"`
+	Result jobspec.Result `json:"result"`
 }
 
 // persistItem is one pending write-behind entry.
@@ -160,8 +160,8 @@ func (p *persister) enqueue(it persistItem) {
 }
 
 // saveResult enqueues a completed job's result for write-behind.
-func (p *persister) saveResult(id string, res jobspec.Result, attempts int) {
-	val, err := json.Marshal(storedResult{Attempts: attempts, Result: res})
+func (p *persister) saveResult(id string, res jobspec.Result) {
+	val, err := json.Marshal(storedResult{Result: res})
 	if err != nil {
 		// Result is a plain value struct; this cannot fail. Count it
 		// rather than crash a worker if that ever changes.
@@ -176,25 +176,25 @@ func (p *persister) saveResult(id string, res jobspec.Result, attempts int) {
 // loadResult is the read-through path: a persisted result for the content
 // key, decoded, or false. A record that fails to decode is counted and
 // treated as a miss (the job simply re-runs).
-func (p *persister) loadResult(id string) (jobspec.Result, int, bool) {
+func (p *persister) loadResult(id string) (jobspec.Result, bool) {
 	val, ok := p.st.Get(resultKeyPrefix + id)
 	if !ok {
 		p.mu.Lock()
 		p.resultMisses++
 		p.mu.Unlock()
-		return jobspec.Result{}, 0, false
+		return jobspec.Result{}, false
 	}
 	var sr storedResult
 	if err := json.Unmarshal(val, &sr); err != nil {
 		p.mu.Lock()
 		p.decodeErrors++
 		p.mu.Unlock()
-		return jobspec.Result{}, 0, false
+		return jobspec.Result{}, false
 	}
 	p.mu.Lock()
 	p.resultHits++
 	p.mu.Unlock()
-	return sr.Result, sr.Attempts, true
+	return sr.Result, true
 }
 
 // Load implements lru.Backing for the trace corpus: a persisted trace
@@ -276,8 +276,8 @@ func (p *persister) renderMetrics(b *strings.Builder) {
 
 // adoptStored builds a terminal Job from a persisted result, replaying
 // the queued->done lifecycle with the restore timestamp.
-func adoptStored(id string, spec jobspec.Spec, res jobspec.Result, attempts int, now time.Time) *Job {
+func adoptStored(id string, spec jobspec.Spec, res jobspec.Result, now time.Time) *Job {
 	j := newJob(id, spec, now)
-	j.complete(res, attempts, now)
+	j.complete(res, now)
 	return j
 }

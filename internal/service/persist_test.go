@@ -93,8 +93,67 @@ func TestWarmStartServesBitIdenticalWithoutReexecution(t *testing.T) {
 	if !reflect.DeepEqual(job1.Estimate, job2.Estimate) {
 		t.Fatal("restored estimate differs from the original run")
 	}
-	if job1.Attempts != job2.Attempts {
-		t.Fatalf("attempts not preserved: %d vs %d", job1.Attempts, job2.Attempts)
+}
+
+// TestWarmStartReadsRecordsWithAttempts: result records written by older
+// binaries carry an "attempts" count next to the result. A store holding
+// such a record must still warm-start: a store hit, no re-execution, and
+// metrics bit-identical to the run that produced it.
+func TestWarmStartReadsRecordsWithAttempts(t *testing.T) {
+	dir := t.TempDir()
+	spec := tinySpec()
+
+	st1 := openStoreT(t, dir)
+	srv1, ts1 := newTestServer(t, Options{Store: st1})
+	first := decodeBody[api.SubmitResponse](t, postJSON(t, ts1.URL+"/v1/jobs", spec))
+	job1 := waitJob(t, ts1.URL, first.ID)
+	if job1.State != "done" {
+		t.Fatalf("generation 1 job state = %q (%s)", job1.State, job1.Error)
+	}
+	srv1.Drain()
+	val, ok := st1.Get("r:" + first.ID)
+	if !ok || !strings.HasPrefix(string(val), `{"result":`) {
+		t.Fatalf("persisted record = %q, want a storedResult", val)
+	}
+	// The older layout: the same record with the count field first.
+	old := `{"attempts":1,` + string(val[1:])
+	if err := st1.Put("r:"+first.ID, []byte(old)); err != nil {
+		t.Fatal(err)
+	}
+	if err := st1.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	st2 := openStoreT(t, dir)
+	defer st2.Close()
+	srv2, ts2 := newTestServer(t, Options{
+		Store: st2,
+		Exec: func(jobspec.Spec) (jobspec.Result, error) {
+			t.Error("warm start re-executed a job stored in the older layout")
+			return jobspec.Result{}, nil
+		},
+	})
+	second := decodeBody[api.SubmitResponse](t, postJSON(t, ts2.URL+"/v1/jobs", spec))
+	if second.Status != api.SubmitCached || second.ID != first.ID {
+		t.Fatalf("warm submit = %+v, want cached %s", second, first.ID)
+	}
+	srv2.persist.mu.Lock()
+	hits := srv2.persist.resultHits
+	srv2.persist.mu.Unlock()
+	if hits != 1 {
+		t.Fatalf("store result hits = %d, want 1", hits)
+	}
+	job2 := waitJob(t, ts2.URL, second.ID)
+	m1, err := json.Marshal(job1.Metrics)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m2, err := json.Marshal(job2.Metrics)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if job2.State != "done" || string(m1) != string(m2) {
+		t.Fatalf("restored job %q, metrics:\n%s\nwant:\n%s", job2.State, m2, m1)
 	}
 }
 
@@ -266,7 +325,6 @@ func TestPersisterSkipsFailedJobs(t *testing.T) {
 		Exec: func(jobspec.Spec) (jobspec.Result, error) {
 			return jobspec.Result{}, os.ErrInvalid
 		},
-		Retries: 0,
 	})
 	sub := decodeBody[api.SubmitResponse](t, postJSON(t, ts.URL+"/v1/jobs", tinySpec()))
 	job := waitJob(t, ts.URL, sub.ID)

@@ -8,8 +8,8 @@
 //	   key already terminal?   -> answered from the result cache ("cached")
 //	   key queued or running?  -> attached to that job ("coalesced")
 //	   otherwise               -> enqueued on key-hash shard ("queued")
-//	worker: queued -> running -> done | failed   (runner: panic isolation,
-//	        per-job timeout, bounded retry)
+//	worker: queued -> running -> done | failed   (runner: one execution,
+//	        panic isolation, per-job timeout)
 //	drain:  queued -> aborted (journaled when a journal is configured)
 //
 // Determinism: simulations are bit-reproducible, so the result cache is
@@ -62,11 +62,9 @@ type Options struct {
 	// CacheJobs bounds the terminal jobs the result cache retains
 	// (default 256).
 	CacheJobs int
-	// JobTimeout bounds each execution attempt (0 = unbounded); Retries is
-	// the bounded-retry budget for transient failures. Both map directly
-	// onto the runner's per-cell machinery.
+	// JobTimeout bounds each execution (0 = unbounded); it maps directly
+	// onto the runner's per-cell deadline.
 	JobTimeout time.Duration
-	Retries    int
 	// MaxUops caps the per-job stream length a submission may request
 	// (default 50M) — the one resource limit validation alone cannot set.
 	MaxUops uint64
@@ -283,8 +281,8 @@ func (s *Server) submitKeyed(n jobspec.Spec, key string) (*Job, submitOutcome, e
 	// LRU evicted a result the store still holds.
 	if s.persist != nil {
 		if fullKey != "" {
-			if res, attempts, ok := s.persist.loadResult(fullKey); ok {
-				j := adoptStored(fullKey, fullSpec, res, attempts, s.opts.Clock.now())
+			if res, ok := s.persist.loadResult(fullKey); ok {
+				j := adoptStored(fullKey, fullSpec, res, s.opts.Clock.now())
 				s.jobs[fullKey] = j
 				s.mu.Unlock()
 				s.retain(j)
@@ -292,8 +290,8 @@ func (s *Server) submitKeyed(n jobspec.Spec, key string) (*Job, submitOutcome, e
 				return j, outcomeStoreHit, nil
 			}
 		}
-		if res, attempts, ok := s.persist.loadResult(key); ok {
-			j := adoptStored(key, n, res, attempts, s.opts.Clock.now())
+		if res, ok := s.persist.loadResult(key); ok {
+			j := adoptStored(key, n, res, s.opts.Clock.now())
 			s.jobs[key] = j
 			s.mu.Unlock()
 			s.retain(j)
@@ -393,7 +391,6 @@ func (s *Server) run(j *Job) {
 	j.transition(JobRunning, s.opts.Clock.now(), "")
 	res := runner.RunOne(context.Background(), runner.Options{
 		CellTimeout: s.opts.JobTimeout,
-		Retries:     s.opts.Retries,
 	}, runner.Task{
 		Cell: runner.Cell{Figure: "job", Workload: j.Spec.Label(), Config: j.ID},
 		Run: func(context.Context) (any, error) {
@@ -408,18 +405,18 @@ func (s *Server) run(j *Job) {
 	case runner.StatusDone:
 		r, ok := res.Payload.(jobspec.Result)
 		if !ok {
-			j.fail(fmt.Sprintf("internal: unexpected payload %T", res.Payload), res.Attempts, s.opts.Clock.now())
+			j.fail(fmt.Sprintf("internal: unexpected payload %T", res.Payload), s.opts.Clock.now())
 			break
 		}
-		j.complete(r, res.Attempts, s.opts.Clock.now())
+		j.complete(r, s.opts.Clock.now())
 	case runner.StatusFailed:
-		j.fail(res.Err.Error(), res.Attempts, s.opts.Clock.now())
+		j.fail(res.Err.Error(), s.opts.Clock.now())
 	case runner.StatusAborted:
 		j.transition(JobAborted, s.opts.Clock.now(), "execution aborted")
 	case runner.StatusSkipped:
 		// No journal is wired into the execution path, so replay cannot
 		// happen; treat it as an internal fault rather than dropping the job.
-		j.fail("internal: unexpected journal replay", res.Attempts, s.opts.Clock.now())
+		j.fail("internal: unexpected journal replay", s.opts.Clock.now())
 	}
 	s.finish(j)
 }
@@ -432,8 +429,8 @@ func (s *Server) finish(j *Job) {
 	lat, ok := j.latency()
 	s.reg.outcome(j.State().String(), j.Spec.Frontend, j.resultFidelity(), lat, ok && j.State() == JobDone)
 	if s.persist != nil {
-		if res, attempts, ok := j.result(); ok {
-			s.persist.saveResult(j.ID, res, attempts)
+		if res, ok := j.result(); ok {
+			s.persist.saveResult(j.ID, res)
 		}
 	}
 	s.retain(j)

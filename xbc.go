@@ -337,17 +337,6 @@ func OpenJournal(path string, resume bool) (*Journal, error) {
 // ExperimentOptions.Report.
 type RunReport = runner.Report
 
-// PlanMemo is the sweep planner's cross-run reuse layer: an LRU of
-// computed cell values plus singleflight coalescing of concurrent
-// identical cells. Wire one into ExperimentOptions.Memo to serve
-// repeated sweep cells with zero simulation (results are bit-identical
-// by the determinism contract).
-type PlanMemo = planner.Memo
-
-// NewPlanMemo returns a memo holding at most capacity cell values
-// (default 256 when capacity <= 0).
-func NewPlanMemo(capacity int) *PlanMemo { return planner.NewMemo(capacity) }
-
 // PlanTally accumulates sweep-planner reuse accounting (planned /
 // deduped / reused / simulated) across experiment calls. Wire it into
 // ExperimentOptions.Plan.
@@ -358,12 +347,6 @@ type PlanTally = planner.Tally
 // in flight finish and are reported; queued cells abort).
 func NotifyContext(parent context.Context) (context.Context, context.CancelFunc) {
 	return runner.NotifyContext(parent)
-}
-
-// RetryIO runs fn up to attempts times with capped exponential backoff —
-// for transient trace-file IO around ReadTrace/WriteTrace.
-func RetryIO(ctx context.Context, attempts int, fn func() error) error {
-	return runner.Retry(ctx, attempts, 0, 0, fn)
 }
 
 // TruncateStream returns a copy of s cut to its first n records —
