@@ -42,7 +42,7 @@ func main() {
 		fig      = flag.String("fig", "all", "figure to reproduce: 1, 8, 9, 10, all, or none")
 		extra    = flag.String("extra", "", "extra studies: redundancy, frontends, ablation, pathassoc, xbtb, renamer, ctxswitch, phases, ipc (comma separated, or 'all')")
 		uops     = flag.Uint64("uops", 1_000_000, "dynamic uops per workload")
-		budget   = flag.Int("budget", 32*1024, "cache uop budget for fixed-size experiments")
+		budget   = flag.Int("budget", 32*1024, "cache uop budget for fixed-size experiments (at least 1024)")
 		traces   = flag.String("traces", "", "comma-separated workload subset (default: all 21)")
 		fidelity = flag.String("fidelity", "", "simulation rung for figures 8-10: full, sampled, or estimate (default full)")
 		csv      = flag.Bool("csv", false, "emit CSV instead of aligned text")
@@ -57,6 +57,14 @@ func main() {
 
 	if *resume && *journal == "" {
 		log.Fatal("-resume requires -journal FILE")
+	}
+	// Reject what the service would reject, before any cell runs. A zero
+	// budget means the default, as in a job spec.
+	if !jobspec.ValidFidelity(*fidelity) {
+		log.Fatalf("unknown -fidelity %q (want one of %s)", *fidelity, strings.Join(jobspec.Fidelities(), ", "))
+	}
+	if *budget != 0 && *budget < jobspec.MinBudget {
+		log.Fatalf("-budget %d is below the %d-uop floor", *budget, jobspec.MinBudget)
 	}
 
 	stopProf, err := profFlags.Start()

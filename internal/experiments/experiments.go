@@ -8,6 +8,11 @@
 // missing table row instead of killing the sweep, cancelling Options.Ctx
 // drains the run gracefully, and an Options.Journal checkpoint lets an
 // interrupted sweep resume without recomputing finished cells.
+//
+// A cell whose models a jobspec.Spec can describe runs through
+// jobspec.Execute, the one execution path the service also takes;
+// figures that vary geometry or feature flags a spec cannot express
+// build their models and replay the corpus stream themselves.
 package experiments
 
 import (
@@ -15,10 +20,13 @@ import (
 	"fmt"
 	"time"
 
+	"xbc/internal/corpus"
 	"xbc/internal/frontend"
 	"xbc/internal/planner"
+	"xbc/internal/program"
 	"xbc/internal/runner"
 	"xbc/internal/sampling"
+	"xbc/internal/service/jobspec"
 	"xbc/internal/stats"
 	"xbc/internal/tcache"
 	"xbc/internal/trace"
@@ -46,8 +54,9 @@ type Options struct {
 	// figures (8, 9, 10): "" or "full" simulates every uop; "sampled"
 	// and "estimate" extrapolate from representative intervals (see
 	// internal/sampling), trading a bounded metric error for a large cut
-	// in simulated uops. Figure 1 analyzes the trace itself and always
-	// runs in full.
+	// in simulated uops. Figure 1 analyzes the trace itself and the extra
+	// studies always run in full. Any other rung fails every figure
+	// before a cell runs.
 	Fidelity string
 	// Parallel bounds concurrent workload simulations (default 4).
 	Parallel int
@@ -105,26 +114,34 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// stream returns the dynamic stream for one workload at the configured
-// length, served from the shared content-addressed corpus cache: parallel
-// cells asking for the same (spec, length) share a single generation and
-// one Stream (see corpus.go).
-func stream(o Options, w workload.Workload) (*trace.Stream, error) {
-	return sharedCorpus.stream(w.Spec, o.UopsPerTrace)
+// StreamFor is corpus.Stream, kept for callers that still name it here.
+func StreamFor(spec program.Spec, minUops uint64) (*trace.Stream, error) {
+	return corpus.Stream(spec, minUops)
 }
 
-// runModel executes one constructed frontend over the stream at the
-// configured fidelity: sampled/estimate rungs extrapolate from
-// representative intervals, anything else runs every uop.
-func runModel(o Options, fe frontend.Frontend, s *trace.Stream) (frontend.Metrics, error) {
-	if o.Fidelity == "sampled" || o.Fidelity == "estimate" {
-		res, err := sampling.Run(fe, s.Records(), frontend.DefaultConfig(), sampling.ConfigFor(o.Fidelity))
-		if err != nil {
-			return frontend.Metrics{}, err
-		}
-		return res.Metrics, nil
+// stream returns the dynamic stream for one workload at the configured
+// length, served from the shared content-addressed corpus: parallel
+// cells asking for the same (spec, length) share a single generation and
+// one Stream.
+func stream(o Options, w workload.Workload) (*trace.Stream, error) {
+	return corpus.Stream(w.Spec, o.UopsPerTrace)
+}
+
+// execute runs one frontend kind at its default geometry over w's stream
+// through jobspec.Execute, the path every served job takes: the shared
+// corpus, the warm-state snapshots when a manager is attached, and the
+// analysis memo on the sampled rungs.
+func execute(o Options, kind string, w workload.Workload, budget int, fidelity string) (frontend.Metrics, error) {
+	res, err := jobspec.Execute(jobspec.Spec{Frontend: kind, Program: &w.Spec, Uops: o.UopsPerTrace, Budget: budget, Fidelity: fidelity})
+	return res.Metrics, err
+}
+
+// xbcAndTC executes the XBC and then the TC at one budget.
+func xbcAndTC(o Options, w workload.Workload, budget int, fidelity string) (x, t frontend.Metrics, err error) {
+	if x, err = execute(o, jobspec.KindXBC, w, budget, fidelity); err == nil {
+		t, err = execute(o, jobspec.KindTC, w, budget, fidelity)
 	}
-	return frontend.Run(fe, s), nil
+	return x, t, err
 }
 
 // ---------------------------------------------------------------------
@@ -218,15 +235,7 @@ func Figure8(o Options) (*Fig8Result, error) {
 	o = o.withDefaults()
 	vals, ok, err := runCells(o, "fig8", o.tag(""), o.Workloads,
 		func(ctx context.Context, w workload.Workload) (Fig8Row, error) {
-			s, err := stream(o, w)
-			if err != nil {
-				return Fig8Row{}, err
-			}
-			mx, err := runModel(o, xbcore.New(xbcore.DefaultConfig(o.Budget), frontend.DefaultConfig()), s)
-			if err != nil {
-				return Fig8Row{}, err
-			}
-			mt, err := runModel(o, tcache.New(tcache.DefaultConfig(o.Budget), frontend.DefaultConfig()), s)
+			mx, mt, err := xbcAndTC(o, w, o.Budget, o.Fidelity)
 			if err != nil {
 				return Fig8Row{}, err
 			}
@@ -304,15 +313,7 @@ func Figure9(o Options) (*Fig9Result, error) {
 		size := size
 		vals, ok, err := runCells(o, "fig9", o.tag(fmt.Sprintf("size%d", size)), o.Workloads,
 			func(ctx context.Context, w workload.Workload) (fig9Cell, error) {
-				s, err := stream(o, w)
-				if err != nil {
-					return fig9Cell{}, err
-				}
-				xm, err := runModel(o, xbcore.New(xbcore.DefaultConfig(size), frontend.DefaultConfig()), s)
-				if err != nil {
-					return fig9Cell{}, err
-				}
-				tm, err := runModel(o, tcache.New(tcache.DefaultConfig(size), frontend.DefaultConfig()), s)
+				xm, tm, err := xbcAndTC(o, w, size, o.Fidelity)
 				if err != nil {
 					return fig9Cell{}, err
 				}
@@ -373,8 +374,18 @@ type Fig10Result struct {
 // Figure10 reproduces Figure 10: average miss rate at associativities 1,
 // 2 and 4 with a fixed budget. The paper's finding: direct-mapped to
 // 2-way cuts misses by ~60%; 2-way to 4-way helps less.
+//
+// Associativity is a geometry no jobspec.Spec describes, so the cells
+// build their models here and run the rung themselves.
 func Figure10(o Options) (*Fig10Result, error) {
 	o = o.withDefaults()
+	missRate := func(fe frontend.Frontend, s *trace.Stream) (float64, error) {
+		if o.Fidelity == "" || o.Fidelity == jobspec.FidelityFull {
+			return frontend.Run(fe, s).UopMissRate(), nil
+		}
+		res, err := sampling.Run(fe, s.Records(), frontend.DefaultConfig(), sampling.ConfigFor(o.Fidelity))
+		return res.Metrics.UopMissRate(), err
+	}
 	res := &Fig10Result{Assocs: o.Assocs}
 	t := stats.NewTable(fmt.Sprintf("Figure 10 - miss rate vs associativity (%dK uops, average)", o.Budget/1024),
 		"ways", "XBC miss %", "TC miss %")
@@ -390,7 +401,7 @@ func Figure10(o Options) (*Fig10Result, error) {
 				xc := xbcore.DefaultConfig(o.Budget)
 				xc.Ways = ways
 				xc.Sets = sizeToSets(o.Budget, xc.Banks*xc.BankUops*ways)
-				xm, err := runModel(o, xbcore.New(xc, frontend.DefaultConfig()), s)
+				xm, err := missRate(xbcore.New(xc, frontend.DefaultConfig()), s)
 				if err != nil {
 					return fig9Cell{}, err
 				}
@@ -398,11 +409,11 @@ func Figure10(o Options) (*Fig10Result, error) {
 				tc := tcache.DefaultConfig(o.Budget)
 				tc.Ways = ways
 				tc.Sets = sizeToSets(o.Budget, tc.MaxUops*ways)
-				tm, err := runModel(o, tcache.New(tc, frontend.DefaultConfig()), s)
+				tm, err := missRate(tcache.New(tc, frontend.DefaultConfig()), s)
 				if err != nil {
 					return fig9Cell{}, err
 				}
-				return fig9Cell{XBC: xm.UopMissRate(), TC: tm.UopMissRate()}, nil
+				return fig9Cell{XBC: xm, TC: tm}, nil
 			})
 		if err != nil && firstErr == nil {
 			firstErr = err

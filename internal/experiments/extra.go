@@ -4,10 +4,8 @@ import (
 	"context"
 	"fmt"
 
-	"xbc/internal/bbtc"
-	"xbc/internal/decoded"
 	"xbc/internal/frontend"
-	"xbc/internal/icfe"
+	"xbc/internal/service/jobspec"
 	"xbc/internal/stats"
 	"xbc/internal/tcache"
 	"xbc/internal/workload"
@@ -33,14 +31,10 @@ func Redundancy(o Options) (*stats.Table, error) {
 	o = o.withDefaults()
 	vals, ok, err := runCells(o, "redundancy", o.tag(""), o.Workloads,
 		func(ctx context.Context, w workload.Workload) (redundancyCell, error) {
-			s, err := stream(o, w)
+			mx, mt, err := xbcAndTC(o, w, o.Budget, "")
 			if err != nil {
 				return redundancyCell{}, err
 			}
-			x := xbcore.New(xbcore.DefaultConfig(o.Budget), frontend.DefaultConfig())
-			mx := frontend.Run(x, s)
-			tc := tcache.New(tcache.DefaultConfig(o.Budget), frontend.DefaultConfig())
-			mt := frontend.Run(tc, s)
 			return redundancyCell{
 				Suite:  w.Suite,
 				XBCRed: mx.Extra["redundancy"],
@@ -76,7 +70,7 @@ func Redundancy(o Options) (*stats.Table, error) {
 }
 
 // frontendsCell is the journaled payload of one frontend-landscape cell:
-// per model, {miss%, bandwidth}.
+// per model in jobspec.Kinds order, {miss%, bandwidth}.
 type frontendsCell struct {
 	Vals [5][2]float64
 }
@@ -88,20 +82,12 @@ func Frontends(o Options) (*stats.Table, error) {
 	o = o.withDefaults()
 	vals, ok, err := runCells(o, "frontends", o.tag(""), o.Workloads,
 		func(ctx context.Context, w workload.Workload) (frontendsCell, error) {
-			s, err := stream(o, w)
-			if err != nil {
-				return frontendsCell{}, err
-			}
-			models := []frontend.Frontend{
-				icfe.New(frontend.DefaultConfig(), frontend.DefaultICConfig()),
-				decoded.New(decoded.DefaultConfig(o.Budget), frontend.DefaultConfig()),
-				tcache.New(tcache.DefaultConfig(o.Budget), frontend.DefaultConfig()),
-				bbtc.New(bbtc.DefaultConfig(o.Budget), frontend.DefaultConfig()),
-				xbcore.New(xbcore.DefaultConfig(o.Budget), frontend.DefaultConfig()),
-			}
 			var cell frontendsCell
-			for mi, fe := range models {
-				m := frontend.Run(fe, s)
+			for mi, kind := range jobspec.Kinds() {
+				m, err := execute(o, kind, w, o.Budget, "")
+				if err != nil {
+					return frontendsCell{}, err
+				}
 				cell.Vals[mi] = [2]float64{m.UopMissRate(), m.Bandwidth()}
 			}
 			return cell, nil

@@ -4,9 +4,11 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"strings"
 
 	"xbc/internal/planner"
 	"xbc/internal/runner"
+	"xbc/internal/service/jobspec"
 	"xbc/internal/workload"
 )
 
@@ -63,8 +65,15 @@ func runCells[T any](o Options, figure, config string, ws []workload.Workload, f
 // the index. Every figure runs through the sweep planner: cells are
 // deduped by their journal key, grouped by trace locality so the corpus
 // cache stays hot, and executed once each on the planner's bounded pool
-// through runner.RunOne.
+// through runner.RunOne. An unknown Options.Fidelity fails the figure
+// before any cell runs.
 func runNamedCells[T any](o Options, figure, config string, names []string, fn func(ctx context.Context, i int) (T, error)) ([]T, []bool, error) {
+	vals := make([]T, len(names))
+	ok := make([]bool, len(names))
+	if !jobspec.ValidFidelity(o.Fidelity) {
+		return vals, ok, fmt.Errorf("experiments: unknown fidelity %q (want one of %s)",
+			o.Fidelity, strings.Join(jobspec.Fidelities(), ", "))
+	}
 	cells := make([]planner.Cell, len(names))
 	for i := range names {
 		i := i
@@ -90,8 +99,6 @@ func runNamedCells[T any](o Options, figure, config string, names []string, fn f
 		o.Plan.Add(rep)
 	}
 
-	vals := make([]T, len(names))
-	ok := make([]bool, len(names))
 	var firstErr error
 	succeeded := 0
 	for i, res := range results {

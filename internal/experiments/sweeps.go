@@ -202,13 +202,11 @@ func Phases(o Options) (*stats.Table, error) {
 	}
 	vals, ok, err := runCells(o, "phases", o.tag(""), ws,
 		func(ctx context.Context, w workload.Workload) (phasesCell, error) {
-			s, err := stream(o, w)
+			mx, mt, err := xbcAndTC(o, w, o.Budget, "")
 			if err != nil {
 				return phasesCell{}, err
 			}
-			px := frontend.Run(xbcore.New(xbcore.DefaultConfig(o.Budget), frontend.DefaultConfig()), s).Phases()
-			pt := frontend.Run(tcache.New(tcache.DefaultConfig(o.Budget), frontend.DefaultConfig()), s).Phases()
-			return phasesCell{XBC: px, TC: pt}, nil
+			return phasesCell{XBC: mx.Phases(), TC: mt.Phases()}, nil
 		})
 	if err != nil {
 		return nil, err
@@ -254,12 +252,10 @@ func IPCEstimate(o Options) (*stats.Table, error) {
 		size := size
 		vals, ok, err := runCells(o, "ipc", o.tag(fmt.Sprintf("size%d", size)), ws,
 			func(ctx context.Context, w workload.Workload) (ipcCell, error) {
-				s, err := stream(o, w)
+				mx, mt, err := xbcAndTC(o, w, size, "")
 				if err != nil {
 					return ipcCell{}, err
 				}
-				mx := frontend.Run(xbcore.New(xbcore.DefaultConfig(size), frontend.DefaultConfig()), s)
-				mt := frontend.Run(tcache.New(tcache.DefaultConfig(size), frontend.DefaultConfig()), s)
 				ex, err := interval.FromMetrics(mx, core)
 				if err != nil {
 					return ipcCell{}, err

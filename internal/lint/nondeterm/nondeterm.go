@@ -18,9 +18,11 @@ import (
 )
 
 // corePackages are the packages whose output must be bit-reproducible:
-// the five frontends' engines, the stats toolkit, the trace layer, the
-// persistent store (deterministic exports, crash-reproducible recovery),
-// and the commands that render metrics and reports.
+// the five frontends' engines, the stats toolkit, the trace layer and its
+// corpus, the figures, sampling, warm-state snapshots, the cache
+// primitive, the persistent store (deterministic exports,
+// crash-reproducible recovery), and the commands that render metrics and
+// reports.
 var corePackages = map[string]bool{
 	"xbc/internal/xbcore":          true,
 	"xbc/internal/tcache":          true,
@@ -29,6 +31,11 @@ var corePackages = map[string]bool{
 	"xbc/internal/icfe":            true,
 	"xbc/internal/stats":           true,
 	"xbc/internal/trace":           true,
+	"xbc/internal/corpus":          true,
+	"xbc/internal/experiments":     true,
+	"xbc/internal/sampling":        true,
+	"xbc/internal/snapshot":        true,
+	"xbc/internal/lru":             true,
 	"xbc/internal/store":           true,
 	"xbc/internal/service":         true,
 	"xbc/internal/service/api":     true,

@@ -20,7 +20,7 @@ import (
 	"fmt"
 	"sync/atomic"
 
-	"xbc/internal/experiments"
+	"xbc/internal/corpus"
 	"xbc/internal/frontend"
 	"xbc/internal/lru"
 	"xbc/internal/sampling"
@@ -56,8 +56,8 @@ func SamplingConfig(fidelity string) sampling.Config {
 }
 
 // snapMgr is the process-wide warm-state snapshot manager, attached by
-// the service (mirroring experiments.SetCorpusStore). nil disables
-// snapshotting; Execute then simulates warmup like it always did.
+// the service (mirroring corpus.SetStore). nil disables snapshotting;
+// Execute then simulates warmup like it always did.
 var snapMgr atomic.Pointer[snapshot.Manager]
 
 // SetSnapshotManager attaches (or, with nil, detaches) the warm-state
@@ -66,7 +66,7 @@ func SetSnapshotManager(m *snapshot.Manager) { snapMgr.Store(m) }
 
 // ClearSnapshotManager detaches m if it is still the attached manager; a
 // manager attached later by someone else is left in place (the same
-// contract as experiments.ClearCorpusStore).
+// contract as corpus.ClearStore).
 func ClearSnapshotManager(m *snapshot.Manager) { snapMgr.CompareAndSwap(m, nil) }
 
 // SnapshotManager returns the attached manager, or nil.
@@ -187,7 +187,7 @@ func recIndexAtUops(recs []trace.Rec, uops uint64) int {
 // deterministic function of the stream, named by its corpus content key,
 // and of the interval configuration.
 type analysisKey struct {
-	stream   experiments.CorpusKey
+	stream   corpus.Key
 	interval int
 	clusters int
 }
@@ -201,7 +201,7 @@ var analyses = lru.New[analysisKey, sampling.Analysis](64)
 // analyzeCached returns the memoized analysis for the stream of the
 // normalized spec n, computing it on a miss.
 func analyzeCached(n Spec, recs []trace.Rec, cfg sampling.Config) (sampling.Analysis, error) {
-	stream, err := experiments.CorpusKeyFor(*n.Program, n.Uops)
+	stream, err := corpus.KeyFor(*n.Program, n.Uops)
 	if err != nil {
 		return sampling.Analysis{}, err
 	}

@@ -5,7 +5,7 @@ import (
 	"reflect"
 	"testing"
 
-	"xbc/internal/experiments"
+	"xbc/internal/corpus"
 	"xbc/internal/frontend"
 	"xbc/internal/sampling"
 	"xbc/internal/snapshot"
@@ -212,7 +212,7 @@ func TestSampledAnalysisKeyedByStream(t *testing.T) {
 					t.Fatalf("spec %d: %v", i, err)
 				}
 				n := s.Normalize()
-				stream, err := experiments.StreamFor(*n.Program, n.Uops)
+				stream, err := corpus.Stream(*n.Program, n.Uops)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -288,6 +288,34 @@ func TestFidelityErrorBoundHarness(t *testing.T) {
 			fid, a.ipcErr/n, a.ipcBound/n, a.missErr/n, a.missBound/n)
 		if a.ipcErr > a.ipcBound || a.missErr > a.missBound {
 			t.Errorf("%s: mean error outside mean advertised bound", fid)
+		}
+	}
+}
+
+// TestFidelityWorkCounts holds the deterministic gate of the fidelity
+// benchmark (simuops/op in BENCH_PR9.json) as exact counts: the gcc,
+// 1M-uop, 32K XBC cell simulates every uop at full, 80013 when sampled
+// and 40006 at estimate — both well under the 10% the sampled rung is
+// allowed.
+func TestFidelityWorkCounts(t *testing.T) {
+	for _, tc := range []struct {
+		fidelity string
+		want     uint64
+	}{
+		{FidelityFull, 1_000_000},
+		{FidelitySampled, 80_013},
+		{FidelityEstimate, 40_006},
+	} {
+		res, err := Execute(Spec{Frontend: KindXBC, Workload: "gcc", Uops: DefaultUops, Budget: DefaultBudget, Fidelity: tc.fidelity})
+		if err != nil {
+			t.Fatalf("%s: %v", tc.fidelity, err)
+		}
+		sim := res.SampledUops
+		if res.EffectiveFidelity() == FidelityFull {
+			sim = res.Metrics.Uops
+		}
+		if sim != tc.want {
+			t.Errorf("%s: simulated %d uops, want exactly %d", tc.fidelity, sim, tc.want)
 		}
 	}
 }

@@ -15,8 +15,8 @@ import (
 	"strings"
 
 	"xbc/internal/bbtc"
+	"xbc/internal/corpus"
 	"xbc/internal/decoded"
-	"xbc/internal/experiments"
 	"xbc/internal/frontend"
 	"xbc/internal/icfe"
 	"xbc/internal/interval"
@@ -49,10 +49,12 @@ func ValidKind(kind string) bool {
 	}
 }
 
-// Default spec parameters, matching the one-shot CLIs.
+// Default spec parameters, matching the one-shot CLIs, and the smallest
+// cache budget a spec may ask for.
 const (
 	DefaultUops   = 1_000_000
 	DefaultBudget = 32 * 1024
+	MinBudget     = 1024
 )
 
 // Spec is one simulation job. Exactly one of Workload (a named synthetic
@@ -186,8 +188,8 @@ func (s Spec) validateModel() error {
 	if !ValidKind(s.Frontend) {
 		return fmt.Errorf("jobspec: unknown frontend %q (want one of %s)", s.Frontend, strings.Join(Kinds(), ", "))
 	}
-	if s.Frontend != KindIC && s.Budget < 1024 {
-		return fmt.Errorf("jobspec: budget %d uops is below the 1024-uop floor", s.Budget)
+	if s.Frontend != KindIC && s.Budget < MinBudget {
+		return fmt.Errorf("jobspec: budget %d uops is below the %d-uop floor", s.Budget, MinBudget)
 	}
 	if s.Ports < 0 || (s.Frontend == KindIC && s.Ports < 1) {
 		return fmt.Errorf("jobspec: bad port count %d", s.Ports)
@@ -202,8 +204,8 @@ func (s Spec) validateModel() error {
 
 // Key returns the content-addressed job identity: the hex SHA-256 of the
 // normalized spec's canonical JSON encoding (the same construction as the
-// experiment corpus cache). Equal jobs key equal; any semantic difference
-// — frontend, resolved program, length, budget, flags, core — keys
+// trace corpus key). Equal jobs key equal; any semantic difference —
+// frontend, resolved program, length, budget, flags, core — keys
 // different.
 func (s Spec) Key() (string, error) {
 	n := s.Normalize()
@@ -281,7 +283,7 @@ func Execute(s Spec) (Result, error) {
 	if err := n.Validate(); err != nil {
 		return Result{}, err
 	}
-	stream, err := experiments.StreamFor(*n.Program, n.Uops)
+	stream, err := corpus.Stream(*n.Program, n.Uops)
 	if err != nil {
 		return Result{}, err
 	}

@@ -26,7 +26,7 @@ import (
 	"sync/atomic"
 	"time"
 
-	"xbc/internal/experiments"
+	"xbc/internal/corpus"
 	"xbc/internal/lru"
 	"xbc/internal/runner"
 	"xbc/internal/service/api"
@@ -155,7 +155,7 @@ func New(opts Options) *Server {
 	}
 	if opts.Store != nil {
 		s.persist = newPersister(opts.Store, opts.Journal)
-		experiments.SetCorpusStore(s.persist)
+		corpus.SetStore(s.persist)
 	}
 	if opts.SnapshotEntries > 0 {
 		var backing lru.Backing
@@ -349,7 +349,7 @@ func (s *Server) Drain() {
 		// Workers are done, so nothing produces into the queue anymore;
 		// closing it flushes every pending write before Drain returns.
 		s.persist.close()
-		experiments.ClearCorpusStore(s.persist)
+		corpus.ClearStore(s.persist)
 	}
 }
 
