@@ -63,7 +63,7 @@ func main() {
 		w := w
 		rc := runner.Cell{Figure: "calibrate", Workload: w.Name}
 		cells[i] = planner.Cell{
-			Key:      rc.Key(),
+			Key:      w.Name,
 			Locality: w.Name,
 			RCell:    rc,
 			Run: func(ctx context.Context) (any, error) {

@@ -4,8 +4,7 @@
 //
 //	experiments [-fig 1|8|9|10|all|none] [-extra STUDY[,STUDY...]|all]
 //	            [-uops N] [-budget N] [-traces a,b,c] [-fidelity RUNG]
-//	            [-csv] [-plot] [-parallel N] [-timeout D]
-//	            [-journal FILE] [-resume]
+//	            [-csv] [-plot] [-parallel N] [-timeout D] [-store DIR]
 //
 // STUDY is one of redundancy, frontends, ablation, pathassoc, xbtb,
 // renamer, ctxswitch, phases or ipc.
@@ -14,10 +13,13 @@
 // (21 workloads, 1M uops each, 32K-uop caches).
 //
 // The run is interruptible and resumable: SIGINT drains in-flight cells
-// and prints whatever completed; with -journal FILE every finished cell
-// is checkpointed, and a later run with -journal FILE -resume replays
-// completed cells instead of recomputing them. Each cell runs once: a
-// cell that panics or errors costs only its own table row.
+// and prints whatever completed; with -store DIR every finished cell is
+// recorded in the crash-safe store as it completes, and a later run on
+// the same DIR serves those cells instead of recomputing them. DIR may be
+// an xbcd -store directory (not while that daemon runs): figure cells a
+// job spec describes are stored as those jobs, so the daemon's results
+// serve the figures and the figures' results serve the daemon. Each cell
+// runs once: a cell that panics or errors costs only its own table row.
 package main
 
 import (
@@ -49,15 +51,11 @@ func main() {
 		plot     = flag.Bool("plot", false, "also draw ASCII charts for figures 9 and 10")
 		parallel = flag.Int("parallel", runtime.NumCPU(), "concurrent workload simulations")
 		timeout  = flag.Duration("timeout", 0, "per-cell deadline (0 = unbounded), e.g. 2m")
-		journal  = flag.String("journal", "", "checkpoint journal file (completed cells recorded as they finish)")
-		resume   = flag.Bool("resume", false, "with -journal: replay completed cells instead of recomputing")
+		storeDir = flag.String("store", "", "result store directory: finished cells are recorded there and served to later runs (may be an xbcd -store directory)")
 	)
 	profFlags := prof.AddFlags(flag.CommandLine)
 	flag.Parse()
 
-	if *resume && *journal == "" {
-		log.Fatal("-resume requires -journal FILE")
-	}
 	// Reject what the service would reject, before any cell runs. A zero
 	// budget means the default, as in a job spec.
 	if !jobspec.ValidFidelity(*fidelity) {
@@ -87,19 +85,17 @@ func main() {
 	opts.CellTimeout = *timeout
 	opts.Report = report
 	opts.Plan = plan
-	if *journal != "" {
-		j, err := xbc.OpenJournal(*journal, *resume)
+	if *storeDir != "" {
+		st, err := xbc.OpenStore(*storeDir)
 		if err != nil {
 			log.Fatal(err)
 		}
-		// A journal that cannot be flushed will not resume the cells it
-		// claims to hold; surface that instead of dropping it.
 		defer func() {
-			if err := j.Close(); err != nil {
-				log.Printf("journal close: %v", err)
+			if err := st.Close(); err != nil {
+				log.Printf("store close: %v", err)
 			}
 		}()
-		opts.Journal = j
+		opts.Store = st
 	}
 	if *traces != "" {
 		ws, err := jobspec.ParseWorkloadList(*traces)
@@ -212,8 +208,8 @@ func main() {
 	// Epilogue: account for every cell, then pick the exit status. The
 	// plan line reports the sweep planner's reuse accounting whenever any
 	// cell was served without a fresh simulation.
-	_, skipped, failed, aborted := report.Counts()
-	if skipped+failed+aborted > 0 || ctx.Err() != nil {
+	_, failed, aborted := report.Counts()
+	if failed+aborted > 0 || ctx.Err() != nil {
 		fmt.Fprintln(os.Stderr, "experiments:", report.Summary())
 	}
 	if p := plan.Snapshot(); p.Planned > p.Simulated {
@@ -225,10 +221,10 @@ func main() {
 	switch {
 	case ctx.Err() != nil:
 		msg := "interrupted; partial results above"
-		if *journal != "" {
-			msg += fmt.Sprintf("; rerun with -journal %s -resume to finish", *journal)
+		if *storeDir != "" {
+			msg += fmt.Sprintf("; rerun with -store %s to finish", *storeDir)
 		} else {
-			msg += "; rerun with -journal FILE to make runs resumable"
+			msg += "; rerun with -store DIR to make runs resumable"
 		}
 		fmt.Fprintln(os.Stderr, "experiments:", msg)
 		stopProf() // os.Exit skips deferred calls

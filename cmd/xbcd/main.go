@@ -8,7 +8,7 @@
 //
 //	xbcd                                # serve on :8321
 //	xbcd -addr 127.0.0.1:0 -addr-file /tmp/xbcd.addr
-//	xbcd -shards 8 -workers 2 -timeout 2m -drain-journal drained.json
+//	xbcd -shards 8 -workers 2 -timeout 2m
 //	xbcd -store /var/lib/xbcd -store-fsync always -store-max-bytes 1073741824
 //	xbcd -addr :8321 -cluster-addr http://10.0.0.1:8321 \
 //	     -peers http://10.0.0.2:8321,http://10.0.0.3:8321
@@ -23,8 +23,9 @@
 //	GET  /metrics             Prometheus text format
 //
 // SIGINT/SIGTERM drains gracefully: intake stops (503), queued jobs are
-// rejected (journaled with -drain-journal), in-flight jobs finish, the
-// store's write-behind queue flushes, then the listener shuts down.
+// aborted ("drained"; a job ID is its spec's content key, so resubmitting
+// is idempotent), in-flight jobs finish, the store's write-behind queue
+// flushes, then the listener shuts down.
 //
 // With -store, completed results and generated trace corpora persist
 // across restarts: a restarted daemon serves previously computed jobs as
@@ -70,7 +71,6 @@ func main() {
 		cache    = flag.Int("cache", 256, "completed jobs retained by the result cache")
 		timeout  = flag.Duration("timeout", 5*time.Minute, "per-job execution deadline (0 = unbounded)")
 		maxUops  = flag.Uint64("maxuops", 50_000_000, "largest stream length a job may request")
-		drainJrn = flag.String("drain-journal", "", "journal file recording jobs a drain rejects from the queue")
 		storeDir = flag.String("store", "", "directory of the persistent result/corpus store (empty = memory-only)")
 		storeFs  = flag.String("store-fsync", "interval", "store durability: always, interval, or never")
 		storeMax = flag.Int64("store-max-bytes", 0, "compact the store segment past this size, evicting oldest records (0 = unbounded)")
@@ -94,18 +94,6 @@ func main() {
 		UpgradeSampled:  *upgrade,
 		//xbc:ignore nondeterm the daemon binds the real clock; everything below main injects it
 		Clock: time.Now,
-	}
-	if *drainJrn != "" {
-		j, err := runner.OpenJournal(*drainJrn, false)
-		if err != nil {
-			log.Fatal(err)
-		}
-		defer func() {
-			if err := j.Close(); err != nil {
-				log.Printf("drain journal close: %v", err)
-			}
-		}()
-		opts.Journal = j
 	}
 	if *storeDir != "" {
 		mode, err := store.ParseFsyncMode(*storeFs)

@@ -75,6 +75,10 @@ func KeyFor(spec program.Spec, uops uint64) (Key, error) {
 	return Key{spec: sha256.Sum256(b), uops: uops}, nil
 }
 
+// String renders the key as hex(spec hash):uops, the form the store
+// persists it under.
+func (k Key) String() string { return storeKeyFor(k) }
+
 // corpus is a bounded, content-addressed stream cache.
 type corpus struct {
 	streams *lru.Cache[Key, *trace.Stream]

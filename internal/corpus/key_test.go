@@ -5,78 +5,13 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"reflect"
-	"strconv"
 	"testing"
 
+	"xbc/internal/corpus/corpustest"
 	"xbc/internal/program"
 	"xbc/internal/trace"
 	"xbc/internal/workload"
 )
-
-// mutation is one spec with exactly one leaf field changed.
-type mutation struct {
-	field string
-	spec  program.Spec
-}
-
-// leafMutations walks every field of base by reflection, each array
-// element separately, and returns one valid spec per leaf with that leaf
-// nudged. It fails the test on a field kind it cannot nudge, so a new
-// program.Spec field is covered (or flagged) without editing this test.
-func leafMutations(t *testing.T, base program.Spec) []mutation {
-	t.Helper()
-	var out []mutation
-	typ := reflect.TypeOf(base)
-	for i := 0; i < typ.NumField(); i++ {
-		f := typ.Field(i)
-		if f.Type.Kind() == reflect.Array {
-			for e := 0; e < f.Type.Len(); e++ {
-				out = append(out, nudgeLeaf(t, base, f.Name+"["+strconv.Itoa(e)+"]", func(s *program.Spec) reflect.Value {
-					return reflect.ValueOf(s).Elem().Field(i).Index(e)
-				}))
-			}
-			continue
-		}
-		out = append(out, nudgeLeaf(t, base, f.Name, func(s *program.Spec) reflect.Value {
-			return reflect.ValueOf(s).Elem().Field(i)
-		}))
-	}
-	return out
-}
-
-// nudgeLeaf changes the leaf at(spec) of a copy of base, trying an
-// increase first and a decrease when the increase makes the spec
-// invalid, and requires the result to validate.
-func nudgeLeaf(t *testing.T, base program.Spec, field string, at func(*program.Spec) reflect.Value) mutation {
-	t.Helper()
-	for _, up := range []bool{true, false} {
-		s := base
-		v := at(&s)
-		switch v.Kind() {
-		case reflect.Int, reflect.Int64:
-			d := int64(1)
-			if !up {
-				d = -1
-			}
-			v.SetInt(v.Int() + d)
-		case reflect.Float64:
-			if up {
-				v.SetFloat(v.Float() + 0.01)
-			} else {
-				v.SetFloat(v.Float() / 2)
-			}
-		case reflect.String:
-			v.SetString(v.String() + "'")
-		default:
-			t.Fatalf("program.Spec.%s: no nudge for kind %s", field, v.Kind())
-		}
-		if s.Validate() == nil {
-			return mutation{field: field, spec: s}
-		}
-	}
-	t.Fatalf("program.Spec.%s: no valid nudge", field)
-	return mutation{}
-}
 
 // TestKeySoundness is the corpus slice of the key-soundness harness:
 // every leaf of program.Spec, and the uop count, is part of the corpus
@@ -103,32 +38,32 @@ func TestKeySoundness(t *testing.T) {
 		t.Fatal("changing uops did not change the key")
 	}
 
-	muts := leafMutations(t, small())
+	muts := corpustest.LeafMutations(t, small())
 	if len(muts) < reflect.TypeOf(program.Spec{}).NumField() {
 		t.Fatalf("walked %d leaves, fewer than the %d fields", len(muts), reflect.TypeOf(program.Spec{}).NumField())
 	}
 	seen := map[Key]string{base: "base"}
 	c := newCorpus(2)
 	for _, m := range muts {
-		k, err := KeyFor(m.spec, uops)
+		k, err := KeyFor(m.Spec, uops)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if prev, dup := seen[k]; dup {
-			t.Errorf("mutating %s keys equal to %s", m.field, prev)
+			t.Errorf("mutating %s keys equal to %s", m.Field, prev)
 		}
-		seen[k] = m.field
+		seen[k] = m.Field
 
-		got, err := c.stream(m.spec, uops)
+		got, err := c.stream(m.Spec, uops)
 		if err != nil {
-			t.Fatalf("%s: corpus: %v", m.field, err)
+			t.Fatalf("%s: corpus: %v", m.Field, err)
 		}
-		want, err := trace.Generate(m.spec, uops)
+		want, err := trace.Generate(m.Spec, uops)
 		if err != nil {
-			t.Fatalf("%s: generate: %v", m.field, err)
+			t.Fatalf("%s: generate: %v", m.Field, err)
 		}
 		if got.Name != want.Name || !reflect.DeepEqual(got.Recs, want.Recs) {
-			t.Errorf("%s: corpus stream differs from trace.Generate", m.field)
+			t.Errorf("%s: corpus stream differs from trace.Generate", m.Field)
 		}
 	}
 	if n := c.generates.Load(); n != uint64(len(muts)) {

@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"encoding/json"
-	"path/filepath"
 	"reflect"
 	"testing"
 
@@ -21,15 +19,16 @@ import (
 
 // TestFiguresEqualDirectRuns pins that running figure cells through
 // jobspec.Execute changes no number: Figure 8's rows and the Frontends
-// cells equal frontend.Run over trace.Generate of the same
-// configurations, without a snapshot manager, with a cold one (the cells
-// save warm state) and with the same manager warm (the cells restore it).
+// cells (read back from the store) equal frontend.Run over
+// trace.Generate of the same configurations, without a snapshot manager,
+// with a cold one (the cells save warm state) and with the same manager
+// warm (the cells restore it).
 func TestFiguresEqualDirectRuns(t *testing.T) {
 	o := smallOpts()
 	o.UopsPerTrace = 30_000
 	fe := frontend.DefaultConfig()
 	want8 := make([]Fig8Row, len(o.Workloads))
-	wantFE := make([]frontendsCell, len(o.Workloads))
+	wantFE := make([][5][2]float64, len(o.Workloads))
 	for i, w := range o.Workloads {
 		s, err := trace.Generate(w.Spec, o.UopsPerTrace)
 		if err != nil {
@@ -46,7 +45,7 @@ func TestFiguresEqualDirectRuns(t *testing.T) {
 			xbcore.New(xbcore.DefaultConfig(o.Budget), fe),
 		} {
 			m := frontend.Run(model, s)
-			wantFE[i].Vals[mi] = [2]float64{m.UopMissRate(), m.Bandwidth()}
+			wantFE[i][mi] = [2]float64{m.UopMissRate(), m.Bandwidth()}
 		}
 	}
 
@@ -64,29 +63,30 @@ func TestFiguresEqualDirectRuns(t *testing.T) {
 			t.Errorf("%s: Figure 8 rows %+v, direct runs %+v", phase, r.Rows, want8)
 		}
 
-		j, err := runner.OpenJournal(filepath.Join(t.TempDir(), "frontends.journal"), false)
-		if err != nil {
-			t.Fatal(err)
-		}
 		fo := o
-		fo.Journal = j
+		fo.Store = openStoreT(t, t.TempDir())
 		if _, err := Frontends(fo); err != nil {
 			t.Fatalf("%s: %v", phase, err)
 		}
-		if err := j.Close(); err != nil {
-			t.Fatal(err)
-		}
 		for i, w := range o.Workloads {
-			raw, ok := j.Lookup(runner.Cell{Figure: "frontends", Workload: w.Name, Config: o.tag("")})
-			if !ok {
-				t.Fatalf("%s: no frontends cell for %s", phase, w.Name)
-			}
-			var got frontendsCell
-			if err := json.Unmarshal(raw, &got); err != nil {
-				t.Fatal(err)
+			var got [5][2]float64
+			for mi, kind := range jobspec.Kinds() {
+				key, err := o.spec(kind, w, o.Budget, "").Key()
+				if err != nil {
+					t.Fatal(err)
+				}
+				raw, ok := fo.Store.Get(jobspec.ResultStoreKey(key))
+				if !ok {
+					t.Fatalf("%s: no frontends cell for %s/%s", phase, kind, w.Name)
+				}
+				r, err := jobspec.DecodeResult(raw)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got[mi] = [2]float64{r.Metrics.UopMissRate(), r.Metrics.Bandwidth()}
 			}
 			if got != wantFE[i] {
-				t.Errorf("%s: %s frontends %v, direct runs %v", phase, w.Name, got.Vals, wantFE[i].Vals)
+				t.Errorf("%s: %s frontends %v, direct runs %v", phase, w.Name, got, wantFE[i])
 			}
 		}
 	}

@@ -3,16 +3,18 @@
 // function per figure, each returning both raw per-workload values and a
 // formatted table printing the same rows/series the paper reports.
 //
-// Every per-workload simulation runs as one cell of the fault-tolerant
-// runner (internal/runner): a panicking or failing cell degrades to a
-// missing table row instead of killing the sweep, cancelling Options.Ctx
-// drains the run gracefully, and an Options.Journal checkpoint lets an
-// interrupted sweep resume without recomputing finished cells.
+// Every simulation runs as one cell of the sweep planner over the
+// fault-tolerant runner (internal/runner): a panicking or failing cell
+// degrades to a missing table row instead of killing the sweep,
+// cancelling Options.Ctx drains the run gracefully, and with
+// Options.Store an interrupted sweep resumes without recomputing
+// finished cells.
 //
-// A cell whose models a jobspec.Spec can describe runs through
-// jobspec.Execute, the one execution path the service also takes;
-// figures that vary geometry or feature flags a spec cannot express
-// build their models and replay the corpus stream themselves.
+// A cell a jobspec.Spec describes is that one job: it runs through
+// jobspec.Execute, the one execution path the service also takes, and
+// shares the service's stored results. Figures that vary geometry or
+// feature flags a spec cannot express build their models and replay the
+// corpus stream themselves.
 package experiments
 
 import (
@@ -28,6 +30,7 @@ import (
 	"xbc/internal/sampling"
 	"xbc/internal/service/jobspec"
 	"xbc/internal/stats"
+	"xbc/internal/store"
 	"xbc/internal/tcache"
 	"xbc/internal/trace"
 	"xbc/internal/workload"
@@ -67,9 +70,10 @@ type Options struct {
 	Ctx context.Context
 	// CellTimeout bounds each per-workload simulation (0 = unbounded).
 	CellTimeout time.Duration
-	// Journal, when non-nil, checkpoints each completed cell and replays
-	// completed cells on resume instead of recomputing them.
-	Journal *runner.Journal
+	// Store, when non-nil, serves every cell it holds and records each
+	// cell as it finishes, so a rerun computes only what is missing. It
+	// may be the directory xbcd persists to (see run.go for the layout).
+	Store *store.Store
 	// Report, when non-nil, accumulates every cell outcome across all
 	// figures of a run (for CLI summaries and exit codes).
 	Report *runner.Report
@@ -127,22 +131,8 @@ func stream(o Options, w workload.Workload) (*trace.Stream, error) {
 	return corpus.Stream(w.Spec, o.UopsPerTrace)
 }
 
-// execute runs one frontend kind at its default geometry over w's stream
-// through jobspec.Execute, the path every served job takes: the shared
-// corpus, the warm-state snapshots when a manager is attached, and the
-// analysis memo on the sampled rungs.
-func execute(o Options, kind string, w workload.Workload, budget int, fidelity string) (frontend.Metrics, error) {
-	res, err := jobspec.Execute(jobspec.Spec{Frontend: kind, Program: &w.Spec, Uops: o.UopsPerTrace, Budget: budget, Fidelity: fidelity})
-	return res.Metrics, err
-}
-
-// xbcAndTC executes the XBC and then the TC at one budget.
-func xbcAndTC(o Options, w workload.Workload, budget int, fidelity string) (x, t frontend.Metrics, err error) {
-	if x, err = execute(o, jobspec.KindXBC, w, budget, fidelity); err == nil {
-		t, err = execute(o, jobspec.KindTC, w, budget, fidelity)
-	}
-	return x, t, err
-}
+// xbcAndTC is the model pair most figures compare.
+var xbcAndTC = []string{jobspec.KindXBC, jobspec.KindTC}
 
 // ---------------------------------------------------------------------
 // Figure 1: length distribution of basic blocks, XBs, XBs with
@@ -161,7 +151,7 @@ type Fig1Result struct {
 func Figure1(o Options) (*Fig1Result, error) {
 	o = o.withDefaults()
 	kinds := []trace.BlockKind{trace.BasicBlock, trace.XB, trace.XBPromoted, trace.DualXB}
-	perWL, ok, err := runCells(o, "fig1", o.tag(""), o.Workloads,
+	perWL, ok, err := runCells(o, "fig1", nil, o.Workloads,
 		func(ctx context.Context, w workload.Workload) (map[trace.BlockKind]*stats.Histogram, error) {
 			s, err := stream(o, w)
 			if err != nil {
@@ -233,21 +223,14 @@ type Fig8Result struct {
 // XBC and TC. The paper's finding: the difference is negligible.
 func Figure8(o Options) (*Fig8Result, error) {
 	o = o.withDefaults()
-	vals, ok, err := runCells(o, "fig8", o.tag(""), o.Workloads,
-		func(ctx context.Context, w workload.Workload) (Fig8Row, error) {
-			mx, mt, err := xbcAndTC(o, w, o.Budget, o.Fidelity)
-			if err != nil {
-				return Fig8Row{}, err
-			}
-			return Fig8Row{Workload: w.Name, Suite: w.Suite, XBC: mx.Bandwidth(), TC: mt.Bandwidth()}, nil
-		})
+	ms, ok, err := runModels(o, "fig8", o.Workloads, xbcAndTC, o.Budget, o.Fidelity)
 	if err != nil {
 		return nil, err
 	}
 	var rows []Fig8Row
-	for i := range vals {
+	for i, w := range o.Workloads {
 		if ok[i] {
-			rows = append(rows, vals[i])
+			rows = append(rows, Fig8Row{Workload: w.Name, Suite: w.Suite, XBC: ms[i][0].Bandwidth(), TC: ms[i][1].Bandwidth()})
 		}
 	}
 	t := stats.NewTable(fmt.Sprintf("Figure 8 - uop bandwidth, XBC vs TC (%dK uops)", o.Budget/1024),
@@ -271,12 +254,6 @@ func Figure8(o Options) (*Fig8Result, error) {
 // ---------------------------------------------------------------------
 // Figure 9: uop miss rate versus cache size.
 // ---------------------------------------------------------------------
-
-// fig9Cell is the journaled payload of one (workload, size) cell.
-type fig9Cell struct {
-	XBC float64
-	TC  float64
-}
 
 // Fig9Result carries the size sweep: MissXBC[i][j] is workload i at
 // Sizes[j], in percent; OK[i][j] reports whether that cell completed.
@@ -310,22 +287,16 @@ func Figure9(o Options) (*Fig9Result, error) {
 	}
 	var firstErr error
 	for j, size := range o.Sizes {
-		size := size
-		vals, ok, err := runCells(o, "fig9", o.tag(fmt.Sprintf("size%d", size)), o.Workloads,
-			func(ctx context.Context, w workload.Workload) (fig9Cell, error) {
-				xm, tm, err := xbcAndTC(o, w, size, o.Fidelity)
-				if err != nil {
-					return fig9Cell{}, err
-				}
-				return fig9Cell{XBC: xm.UopMissRate(), TC: tm.UopMissRate()}, nil
-			})
+		ms, ok, err := runModels(o, "fig9", o.Workloads, xbcAndTC, size, o.Fidelity)
 		if err != nil && firstErr == nil {
 			firstErr = err
 		}
 		for i := range o.Workloads {
-			res.MissXBC[i][j] = vals[i].XBC
-			res.MissTC[i][j] = vals[i].TC
-			res.OK[i][j] = ok[i]
+			if ok[i] {
+				res.MissXBC[i][j] = ms[i][0].UopMissRate()
+				res.MissTC[i][j] = ms[i][1].UopMissRate()
+				res.OK[i][j] = true
+			}
 		}
 	}
 	if firstErr != nil {
@@ -392,18 +363,19 @@ func Figure10(o Options) (*Fig10Result, error) {
 	var firstErr error
 	for _, ways := range o.Assocs {
 		ways := ways
-		vals, ok, err := runCells(o, "fig10", o.tag(fmt.Sprintf("w%d", ways)), o.Workloads,
-			func(ctx context.Context, w workload.Workload) (fig9Cell, error) {
+		params := []string{budgetParam(o.Budget), fmt.Sprintf("w%d", ways), fidelityName(o.Fidelity)}
+		vals, ok, err := runCells(o, "fig10", params, o.Workloads,
+			func(ctx context.Context, w workload.Workload) (pairCell, error) {
 				s, err := stream(o, w)
 				if err != nil {
-					return fig9Cell{}, err
+					return pairCell{}, err
 				}
 				xc := xbcore.DefaultConfig(o.Budget)
 				xc.Ways = ways
 				xc.Sets = sizeToSets(o.Budget, xc.Banks*xc.BankUops*ways)
 				xm, err := missRate(xbcore.New(xc, frontend.DefaultConfig()), s)
 				if err != nil {
-					return fig9Cell{}, err
+					return pairCell{}, err
 				}
 
 				tc := tcache.DefaultConfig(o.Budget)
@@ -411,9 +383,9 @@ func Figure10(o Options) (*Fig10Result, error) {
 				tc.Sets = sizeToSets(o.Budget, tc.MaxUops*ways)
 				tm, err := missRate(tcache.New(tc, frontend.DefaultConfig()), s)
 				if err != nil {
-					return fig9Cell{}, err
+					return pairCell{}, err
 				}
-				return fig9Cell{XBC: xm, TC: tm}, nil
+				return pairCell{XBC: xm, TC: tm}, nil
 			})
 		if err != nil && firstErr == nil {
 			firstErr = err
@@ -442,6 +414,13 @@ func Figure10(o Options) (*Fig10Result, error) {
 	res.Plot.AddSeries("XBC", res.AvgXBC...)
 	res.Plot.AddSeries("TC", res.AvgTC...)
 	return res, nil
+}
+
+// pairCell is the stored value of a cell that measures one number per
+// structure (for the XBTB sweep: the XBC's miss rate and bandwidth).
+type pairCell struct {
+	XBC float64
+	TC  float64
 }
 
 // sizeToSets converts a uop budget and per-set uop capacity to a

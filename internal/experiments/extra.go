@@ -16,32 +16,12 @@ import (
 // figures (TC redundancy, in-text length claims) plus the ablations
 // DESIGN.md calls out.
 
-// redundancyCell is the journaled payload of one redundancy cell.
-type redundancyCell struct {
-	Suite  workload.Suite
-	XBCRed float64
-	TCRed  float64
-	TCFrag float64
-}
-
 // Redundancy reproduces the in-text redundancy discussion of sections 2.3
 // and 3.3: the TC stores each uop in multiple traces while the XBC is
 // (nearly) redundancy free. Reports resident-copy averages per trace.
 func Redundancy(o Options) (*stats.Table, error) {
 	o = o.withDefaults()
-	vals, ok, err := runCells(o, "redundancy", o.tag(""), o.Workloads,
-		func(ctx context.Context, w workload.Workload) (redundancyCell, error) {
-			mx, mt, err := xbcAndTC(o, w, o.Budget, "")
-			if err != nil {
-				return redundancyCell{}, err
-			}
-			return redundancyCell{
-				Suite:  w.Suite,
-				XBCRed: mx.Extra["redundancy"],
-				TCRed:  mt.Extra["redundancy"],
-				TCFrag: mt.Extra["fragmentation"],
-			}, nil
-		})
+	ms, ok, err := runModels(o, "redundancy", o.Workloads, xbcAndTC, o.Budget, "")
 	if err != nil {
 		return nil, err
 	}
@@ -54,25 +34,19 @@ func Redundancy(o Options) (*stats.Table, error) {
 		if !ok[i] {
 			continue
 		}
-		r := vals[i]
-		if !first && r.Suite != last {
+		if !first && w.Suite != last {
 			t.AddSeparator()
 		}
 		first = false
-		last = r.Suite
-		t.AddRowf(w.Name, r.Suite.String(), r.XBCRed, r.TCRed, r.TCFrag)
-		xr = append(xr, r.XBCRed)
-		tr = append(tr, r.TCRed)
+		last = w.Suite
+		mx, mt := ms[i][0], ms[i][1]
+		t.AddRowf(w.Name, w.Suite.String(), mx.Extra["redundancy"], mt.Extra["redundancy"], mt.Extra["fragmentation"])
+		xr = append(xr, mx.Extra["redundancy"])
+		tr = append(tr, mt.Extra["redundancy"])
 	}
 	t.AddSeparator()
 	t.AddRowf("mean", "", stats.Mean(xr), stats.Mean(tr), "")
 	return t, nil
-}
-
-// frontendsCell is the journaled payload of one frontend-landscape cell:
-// per model in jobspec.Kinds order, {miss%, bandwidth}.
-type frontendsCell struct {
-	Vals [5][2]float64
 }
 
 // Frontends compares all five instruction-supply models (IC, decoded
@@ -80,18 +54,7 @@ type frontendsCell struct {
 // paper's section 2.
 func Frontends(o Options) (*stats.Table, error) {
 	o = o.withDefaults()
-	vals, ok, err := runCells(o, "frontends", o.tag(""), o.Workloads,
-		func(ctx context.Context, w workload.Workload) (frontendsCell, error) {
-			var cell frontendsCell
-			for mi, kind := range jobspec.Kinds() {
-				m, err := execute(o, kind, w, o.Budget, "")
-				if err != nil {
-					return frontendsCell{}, err
-				}
-				cell.Vals[mi] = [2]float64{m.UopMissRate(), m.Bandwidth()}
-			}
-			return cell, nil
-		})
+	ms, ok, err := runModels(o, "frontends", o.Workloads, jobspec.Kinds(), o.Budget, "")
 	if err != nil {
 		return nil, err
 	}
@@ -101,13 +64,11 @@ func Frontends(o Options) (*stats.Table, error) {
 		if !ok[i] {
 			continue
 		}
-		r := vals[i]
-		t.AddRow(w.Name,
-			fmt.Sprintf("%.2f", r.Vals[0][1]),
-			fmt.Sprintf("%5.2f/%4.2f", r.Vals[1][0], r.Vals[1][1]),
-			fmt.Sprintf("%5.2f/%4.2f", r.Vals[2][0], r.Vals[2][1]),
-			fmt.Sprintf("%5.2f/%4.2f", r.Vals[3][0], r.Vals[3][1]),
-			fmt.Sprintf("%5.2f/%4.2f", r.Vals[4][0], r.Vals[4][1]))
+		row := []string{w.Name, fmt.Sprintf("%.2f", ms[i][0].Bandwidth())}
+		for _, m := range ms[i][1:] {
+			row = append(row, fmt.Sprintf("%5.2f/%4.2f", m.UopMissRate(), m.Bandwidth()))
+		}
+		t.AddRow(row...)
 	}
 	return t, nil
 }
@@ -144,7 +105,7 @@ func Ablations() []AblationSpec {
 	}
 }
 
-// ablationCell is the journaled payload of one (ablation, workload) cell.
+// ablationCell is the stored value of one (ablation, workload) cell.
 type ablationCell struct {
 	Miss float64
 	BW   float64
@@ -166,7 +127,7 @@ func Ablation(o Options) (*stats.Table, error) {
 		"configuration", "miss %", "bandwidth", "redundancy", "set searches", "bank conflicts")
 	for _, ab := range Ablations() {
 		ab := ab
-		vals, ok, err := runCells(o, "ablation", o.tag(ab.Name), ws,
+		vals, ok, err := runCells(o, "ablation", []string{budgetParam(o.Budget), ab.Name}, ws,
 			func(ctx context.Context, w workload.Workload) (ablationCell, error) {
 				s, err := stream(o, w)
 				if err != nil {
@@ -226,7 +187,7 @@ func nameList(ws []workload.Workload) string {
 	return s
 }
 
-// pathAssocCell is the journaled payload of one path-associativity cell.
+// pathAssocCell is the stored value of one path-associativity cell.
 type pathAssocCell struct {
 	TC, TCPath, XBC          float64
 	TCRed, TCPathRed, XBCRed float64
@@ -239,7 +200,7 @@ type pathAssocCell struct {
 // entirely.
 func PathAssociativity(o Options) (*stats.Table, error) {
 	o = o.withDefaults()
-	vals, ok, err := runCells(o, "pathassoc", o.tag(""), o.Workloads,
+	vals, ok, err := runCells(o, "pathassoc", []string{budgetParam(o.Budget)}, o.Workloads,
 		func(ctx context.Context, w workload.Workload) (pathAssocCell, error) {
 			s, err := stream(o, w)
 			if err != nil {

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"path/filepath"
 	"testing"
 
 	"xbc/internal/planner"
@@ -9,7 +8,7 @@ import (
 )
 
 // sweepFigures are the sweep figures whose tables must be identical
-// whether each cell simulates fresh or replays from the journal.
+// whether each cell simulates fresh or is served from the store.
 var sweepFigures = []struct {
 	name string
 	run  func(Options) (interface{ String() string }, error)
@@ -21,30 +20,21 @@ var sweepFigures = []struct {
 }
 
 // TestPlannerBitIdenticalToNaive is the property test for the planner's
-// one reuse path, journal replay: for every sweep figure, a run resumed
-// from the journal of a fresh run must render byte-for-byte identical
-// tables while simulating nothing — every unique cell is replayed.
-// Replayed cells come back as raw JSON, so this also round-trips each
-// figure's payload type.
+// one reuse path across runs, the store: for every sweep figure, a rerun
+// on the store of a fresh run must render byte-for-byte identical tables
+// while simulating nothing — every unique cell is served from the store.
+// Served cells come back decoded from their stored bytes, so this also
+// round-trips each figure's stored value type.
 func TestPlannerBitIdenticalToNaive(t *testing.T) {
 	for _, fig := range sweepFigures {
 		fig := fig
 		t.Run(fig.name, func(t *testing.T) {
 			t.Parallel()
-			path := filepath.Join(t.TempDir(), "sweep.journal")
-			run := func(resume bool) (string, planner.Report) {
-				j, err := runner.OpenJournal(path, resume)
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer func() {
-					if err := j.Close(); err != nil {
-						t.Fatal(err)
-					}
-				}()
+			st := openStoreT(t, t.TempDir())
+			run := func() (string, planner.Report) {
 				o := smallOpts()
 				o.UopsPerTrace = 60_000
-				o.Journal = j
+				o.Store = st
 				tally := &planner.Tally{}
 				o.Plan = tally
 				tb, err := fig.run(o)
@@ -54,8 +44,8 @@ func TestPlannerBitIdenticalToNaive(t *testing.T) {
 				return tb.String(), tally.Snapshot()
 			}
 
-			fresh, fr := run(false)
-			resumed, rr := run(true)
+			fresh, fr := run()
+			resumed, rr := run()
 			if resumed != fresh {
 				t.Errorf("resumed run diverges from fresh run:\nfresh:\n%s\nresumed:\n%s", fresh, resumed)
 			}
@@ -63,15 +53,15 @@ func TestPlannerBitIdenticalToNaive(t *testing.T) {
 				t.Errorf("fresh run did not simulate every unique cell: %s", fr.String())
 			}
 			if unique := rr.Planned - rr.Deduped; rr.Simulated != 0 || rr.Reused != unique || unique == 0 {
-				t.Errorf("resumed run not fully replayed from the journal: %s", rr.String())
+				t.Errorf("resumed run not fully served from the store: %s", rr.String())
 			}
 		})
 	}
 }
 
-// TestDuplicateWorkloadsAreNotResumed: a workload listed twice is one
-// deduped cell, not a journal replay — with no journal the runner report
-// must count no resumed cells.
+// TestDuplicateWorkloadsAreNotResumed: a workload listed twice is
+// deduped, not served from a store — with no store the plan reuses
+// nothing and the runner report has one row per unique cell.
 func TestDuplicateWorkloadsAreNotResumed(t *testing.T) {
 	o := smallOpts()
 	o.UopsPerTrace = 20_000
@@ -82,10 +72,11 @@ func TestDuplicateWorkloadsAreNotResumed(t *testing.T) {
 	if _, err := Figure8(o); err != nil {
 		t.Fatal(err)
 	}
-	if done, skipped, _, _ := o.Report.Counts(); skipped != 0 || done != 1 {
-		t.Errorf("report %q, want 1 done and none resumed", o.Report.Summary())
+	// Figure 8 plans two cells per workload: the XBC and the TC.
+	if done, _, _ := o.Report.Counts(); done != 2 || len(o.Report.Cells()) != 2 {
+		t.Errorf("report %q, want 2 done", o.Report.Summary())
 	}
-	if p := tally.Snapshot(); p.Planned != 2 || p.Deduped != 1 || p.Simulated != 1 {
-		t.Errorf("plan %s, want 2 planned, 1 deduped, 1 simulated", p.String())
+	if p := tally.Snapshot(); p.Planned != 4 || p.Deduped != 2 || p.Reused != 0 || p.Simulated != 2 {
+		t.Errorf("plan %s, want 4 planned, 2 deduped, 0 reused, 2 simulated", p.String())
 	}
 }

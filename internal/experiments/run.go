@@ -4,86 +4,167 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"os"
 	"strings"
 
+	"xbc/internal/corpus"
+	"xbc/internal/frontend"
 	"xbc/internal/planner"
 	"xbc/internal/runner"
 	"xbc/internal/service/jobspec"
+	"xbc/internal/store"
 	"xbc/internal/workload"
 )
 
-// This file adapts the experiment figures to the fault-tolerant runner:
-// every per-workload simulation becomes one runner cell, gaining panic
-// isolation, cancellation with graceful drain, per-cell deadlines and
-// journal-based resume. Figures degrade cell-wise — a failed or
+// This file adapts the experiment figures to the sweep planner and the
+// store: every simulation becomes one planner cell, gaining dedup, panic
+// isolation, cancellation with graceful drain, per-cell deadlines and,
+// with Options.Store, resume. Figures degrade cell-wise — a failed or
 // aborted cell drops out of the tables instead of killing the sweep — and
 // the per-cell outcomes land in Options.Report when one is supplied.
+//
+// A cell lives in the store in one of two namespaces. A cell a
+// jobspec.Spec describes is that job: its key is the job key, and its
+// value is stored under jobspec.ResultStoreKey in xbcd's layout, so a
+// figure run and the daemon serve each other's results. Every other cell
+// is stored as JSON under an x: key built from exactly what the cell
+// reads (see xCell).
 
-// tag builds the config component of the cell identity from the options
-// that change a cell's result. Two runs with the same tag and cell produce
-// the same payload, which is what makes journal replay sound.
-func (o Options) tag(extra string) string {
-	t := fmt.Sprintf("u%d-b%d", o.UopsPerTrace, o.Budget)
-	if o.Fidelity != "" && o.Fidelity != "full" {
-		// Sampled payloads approximate; they must never replay into a full
-		// run of the same cell.
-		t += "-" + o.Fidelity
-	}
-	if extra != "" {
-		t += "-" + extra
-	}
-	return t
+// spec is the job that runs frontend kind over w's stream at budget on
+// the given rung.
+func (o Options) spec(kind string, w workload.Workload, budget int, fidelity string) jobspec.Spec {
+	return jobspec.Spec{Frontend: kind, Workload: w.Name, Program: &w.Spec, Uops: o.UopsPerTrace, Budget: budget, Fidelity: fidelity}
 }
 
-// runnerOptions converts experiment options into runner options.
-func (o Options) runnerOptions() runner.Options {
-	return runner.Options{
-		CellTimeout: o.CellTimeout,
-		Journal:     o.Journal,
-		Report:      o.Report,
+// runModels runs each frontend kind over every workload at one budget
+// and rung, one spec cell per (workload, kind). It returns the metrics
+// per workload in kinds order, and ok[i] when all of workload i's cells
+// produced a value.
+func runModels(o Options, figure string, ws []workload.Workload, kinds []string, budget int, fidelity string) ([][]frontend.Metrics, []bool, error) {
+	ms := make([][]frontend.Metrics, len(ws))
+	ok := make([]bool, len(ws))
+	specs := make([]jobspec.Spec, 0, len(ws)*len(kinds))
+	for _, w := range ws {
+		for _, kind := range kinds {
+			specs = append(specs, o.spec(kind, w, budget, fidelity))
+		}
 	}
+	cells := make([]cell, len(specs))
+	for i, s := range specs {
+		key, err := s.Key()
+		if err != nil {
+			return ms, ok, err
+		}
+		cells[i] = cell{
+			key:      key,
+			locality: fmt.Sprintf("%s@%d", s.Workload, s.Uops),
+			rc:       runner.Cell{Figure: figure, Workload: s.Workload, Config: fmt.Sprintf("%s-b%d-%s", s.Frontend, s.Budget, fidelityName(s.Fidelity))},
+		}
+	}
+	var st planner.Store
+	if o.Store != nil {
+		st = specStore{o.Store}
+	}
+	res, done, err := runPlanned(o, cells, st, func(ctx context.Context, i int) (jobspec.Result, error) {
+		return jobspec.Execute(specs[i])
+	})
+	for i := range ws {
+		ok[i] = true
+		for k := range kinds {
+			j := i*len(kinds) + k
+			ms[i] = append(ms[i], res[j].Metrics)
+			ok[i] = ok[i] && done[j]
+		}
+	}
+	return ms, ok, err
 }
 
-// runCells fans fn out over the workloads as (figure, workload, config)
-// cells. It returns the per-workload values index-aligned with ws, a mask
-// of which cells produced a value (done this run or replayed from the
-// journal), and an error only when nothing succeeded and at least one cell
-// genuinely failed — cancellation alone yields an empty result, not an
-// error, so a drained run can still render its partial tables.
-func runCells[T any](o Options, figure, config string, ws []workload.Workload, fn func(ctx context.Context, w workload.Workload) (T, error)) ([]T, []bool, error) {
-	names := make([]string, len(ws))
+// runCells fans fn out over the workloads as cells no spec describes,
+// keyed by figure, each workload's stream and params: the budget, sweep
+// point and fidelity the cell reads, and nothing else.
+func runCells[T any](o Options, figure string, params []string, ws []workload.Workload, fn func(ctx context.Context, w workload.Workload) (T, error)) ([]T, []bool, error) {
+	cells := make([]cell, len(ws))
 	for i, w := range ws {
-		names[i] = w.Name
+		c, err := o.xCell(figure, w.Name, []workload.Workload{w}, params)
+		if err != nil {
+			return nil, nil, err
+		}
+		cells[i] = c
 	}
-	return runNamedCells(o, figure, config, names, func(ctx context.Context, i int) (T, error) {
+	return runXCells(o, cells, func(ctx context.Context, i int) (T, error) {
 		return fn(ctx, ws[i])
 	})
 }
 
-// runNamedCells is runCells for work not keyed by a single workload (e.g.
-// context-switch pairs): cell identities come from names and fn receives
-// the index. Every figure runs through the sweep planner: cells are
-// deduped by their journal key, grouped by trace locality so the corpus
-// cache stays hot, and executed once each on the planner's bounded pool
-// through runner.RunOne. An unknown Options.Fidelity fails the figure
-// before any cell runs.
-func runNamedCells[T any](o Options, figure, config string, names []string, fn func(ctx context.Context, i int) (T, error)) ([]T, []bool, error) {
-	vals := make([]T, len(names))
-	ok := make([]bool, len(names))
+// runXCells runs cells no spec describes, stored under their x: keys.
+func runXCells[T any](o Options, cells []cell, fn func(ctx context.Context, i int) (T, error)) ([]T, []bool, error) {
+	var st planner.Store
+	if o.Store != nil {
+		st = xStore[T]{o.Store}
+	}
+	return runPlanned(o, cells, st, fn)
+}
+
+// cell is one figure cell before planning.
+type cell struct {
+	key      string // job key (spec cells) or x: key
+	locality string // trace-stream identity, for the planner's ordering
+	rc       runner.Cell
+}
+
+// xCell builds the cell named name that replays the streams of ws. Its
+// x: key is the figure, then the identity of each stream (program hash
+// and length, not the workload's name), then the parameters it reads.
+func (o Options) xCell(figure, name string, ws []workload.Workload, params []string) (cell, error) {
+	parts := []string{"x:" + figure}
+	for _, w := range ws {
+		k, err := corpus.KeyFor(w.Spec, o.UopsPerTrace)
+		if err != nil {
+			return cell{}, err
+		}
+		parts = append(parts, k.String())
+	}
+	return cell{
+		key:      strings.Join(append(parts, params...), "/"),
+		locality: fmt.Sprintf("%s@%d", ws[0].Name, o.UopsPerTrace),
+		rc:       runner.Cell{Figure: figure, Workload: name, Config: strings.Join(params, "-")},
+	}, nil
+}
+
+// budgetParam renders a budget as an x: key parameter.
+func budgetParam(b int) string { return fmt.Sprintf("b%d", b) }
+
+// fidelityName names a rung, with "" read as full.
+func fidelityName(f string) string {
+	if f == "" {
+		return jobspec.FidelityFull
+	}
+	return f
+}
+
+// runPlanned runs cells through the sweep planner: cells are deduped by
+// key, served from st when it holds them, grouped by trace locality so
+// the corpus cache stays hot, and otherwise executed once each on the
+// planner's bounded pool through runner.RunOne. It returns the values
+// index-aligned with cells, a mask of which cells produced one, and an
+// error only when nothing succeeded and at least one cell genuinely
+// failed — cancellation alone yields an empty result, not an error, so a
+// drained run can still render its partial tables. An unknown
+// Options.Fidelity fails the figure before any cell runs.
+func runPlanned[T any](o Options, cells []cell, st planner.Store, fn func(ctx context.Context, i int) (T, error)) ([]T, []bool, error) {
+	vals := make([]T, len(cells))
+	ok := make([]bool, len(cells))
 	if !jobspec.ValidFidelity(o.Fidelity) {
 		return vals, ok, fmt.Errorf("experiments: unknown fidelity %q (want one of %s)",
 			o.Fidelity, strings.Join(jobspec.Fidelities(), ", "))
 	}
-	cells := make([]planner.Cell, len(names))
-	for i := range names {
+	pcells := make([]planner.Cell, len(cells))
+	for i, c := range cells {
 		i := i
-		rc := runner.Cell{Figure: figure, Workload: names[i], Config: config}
-		cells[i] = planner.Cell{
-			Key: rc.Key(),
-			// The trace-stream identity: cells sharing a workload at one
-			// stream length replay one corpus entry.
-			Locality: fmt.Sprintf("%s@%d", names[i], o.UopsPerTrace),
-			RCell:    rc,
+		pcells[i] = planner.Cell{
+			Key:      c.key,
+			Locality: c.locality,
+			RCell:    c.rc,
 			Run:      func(ctx context.Context) (any, error) { return fn(ctx, i) },
 		}
 	}
@@ -91,9 +172,10 @@ func runNamedCells[T any](o Options, figure, config string, names []string, fn f
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	results, rep := planner.Run(ctx, cells, planner.Options{
+	results, rep := planner.Run(ctx, pcells, planner.Options{
 		Parallel: o.Parallel,
-		Runner:   o.runnerOptions(),
+		Runner:   runner.Options{CellTimeout: o.CellTimeout, Report: o.Report},
+		Store:    st,
 	})
 	if o.Plan != nil {
 		o.Plan.Add(rep)
@@ -104,20 +186,9 @@ func runNamedCells[T any](o Options, figure, config string, names []string, fn f
 	for i, res := range results {
 		switch res.Status {
 		case planner.StatusSimulated, planner.StatusReused:
-			// A fresh value carries the typed payload; a journal replay
-			// carries raw JSON.
-			switch v := res.Value.(type) {
-			case T:
+			if v, isT := res.Value.(T); isT {
 				vals[i], ok[i] = v, true
 				succeeded++
-			case json.RawMessage:
-				var tv T
-				if err := json.Unmarshal(v, &tv); err == nil {
-					vals[i], ok[i] = tv, true
-					succeeded++
-				}
-				// An unreadable journal payload degrades to a missing cell; a
-				// fresh run (without --resume) recomputes it.
 			}
 		case planner.StatusFailed:
 			if firstErr == nil && res.Err != nil {
@@ -129,4 +200,52 @@ func runNamedCells[T any](o Options, figure, config string, names []string, fn f
 		return vals, ok, firstErr
 	}
 	return vals, ok, nil
+}
+
+// specStore serves spec cells: job key -> jobspec.Result, in the r:
+// layout xbcd reads and writes.
+type specStore struct{ st *store.Store }
+
+func (s specStore) Load(key string) (any, bool) {
+	raw, ok := s.st.Get(jobspec.ResultStoreKey(key))
+	if !ok {
+		return nil, false
+	}
+	r, err := jobspec.DecodeResult(raw)
+	return r, err == nil
+}
+
+func (s specStore) Save(key string, v any) {
+	raw, err := jobspec.EncodeResult(v.(jobspec.Result))
+	put(s.st, jobspec.ResultStoreKey(key), raw, err)
+}
+
+// xStore serves the other cells: x: key -> JSON of T. A record that no
+// longer decodes as T is a miss, and the fresh value replaces it.
+type xStore[T any] struct{ st *store.Store }
+
+func (s xStore[T]) Load(key string) (any, bool) {
+	raw, ok := s.st.Get(key)
+	if !ok {
+		return nil, false
+	}
+	var v T
+	err := json.Unmarshal(raw, &v)
+	return v, err == nil
+}
+
+func (s xStore[T]) Save(key string, v any) {
+	raw, err := json.Marshal(v)
+	put(s.st, key, raw, err)
+}
+
+// put records one fresh cell. A cell the store cannot take is still in
+// hand for this run; the next run computes it again.
+func put(st *store.Store, key string, raw []byte, err error) {
+	if err == nil {
+		err = st.Put(key, raw)
+	}
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "experiments: store %s: %v\n", key, err)
+	}
 }

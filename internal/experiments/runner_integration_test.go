@@ -3,16 +3,18 @@ package experiments
 import (
 	"context"
 	"math"
-	"path/filepath"
 	"testing"
 
+	"xbc/internal/planner"
 	"xbc/internal/runner"
+	"xbc/internal/store"
 	"xbc/internal/workload"
 )
 
 // These tests cover the experiment layer's integration with the
-// fault-tolerant runner: cancellation drains a figure gracefully, and a
-// journal lets a second run replay every cell without recomputation.
+// fault-tolerant runner and the store: cancellation drains a figure
+// gracefully, and a store lets a second run serve every finished cell
+// without recomputation.
 
 func TestFigureAbortsOnCancelledContext(t *testing.T) {
 	o := smallOpts()
@@ -27,53 +29,57 @@ func TestFigureAbortsOnCancelledContext(t *testing.T) {
 	if len(r.Rows) != 0 {
 		t.Fatalf("cancelled figure produced %d rows", len(r.Rows))
 	}
-	done, skipped, failed, aborted := o.Report.Counts()
-	if done != 0 || skipped != 0 || failed != 0 {
-		t.Fatalf("counts = %d done, %d skipped, %d failed; want all aborted", done, skipped, failed)
+	done, failed, aborted := o.Report.Counts()
+	if done != 0 || failed != 0 {
+		t.Fatalf("counts = %d done, %d failed; want all aborted", done, failed)
 	}
-	if aborted != len(o.Workloads) {
-		t.Fatalf("aborted %d cells, want %d", aborted, len(o.Workloads))
+	// Figure 8 plans one cell per spec: the XBC and the TC of each workload.
+	if aborted != 2*len(o.Workloads) {
+		t.Fatalf("aborted %d cells, want %d", aborted, 2*len(o.Workloads))
 	}
 }
 
-func TestFigureResumesFromJournal(t *testing.T) {
-	o := smallOpts()
-	path := filepath.Join(t.TempDir(), "journal.jsonl")
-
-	j, err := runner.OpenJournal(path, false)
+// openStoreT opens a store in dir and closes it when the test ends.
+func openStoreT(t *testing.T, dir string) *store.Store {
+	t.Helper()
+	st, err := store.Open(store.Options{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
-	o.Journal = j
+	t.Cleanup(func() {
+		if err := st.Close(); err != nil {
+			t.Error(err)
+		}
+	})
+	return st
+}
+
+func TestFigureResumesFromStore(t *testing.T) {
+	o := smallOpts()
+	o.Store = openStoreT(t, t.TempDir())
 	o.Report = &runner.Report{}
 	first, err := Figure8(o)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := j.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if d, _, _, _ := o.Report.Counts(); d != len(o.Workloads) {
-		t.Fatalf("first run completed %d cells, want %d", d, len(o.Workloads))
+	if d, _, _ := o.Report.Counts(); d != 2*len(o.Workloads) {
+		t.Fatalf("first run completed %d cells, want %d", d, 2*len(o.Workloads))
 	}
 
-	// Second run resumes: every cell replays from the journal, and the
-	// replayed figure matches the computed one.
-	j2, err := runner.OpenJournal(path, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer j2.Close()
+	// Second run resumes: every cell is served from the store, and the
+	// served figure matches the computed one.
 	o2 := smallOpts()
-	o2.Journal = j2
+	o2.Store = o.Store
 	o2.Report = &runner.Report{}
+	tally := &planner.Tally{}
+	o2.Plan = tally
 	second, err := Figure8(o2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	done, skipped, _, _ := o2.Report.Counts()
-	if done != 0 || skipped != len(o2.Workloads) {
-		t.Fatalf("resume ran %d cells and skipped %d; want all %d skipped", done, skipped, len(o2.Workloads))
+	done, _, _ := o2.Report.Counts()
+	if p := tally.Snapshot(); done != 0 || p.Reused != 2*len(o2.Workloads) {
+		t.Fatalf("resume ran %d cells and reused %d; want all %d reused", done, p.Reused, 2*len(o2.Workloads))
 	}
 	if len(first.Rows) != len(second.Rows) {
 		t.Fatalf("row count changed across resume: %d vs %d", len(first.Rows), len(second.Rows))
@@ -86,35 +92,26 @@ func TestFigureResumesFromJournal(t *testing.T) {
 	}
 }
 
-func TestFigure1ResumesHistogramsFromJournal(t *testing.T) {
+func TestFigure1ResumesHistogramsFromStore(t *testing.T) {
 	// Figure 1's payload exercises the Histogram JSON round-trip.
 	o := smallOpts()
-	path := filepath.Join(t.TempDir(), "journal.jsonl")
-	j, err := runner.OpenJournal(path, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	o.Journal = j
+	o.Store = openStoreT(t, t.TempDir())
 	first, err := Figure1(o)
 	if err != nil {
 		t.Fatal(err)
 	}
-	j.Close()
 
-	j2, err := runner.OpenJournal(path, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer j2.Close()
 	o2 := smallOpts()
-	o2.Journal = j2
+	o2.Store = o.Store
 	o2.Report = &runner.Report{}
+	tally := &planner.Tally{}
+	o2.Plan = tally
 	second, err := Figure1(o2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d, s, _, _ := o2.Report.Counts(); d != 0 || s == 0 {
-		t.Fatalf("resume recomputed %d cells (skipped %d)", d, s)
+	if d, _, _ := o2.Report.Counts(); d != 0 || tally.Snapshot().Reused == 0 {
+		t.Fatalf("resume recomputed %d cells (reused %d)", d, tally.Snapshot().Reused)
 	}
 	for k, h := range first.Hist {
 		h2 := second.Hist[k]
@@ -124,11 +121,57 @@ func TestFigure1ResumesHistogramsFromJournal(t *testing.T) {
 	}
 }
 
+// TestCancelledRunResumesRemainingCells cancels a figure's run after k
+// cells have finished, then reruns it on the same store: exactly the
+// cells that did not finish simulate, and the values match a clean run.
+func TestCancelledRunResumesRemainingCells(t *testing.T) {
+	const k = 2
+	o := smallOpts()
+	o.Parallel = 1
+	o.Workloads = workload.All()[:5]
+	o.Store = openStoreT(t, t.TempDir())
+	value := func(w workload.Workload) int { return len(w.Name) }
+	run := func(ctx context.Context, cancel func()) ([]int, []bool, planner.Report) {
+		ro := o
+		ro.Ctx = ctx
+		tally := &planner.Tally{}
+		ro.Plan = tally
+		var ran int
+		vals, ok, err := runCells(ro, "test-resume", nil, ro.Workloads,
+			func(ctx context.Context, w workload.Workload) (int, error) {
+				if ran++; ran == k && cancel != nil {
+					cancel() // SIGINT arrives while the k-th cell is in flight
+				}
+				return value(w), nil
+			})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return vals, ok, tally.Snapshot()
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	_, _, first := run(ctx, cancel)
+	if first.Simulated != k || first.Aborted != len(o.Workloads)-k {
+		t.Fatalf("cancelled run: %s, want %d simulated and the rest aborted", first.String(), k)
+	}
+	vals, ok, second := run(context.Background(), nil)
+	if second.Reused != k || second.Simulated != len(o.Workloads)-k {
+		t.Fatalf("rerun: %s, want %d reused and %d simulated", second.String(), k, len(o.Workloads)-k)
+	}
+	for i, w := range o.Workloads {
+		if !ok[i] || vals[i] != value(w) {
+			t.Errorf("%s: value %d (ok %v), want %d", w.Name, vals[i], ok[i], value(w))
+		}
+	}
+}
+
 func TestRunCellsPanicIsolation(t *testing.T) {
 	// A cell whose function panics must cost only its own row.
 	o := smallOpts()
 	o.Report = &runner.Report{}
-	vals, ok, err := runCells(o, "test-panic", o.tag(""), o.Workloads,
+	vals, ok, err := runCells(o, "test-panic", nil, o.Workloads,
 		func(ctx context.Context, w workload.Workload) (int, error) {
 			if w.Name == o.Workloads[0].Name {
 				panic("injected cell panic")
@@ -146,7 +189,7 @@ func TestRunCellsPanicIsolation(t *testing.T) {
 			t.Fatalf("healthy cell %d degraded: ok=%v val=%d", i, ok[i], vals[i])
 		}
 	}
-	if _, _, failed, _ := o.Report.Counts(); failed != 1 {
+	if _, failed, _ := o.Report.Counts(); failed != 1 {
 		t.Fatalf("report counts %d failures, want 1", failed)
 	}
 	failures := o.Report.Failures()

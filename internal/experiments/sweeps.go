@@ -30,16 +30,16 @@ func XBTBSweep(o Options) (*stats.Table, error) {
 		"XBTB entries", "miss %", "bandwidth")
 	for _, n := range entries {
 		n := n
-		vals, ok, err := runCells(o, "xbtb", o.tag(fmt.Sprintf("n%d", n)), ws,
-			func(ctx context.Context, w workload.Workload) (fig9Cell, error) {
+		vals, ok, err := runCells(o, "xbtb", []string{budgetParam(o.Budget), fmt.Sprintf("n%d", n)}, ws,
+			func(ctx context.Context, w workload.Workload) (pairCell, error) {
 				s, err := stream(o, w)
 				if err != nil {
-					return fig9Cell{}, err
+					return pairCell{}, err
 				}
 				cfg := xbcore.DefaultConfig(o.Budget)
 				cfg.XBTBSets = sizeToSets(n, cfg.XBTBWays)
 				m := frontend.Run(xbcore.New(cfg, frontend.DefaultConfig()), s)
-				return fig9Cell{XBC: m.UopMissRate(), TC: m.Bandwidth()}, nil
+				return pairCell{XBC: m.UopMissRate(), TC: m.Bandwidth()}, nil
 			})
 		if err != nil {
 			return nil, err
@@ -57,7 +57,7 @@ func XBTBSweep(o Options) (*stats.Table, error) {
 	return t, nil
 }
 
-// renamerCell is the journaled payload of one renamer-sweep cell.
+// renamerCell is the stored value of one renamer-sweep cell.
 type renamerCell struct {
 	XBC float64
 	TC  float64
@@ -80,7 +80,7 @@ func RenamerSweep(o Options) (*stats.Table, error) {
 		width := width
 		fe := frontend.DefaultConfig()
 		fe.RenamerWidth = width
-		vals, ok, err := runCells(o, "renamer", o.tag(fmt.Sprintf("r%d", width)), ws,
+		vals, ok, err := runCells(o, "renamer", []string{budgetParam(o.Budget), fmt.Sprintf("r%d", width)}, ws,
 			func(ctx context.Context, w workload.Workload) (renamerCell, error) {
 				s, err := stream(o, w)
 				if err != nil {
@@ -110,7 +110,7 @@ func RenamerSweep(o Options) (*stats.Table, error) {
 	return t, nil
 }
 
-// ctxSwitchCell is the journaled payload of one workload-pair cell.
+// ctxSwitchCell is the stored value of one workload-pair cell.
 type ctxSwitchCell struct {
 	XBCSolo  float64
 	TCSolo   float64
@@ -126,25 +126,30 @@ func ContextSwitch(o Options) (*stats.Table, error) {
 	pairs := [][2]string{{"gcc", "word"}, {"li", "doom"}, {"perl", "excel"}}
 	quanta := []int{5000, 20000, 100000}
 	names := make([]string, len(pairs))
+	cells := make([]cell, len(pairs))
+	streams := make([][2]workload.Workload, len(pairs))
 	for i, p := range pairs {
 		names[i] = p[0] + "+" + p[1]
+		for j, name := range p {
+			w, found := workload.ByName(name)
+			if !found {
+				return nil, fmt.Errorf("experiments: unknown workload %q", name)
+			}
+			streams[i][j] = w
+		}
+		c, err := o.xCell("ctxswitch", names[i], streams[i][:], []string{budgetParam(o.Budget)})
+		if err != nil {
+			return nil, err
+		}
+		cells[i] = c
 	}
-	vals, ok, err := runNamedCells(o, "ctxswitch", o.tag(""), names,
+	vals, ok, err := runXCells(o, cells,
 		func(ctx context.Context, i int) (ctxSwitchCell, error) {
-			pair := pairs[i]
-			wa, found := workload.ByName(pair[0])
-			if !found {
-				return ctxSwitchCell{}, fmt.Errorf("experiments: unknown workload %q", pair[0])
-			}
-			wb, found := workload.ByName(pair[1])
-			if !found {
-				return ctxSwitchCell{}, fmt.Errorf("experiments: unknown workload %q", pair[1])
-			}
-			sa, err := stream(o, wa)
+			sa, err := stream(o, streams[i][0])
 			if err != nil {
 				return ctxSwitchCell{}, err
 			}
-			sb, err := stream(o, wb)
+			sb, err := stream(o, streams[i][1])
 			if err != nil {
 				return ctxSwitchCell{}, err
 			}
@@ -154,7 +159,7 @@ func ContextSwitch(o Options) (*stats.Table, error) {
 			runTC := func(s *trace.Stream) float64 {
 				return frontend.Run(tcache.New(tcache.DefaultConfig(o.Budget), frontend.DefaultConfig()), s).UopMissRate()
 			}
-			cell := ctxSwitchCell{
+			out := ctxSwitchCell{
 				XBCSolo: (runXBC(sa) + runXBC(sb)) / 2,
 				TCSolo:  (runTC(sa) + runTC(sb)) / 2,
 			}
@@ -163,10 +168,10 @@ func ContextSwitch(o Options) (*stats.Table, error) {
 				if err != nil {
 					return ctxSwitchCell{}, err
 				}
-				cell.XBCMixed = append(cell.XBCMixed, runXBC(mixed))
-				cell.TCMixed = append(cell.TCMixed, runTC(mixed))
+				out.XBCMixed = append(out.XBCMixed, runXBC(mixed))
+				out.TCMixed = append(out.TCMixed, runTC(mixed))
 			}
-			return cell, nil
+			return out, nil
 		})
 	if err != nil {
 		return nil, err
@@ -185,12 +190,6 @@ func ContextSwitch(o Options) (*stats.Table, error) {
 	return t, nil
 }
 
-// phasesCell is the journaled payload of one phases cell.
-type phasesCell struct {
-	XBC frontend.PhaseBreakdown
-	TC  frontend.PhaseBreakdown
-}
-
 // Phases reproduces the paper's section-1 phase discussion: the fraction
 // of frontend cycles spent in steady state (delivery), transition (build
 // ramping), and stall (re-steer/miss bubbles), per structure.
@@ -200,14 +199,7 @@ func Phases(o Options) (*stats.Table, error) {
 	if len(ws) == len(workload.All()) {
 		ws = pickRepresentatives()
 	}
-	vals, ok, err := runCells(o, "phases", o.tag(""), ws,
-		func(ctx context.Context, w workload.Workload) (phasesCell, error) {
-			mx, mt, err := xbcAndTC(o, w, o.Budget, "")
-			if err != nil {
-				return phasesCell{}, err
-			}
-			return phasesCell{XBC: mx.Phases(), TC: mt.Phases()}, nil
-		})
+	ms, ok, err := runModels(o, "phases", ws, xbcAndTC, o.Budget, "")
 	if err != nil {
 		return nil, err
 	}
@@ -217,20 +209,12 @@ func Phases(o Options) (*stats.Table, error) {
 		if !ok[i] {
 			continue
 		}
-		px, pt := vals[i].XBC, vals[i].TC
+		px, pt := ms[i][0].Phases(), ms[i][1].Phases()
 		t.AddRow(w.Name,
 			fmt.Sprintf("%.0f / %.0f / %.0f", px.SteadyPct, px.TransitionPct, px.StallPct),
 			fmt.Sprintf("%.0f / %.0f / %.0f", pt.SteadyPct, pt.TransitionPct, pt.StallPct))
 	}
 	return t, nil
-}
-
-// ipcCell is the journaled payload of one (size, workload) IPC cell.
-type ipcCell struct {
-	XBC    float64 // estimated uops/cycle
-	TC     float64
-	XBCMis float64 // mispredictions per 1000 uops
-	TCMis  float64
 }
 
 // IPCEstimate translates frontend metrics into whole-core IPC estimates
@@ -249,40 +233,29 @@ func IPCEstimate(o Options) (*stats.Table, error) {
 			core.IssueWidth, core.WindowSize, nameList(ws)),
 		"size (uops)", "XBC", "TC", "XBC gain %", "XBC mis/Ku", "TC mis/Ku")
 	for _, size := range o.Sizes {
-		size := size
-		vals, ok, err := runCells(o, "ipc", o.tag(fmt.Sprintf("size%d", size)), ws,
-			func(ctx context.Context, w workload.Workload) (ipcCell, error) {
-				mx, mt, err := xbcAndTC(o, w, size, "")
-				if err != nil {
-					return ipcCell{}, err
-				}
-				ex, err := interval.FromMetrics(mx, core)
-				if err != nil {
-					return ipcCell{}, err
-				}
-				et, err := interval.FromMetrics(mt, core)
-				if err != nil {
-					return ipcCell{}, err
-				}
-				return ipcCell{
-					XBC:    ex.UopsPerCycle,
-					TC:     et.UopsPerCycle,
-					XBCMis: 1000 * float64(mx.CondMiss+mx.IndMiss+mx.RetMiss) / float64(mx.Uops),
-					TCMis:  1000 * float64(mt.CondMiss+mt.IndMiss+mt.RetMiss) / float64(mt.Uops),
-				}, nil
-			})
+		ms, ok, err := runModels(o, "ipc", ws, xbcAndTC, size, "")
 		if err != nil {
 			return nil, err
 		}
 		var xs, ts, xm, tm []float64
-		for i := range vals {
+		for i := range ws {
 			if !ok[i] {
 				continue
 			}
-			xs = append(xs, vals[i].XBC)
-			ts = append(ts, vals[i].TC)
-			xm = append(xm, vals[i].XBCMis)
-			tm = append(tm, vals[i].TCMis)
+			mx, mt := ms[i][0], ms[i][1]
+			ex, err := interval.FromMetrics(mx, core)
+			if err != nil {
+				return nil, err
+			}
+			et, err := interval.FromMetrics(mt, core)
+			if err != nil {
+				return nil, err
+			}
+			xs = append(xs, ex.UopsPerCycle)
+			ts = append(ts, et.UopsPerCycle)
+			// Mispredictions per 1000 uops.
+			xm = append(xm, 1000*float64(mx.CondMiss+mx.IndMiss+mx.RetMiss)/float64(mx.Uops))
+			tm = append(tm, 1000*float64(mt.CondMiss+mt.IndMiss+mt.RetMiss)/float64(mt.Uops))
 		}
 		ax, at := stats.Mean(xs), stats.Mean(ts)
 		t.AddRowf(fmt.Sprintf("%dK", size/1024), ax, at, 100*(stats.Ratio(ax, at)-1),

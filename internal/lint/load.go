@@ -3,6 +3,7 @@ package lint
 import (
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -163,7 +164,8 @@ func (l *Loader) LoadDir(dir, importPath string) (*Package, error) {
 	return pkg, nil
 }
 
-// goFilesIn lists the non-test Go files of dir, sorted.
+// goFilesIn lists the non-test Go files of dir that build on this
+// platform (build constraints and GOOS/GOARCH file suffixes), sorted.
 func goFilesIn(dir string) ([]string, error) {
 	ents, err := os.ReadDir(dir)
 	if err != nil {
@@ -174,6 +176,9 @@ func goFilesIn(dir string) ([]string, error) {
 		name := e.Name()
 		if e.IsDir() || !strings.HasSuffix(name, ".go") ||
 			strings.HasSuffix(name, "_test.go") || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") {
+			continue
+		}
+		if ok, err := build.Default.MatchFile(dir, name); err != nil || !ok {
 			continue
 		}
 		names = append(names, name)

@@ -54,3 +54,20 @@ func BenchmarkLoadTree(b *testing.B) {
 		}
 	}
 }
+
+// TestLoadHonorsBuildConstraints: internal/store declares lockDir once
+// per platform behind build tags; type-checking every file regardless of
+// its tag would see it declared twice.
+func TestLoadHonorsBuildConstraints(t *testing.T) {
+	l, err := NewLoader(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkgs, err := l.LoadPattern("./internal/store")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pkgs[0].Types.Scope().Lookup("lockDir") == nil {
+		t.Error("lockDir missing from the loaded store package")
+	}
+}

@@ -9,13 +9,14 @@
 //  2. order — the unique cells are regrouped by trace locality, so the
 //     content-addressed corpus cache stays hot instead of thrashing when
 //     a grid's natural order interleaves workloads;
-//  3. execute — the unique cells run on a bounded worker pool, each once
-//     through runner.RunOne (panic isolation, per-cell deadline, journal
-//     replay).
+//  3. execute — each unique cell is looked up once in the plan's Store,
+//     when one is set; the rest run on a bounded worker pool, each once
+//     through runner.RunOne (panic isolation, per-cell deadline), and
+//     are saved to the Store as they finish.
 //
 // Reuse is semantically invisible by the determinism contract: a
-// duplicate or a journal replay is bit-identical to a fresh run of the
-// same key, so a planned sweep reports exactly the metrics of a naive one.
+// duplicate or a store hit is bit-identical to a fresh run of the same
+// key, so a planned sweep reports exactly the metrics of a naive one.
 package planner
 
 import (
@@ -29,17 +30,17 @@ import (
 // Cell is one plannable unit of sweep work.
 type Cell struct {
 	// Key is the content identity: two cells with equal keys are the same
-	// work and must produce the same value (jobspec.Key for service
-	// sweeps, runner.Cell.Key for experiment figures).
+	// work and must produce the same value (the job key for a cell a
+	// jobspec.Spec describes, a key built from its inputs otherwise). It
+	// is also the cell's key in the Store.
 	Key string
 	// Locality groups cells that replay the same underlying trace stream;
 	// the executor keeps a group's cells adjacent so the corpus cache
 	// serves them from one generation.
 	Locality string
-	// RCell is the runner identity for panic reports, journaling, and
-	// report rows.
+	// RCell is the runner identity for panic reports and report rows.
 	RCell runner.Cell
-	// Run computes the value when the journal does not hold it. It may be
+	// Run computes the value when the Store does not hold it. It may be
 	// nil for planning-only use (NewPlan).
 	Run func(ctx context.Context) (any, error)
 }
@@ -95,8 +96,8 @@ type Status int
 const (
 	// StatusSimulated: the cell ran fresh in this plan.
 	StatusSimulated Status = iota
-	// StatusReused: the value was replayed from the runner's journal with
-	// zero simulation.
+	// StatusReused: the value was served from the Store with zero
+	// simulation.
 	StatusReused
 	// StatusFailed: the cell errored, panicked, or timed out.
 	StatusFailed
@@ -124,7 +125,7 @@ func (s Status) String() string {
 // primary's result.
 type Result struct {
 	Status Status
-	Value  any   // the payload; json.RawMessage for journal replays
+	Value  any   // the payload, fresh or as the Store decoded it
 	Err    error // set when Status is StatusFailed
 }
 
@@ -132,7 +133,7 @@ type Result struct {
 type Report struct {
 	Planned   int // input cells
 	Deduped   int // exact duplicates within the plan
-	Reused    int // unique cells replayed from the journal
+	Reused    int // unique cells served from the Store
 	Simulated int // unique cells that ran fresh
 	Failed    int
 	Aborted   int
@@ -177,19 +178,32 @@ func (t *Tally) Snapshot() Report {
 	return t.sum
 }
 
+// Store is the durable result log under a plan. Load is consulted once
+// per unique cell, before it would run; Save receives the value of each
+// cell that ran to completion. Both are keyed by Cell.Key, and Load must
+// return values of the type the cell's Run returns.
+type Store interface {
+	Load(key string) (any, bool)
+	Save(key string, v any)
+}
+
 // Options configures plan execution.
 type Options struct {
 	// Parallel bounds the worker pool over unique cells (default 4).
 	Parallel int
-	// Runner carries the per-cell isolation machinery (timeout, journal,
-	// report) for every unique cell.
+	// Runner carries the per-cell isolation machinery (timeout, report)
+	// for every unique cell that runs.
 	Runner runner.Options
+	// Store, when non-nil, serves finished cells and records fresh ones,
+	// so a rerun of an interrupted plan simulates only what is missing.
+	Store Store
 }
 
 // Run executes cells under the plan pipeline and returns one result per
 // input cell (duplicates aliasing their primary) plus the accounting
-// report. The runner report, when set, gets one row per unique cell;
-// duplicates are counted only as Deduped. Cancelling ctx drains
+// report. The runner report, when set, gets one row per unique cell that
+// was not served from the Store; duplicates are counted only as Deduped
+// and store hits only as Reused. Cancelling ctx drains
 // gracefully: in-flight cells finish, unstarted cells report
 // StatusAborted.
 func Run(ctx context.Context, cells []Cell, opt Options) ([]Result, Report) {
@@ -255,15 +269,21 @@ func Run(ctx context.Context, cells []Cell, opt Options) ([]Result, Report) {
 	return results, rep
 }
 
-// run executes one unique cell through the runner, which adds its own
-// row to Options.Runner.Report.
+// run serves one unique cell from the Store, or executes it through the
+// runner (which adds its own row to Options.Runner.Report) and saves it.
 func (o Options) run(ctx context.Context, c Cell) Result {
+	if o.Store != nil {
+		if v, ok := o.Store.Load(c.Key); ok {
+			return Result{Status: StatusReused, Value: v}
+		}
+	}
 	cr := runner.RunOne(ctx, o.Runner, runner.Task{Cell: c.RCell, Run: c.Run})
 	switch cr.Status {
 	case runner.StatusDone:
+		if o.Store != nil {
+			o.Store.Save(c.Key, cr.Payload)
+		}
 		return Result{Status: StatusSimulated, Value: cr.Payload}
-	case runner.StatusSkipped:
-		return Result{Status: StatusReused, Value: cr.Payload}
 	case runner.StatusFailed:
 		return Result{Status: StatusFailed, Err: cr.Err}
 	default:

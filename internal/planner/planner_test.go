@@ -4,7 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"path/filepath"
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -102,7 +102,7 @@ func TestRunAbortsUnstartedCellsOnCancel(t *testing.T) {
 	if prep.Aborted != 2 {
 		t.Fatalf("report aborted = %d, want 2", prep.Aborted)
 	}
-	_, _, _, aborted := rep.Counts()
+	_, _, aborted := rep.Counts()
 	if aborted != 2 {
 		t.Fatalf("runner report aborted = %d, want 2", aborted)
 	}
@@ -136,51 +136,155 @@ func TestRunFailurePropagatesPerCell(t *testing.T) {
 	}
 }
 
+// jsonStore is an in-memory Store that keeps each value as JSON and
+// decodes it back into T, the shape of a store-backed figure run.
+type jsonStore[T any] struct {
+	mu sync.Mutex
+	m  map[string][]byte
+}
+
+func newJSONStore[T any]() *jsonStore[T] { return &jsonStore[T]{m: map[string][]byte{}} }
+
+func (s *jsonStore[T]) Load(key string) (any, bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	raw, ok := s.m[key]
+	if !ok {
+		return nil, false
+	}
+	var v T
+	if err := json.Unmarshal(raw, &v); err != nil {
+		return nil, false
+	}
+	return v, true
+}
+
+func (s *jsonStore[T]) Save(key string, v any) {
+	raw, err := json.Marshal(v)
+	if err != nil {
+		panic(err)
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.m[key] = raw
+}
+
 // TestRunReportAccountsEveryCell: the runner report holds one row per
-// unique cell, however it was served — fresh, or replayed from the
-// journal on resume. Duplicates get no row of their own: the plan report
-// counts them as Deduped.
+// unique cell that ran, and the plan report accounts for every cell —
+// fresh cells as Simulated, store hits as Reused (with no runner row),
+// duplicates as Deduped.
 func TestRunReportAccountsEveryCell(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "plan.journal")
+	st := newJSONStore[string]()
 	cells := []Cell{
 		cell("a", "w1", nil),
 		cell("a", "w1", nil), // dup
 		cell("b", "w2", nil),
 	}
-	run := func(resume bool) (Report, *runner.Report, []Result) {
-		j, err := runner.OpenJournal(path, resume)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer func() {
-			if err := j.Close(); err != nil {
-				t.Fatal(err)
-			}
-		}()
+	run := func() (Report, *runner.Report, []Result) {
 		rep := &runner.Report{}
-		results, prep := Run(context.Background(), cells, Options{Runner: runner.Options{Journal: j, Report: rep}})
+		results, prep := Run(context.Background(), cells, Options{Runner: runner.Options{Report: rep}, Store: st})
 		return prep, rep, results
 	}
 
-	prep, rep, _ := run(false)
-	if done, skipped, _, _ := rep.Counts(); done != 2 || skipped != 0 {
-		t.Fatalf("first run rows: done=%d skipped=%d, want 2/0", done, skipped)
+	prep, rep, _ := run()
+	if done, _, _ := rep.Counts(); done != 2 || len(rep.Cells()) != 2 {
+		t.Fatalf("first run rows: done=%d of %d, want 2 of 2", done, len(rep.Cells()))
 	}
 	if prep.Simulated != 2 || prep.Deduped != 1 || prep.Reused != 0 {
 		t.Fatalf("first plan report = %+v", prep)
 	}
 
-	prep, rep, results := run(true)
-	if done, skipped, _, _ := rep.Counts(); done != 0 || skipped != 2 {
-		t.Fatalf("resumed run rows: done=%d skipped=%d, want 0/2", done, skipped)
+	prep, rep, results := run()
+	if n := len(rep.Cells()); n != 0 {
+		t.Fatalf("resumed run added %d runner rows, want 0", n)
 	}
 	if prep.Simulated != 0 || prep.Deduped != 1 || prep.Reused != 2 {
 		t.Fatalf("resumed plan report = %+v", prep)
 	}
 	for i, r := range results {
-		var v string
-		if err := json.Unmarshal(r.Value.(json.RawMessage), &v); err != nil || v != "val:"+cells[i].Key {
-			t.Fatalf("cell %d replayed %s (%v), want val:%s", i, r.Value, err, cells[i].Key)
+		if r.Status != StatusReused || r.Value != "val:"+cells[i].Key {
+			t.Fatalf("cell %d served %v (%v), want reused val:%s", i, r.Value, r.Status, cells[i].Key)
+		}
+	}
+}
+
+// TestResumeFromStore runs a plan on a store, then re-runs it: the
+// second run must serve every cell from the store without executing
+// anything, and the stored payloads must round-trip.
+func TestResumeFromStore(t *testing.T) {
+	type payload struct {
+		Miss float64 `json:"miss"`
+	}
+	st := newJSONStore[payload]()
+	mk := func(counter *atomic.Int32) []Cell {
+		cells := make([]Cell, 4)
+		for i := range cells {
+			i := i
+			cells[i] = Cell{Key: fmt.Sprintf("k%d", i), Locality: "w", Run: func(context.Context) (any, error) {
+				counter.Add(1)
+				return payload{Miss: float64(i) + 0.5}, nil
+			}}
+		}
+		return cells
+	}
+
+	var ran1 atomic.Int32
+	Run(context.Background(), mk(&ran1), Options{Store: st})
+	if ran1.Load() != 4 {
+		t.Fatalf("first run executed %d cells", ran1.Load())
+	}
+	if len(st.m) != 4 {
+		t.Fatalf("store holds %d cells, want 4", len(st.m))
+	}
+
+	var ran2 atomic.Int32
+	results, rep := Run(context.Background(), mk(&ran2), Options{Store: st})
+	if ran2.Load() != 0 {
+		t.Errorf("resume re-ran %d completed cells", ran2.Load())
+	}
+	if rep.Reused != 4 || rep.Simulated != 0 {
+		t.Errorf("resume plan = %s, want 4 reused", rep.String())
+	}
+	for i, r := range results {
+		if r.Status != StatusReused {
+			t.Fatalf("cell %d status %v, want reused", i, r.Status)
+		}
+		p, ok := r.Value.(payload)
+		if !ok {
+			t.Fatalf("cell %d payload is %T, want payload", i, r.Value)
+		}
+		if want := float64(i) + 0.5; p.Miss != want {
+			t.Errorf("cell %d served %v, want %v", i, p.Miss, want)
+		}
+	}
+}
+
+// TestResumeSkipsOnlyCompleted interleaves a failed cell into the first
+// run: it is never saved, so on resume only the completed cells are
+// served from the store and the failed one runs again.
+func TestResumeSkipsOnlyCompleted(t *testing.T) {
+	st := newJSONStore[int]()
+	fail := true
+	mk := func() []Cell {
+		cells := make([]Cell, 3)
+		for i := range cells {
+			i := i
+			cells[i] = Cell{Key: fmt.Sprintf("k%d", i), Locality: "w", Run: func(context.Context) (any, error) {
+				if i == 1 && fail {
+					return nil, errors.New("transient blip")
+				}
+				return i, nil
+			}}
+		}
+		return cells
+	}
+	Run(context.Background(), mk(), Options{Store: st})
+	fail = false
+	results, _ := Run(context.Background(), mk(), Options{Store: st})
+	want := []Status{StatusReused, StatusSimulated, StatusReused}
+	for i, r := range results {
+		if r.Status != want[i] {
+			t.Errorf("cell %d: status %v, want %v", i, r.Status, want[i])
 		}
 	}
 }

@@ -22,7 +22,7 @@ func TestCancellationMidSweep(t *testing.T) {
 	for i := range cells {
 		i := i
 		rc := runner.Cell{Figure: "test", Workload: fmt.Sprintf("w%d", i), Config: "cfg"}
-		cells[i] = planner.Cell{Key: rc.Key(), RCell: rc, Run: func(context.Context) (any, error) {
+		cells[i] = planner.Cell{Key: rc.String(), RCell: rc, Run: func(context.Context) (any, error) {
 			ran.Add(1)
 			if i == 0 {
 				cancel() // SIGINT arrives while cell 0 is in flight
@@ -50,7 +50,7 @@ func TestCancellationMidSweep(t *testing.T) {
 	if got := ran.Load(); got != 1 {
 		t.Errorf("%d cells ran after cancellation, want 1", got)
 	}
-	if done, _, _, ab := rep.Counts(); done != 1 || ab != len(cells)-1 {
+	if done, _, ab := rep.Counts(); done != 1 || ab != len(cells)-1 {
 		t.Errorf("report counts done=%d aborted=%d, want 1 and %d", done, ab, len(cells)-1)
 	}
 }

@@ -12,10 +12,10 @@
 //     CellError carrying the cell identity and the goroutine stack, so one
 //     bad configuration degrades that cell, not the whole sweep;
 //   - per-cell deadlines: an optional timeout bounds the cell; a cell
-//     that overruns is abandoned and reported as failed;
-//   - checkpointing: an optional Journal records each completed cell (with
-//     its result payload), and a resumed run replays completed cells from
-//     the journal instead of re-running them.
+//     that overruns is abandoned and reported as failed.
+//
+// Resuming a sweep is the planner's business: it serves finished cells
+// from the store before they ever reach RunOne.
 package runner
 
 import (
@@ -32,16 +32,13 @@ import (
 )
 
 // Cell identifies one unit of sweep work: one workload simulated under one
-// configuration for one figure/study. The triple is the checkpoint
-// identity — two runs that produce the same Key refer to the same work.
+// configuration for one figure/study, named for panic reports and
+// report rows.
 type Cell struct {
-	Figure   string `json:"figure"`
-	Workload string `json:"workload"`
-	Config   string `json:"config,omitempty"`
+	Figure   string
+	Workload string
+	Config   string
 }
-
-// Key returns the journal identity of the cell.
-func (c Cell) Key() string { return c.Figure + "\x1f" + c.Workload + "\x1f" + c.Config }
 
 // String renders the cell for log lines.
 func (c Cell) String() string {
@@ -77,8 +74,6 @@ type Status int
 const (
 	// StatusDone means the cell ran to completion in this run.
 	StatusDone Status = iota
-	// StatusSkipped means the cell was replayed from the journal.
-	StatusSkipped
 	// StatusFailed means the cell errored, panicked, or timed out.
 	StatusFailed
 	// StatusAborted means the run was cancelled before the cell started.
@@ -90,8 +85,6 @@ func (s Status) String() string {
 	switch s {
 	case StatusDone:
 		return "done"
-	case StatusSkipped:
-		return "skipped"
 	case StatusFailed:
 		return "failed"
 	case StatusAborted:
@@ -106,16 +99,14 @@ type CellResult struct {
 	Cell   Cell
 	Status Status
 	Err    *CellError // set when Status is StatusFailed
-	// Payload is the value the cell function returned (StatusDone), or the
-	// raw journal payload as json.RawMessage (StatusSkipped).
+	// Payload is the value the cell function returned (StatusDone).
 	Payload any
 }
 
 // Task pairs a cell identity with the function that computes it. Run
 // receives a context that is cancelled when the sweep is cancelled or the
 // cell's deadline expires; long cell functions should check it between
-// stages. The returned payload is journaled (JSON) when a Journal is
-// configured, so it must be JSON-marshalable in that case.
+// stages.
 type Task struct {
 	Cell Cell
 	Run  func(ctx context.Context) (any, error)
@@ -127,9 +118,6 @@ type Options struct {
 	// its context and overruns is abandoned: its goroutine is leaked and
 	// the cell reports failed with context.DeadlineExceeded.
 	CellTimeout time.Duration
-	// Journal, when non-nil, is consulted before running a cell (completed
-	// cells are skipped and replayed) and appended to after each completion.
-	Journal *Journal
 	// Report, when non-nil, accumulates every cell result across many
 	// RunOne calls (e.g. all figures of one CLI run).
 	Report *Report
@@ -140,13 +128,6 @@ type Options struct {
 func (o Options) runCell(ctx context.Context, t Task) CellResult {
 	payload, err := o.isolated(ctx, t)
 	if err == nil {
-		if o.Journal != nil {
-			if jerr := o.Journal.Record(t.Cell, payload); jerr != nil {
-				// A journal write failure must not fail the cell; the
-				// result is in hand. It just won't be resumable.
-				fmt.Fprintf(os.Stderr, "runner: journal: %v\n", jerr)
-			}
-		}
 		return CellResult{Cell: t.Cell, Status: StatusDone, Payload: payload}
 	}
 	ce, ok := err.(*CellError)
@@ -207,22 +188,12 @@ func (o Options) isolated(ctx context.Context, t Task) (any, error) {
 	}
 }
 
-// RunOne executes a single task once, synchronously — panic isolation,
-// the per-cell deadline, and journal replay/recording — and returns its
-// result. It is the panic-isolation boundary for every sweep cell
+// RunOne executes a single task once, synchronously — panic isolation
+// and the per-cell deadline — and returns its result. It is the panic-isolation boundary for every sweep cell
 // (through planner.Run) and every job the service accepts.
 func RunOne(ctx context.Context, o Options, t Task) CellResult {
 	if ctx == nil {
 		ctx = context.Background()
-	}
-	if o.Journal != nil {
-		if raw, ok := o.Journal.Lookup(t.Cell); ok {
-			res := CellResult{Cell: t.Cell, Status: StatusSkipped, Payload: raw}
-			if o.Report != nil {
-				o.Report.Add(res)
-			}
-			return res
-		}
 	}
 	if ctx.Err() != nil {
 		res := CellResult{Cell: t.Cell, Status: StatusAborted}
@@ -260,15 +231,13 @@ func (r *Report) Cells() []CellResult {
 }
 
 // Counts tallies the results per status.
-func (r *Report) Counts() (done, skipped, failed, aborted int) {
+func (r *Report) Counts() (done, failed, aborted int) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	for _, c := range r.cells {
 		switch c.Status {
 		case StatusDone:
 			done++
-		case StatusSkipped:
-			skipped++
 		case StatusFailed:
 			failed++
 		case StatusAborted:
@@ -292,7 +261,7 @@ func (r *Report) Failures() []CellResult {
 }
 
 // Err returns the first failed cell's error, or nil when every cell
-// completed (ran, was replayed, or was cleanly aborted).
+// completed (ran, or was cleanly aborted).
 func (r *Report) Err() error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -307,8 +276,8 @@ func (r *Report) Err() error {
 // Summary renders a one-line account of the run suitable for a CLI
 // epilogue, e.g. "42 cells: 40 done, 2 aborted".
 func (r *Report) Summary() string {
-	done, skipped, failed, aborted := r.Counts()
-	total := done + skipped + failed + aborted
+	done, failed, aborted := r.Counts()
+	total := done + failed + aborted
 	parts := []string{}
 	add := func(n int, label string) {
 		if n > 0 {
@@ -316,7 +285,6 @@ func (r *Report) Summary() string {
 		}
 	}
 	add(done, "done")
-	add(skipped, "resumed from journal")
 	add(failed, "failed")
 	add(aborted, "aborted")
 	if len(parts) == 0 {

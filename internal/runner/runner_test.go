@@ -2,12 +2,9 @@ package runner
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"path/filepath"
 	"strings"
-	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -60,107 +57,8 @@ func TestPanicToCellError(t *testing.T) {
 	if err := rep.Err(); err == nil {
 		t.Error("report.Err() = nil with a failed cell")
 	}
-	if done, _, failed, _ := rep.Counts(); done != 2 || failed != 1 {
+	if done, failed, _ := rep.Counts(); done != 2 || failed != 1 {
 		t.Errorf("report counts done=%d failed=%d", done, failed)
-	}
-}
-
-// TestResumeFromJournal runs a sweep with a journal, then re-runs it: the
-// second run must replay every cell from the journal without executing
-// anything, and the replayed payloads must round-trip.
-func TestResumeFromJournal(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "sweep.journal")
-	type payload struct {
-		Miss float64 `json:"miss"`
-	}
-	mk := func(counter *atomic.Int32) []Task {
-		tasks := make([]Task, 4)
-		for i := range tasks {
-			i := i
-			tasks[i] = Task{Cell: cell(i), Run: func(context.Context) (any, error) {
-				counter.Add(1)
-				return payload{Miss: float64(i) + 0.5}, nil
-			}}
-		}
-		return tasks
-	}
-
-	j1, err := OpenJournal(path, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var ran1 atomic.Int32
-	runAll(Options{Journal: j1}, mk(&ran1))
-	if err := j1.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if ran1.Load() != 4 {
-		t.Fatalf("first run executed %d cells", ran1.Load())
-	}
-
-	j2, err := OpenJournal(path, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer j2.Close()
-	if j2.Len() != 4 {
-		t.Fatalf("journal resumed %d cells, want 4", j2.Len())
-	}
-	var ran2 atomic.Int32
-	results := runAll(Options{Journal: j2}, mk(&ran2))
-	if ran2.Load() != 0 {
-		t.Errorf("resume re-ran %d completed cells", ran2.Load())
-	}
-	for i, r := range results {
-		if r.Status != StatusSkipped {
-			t.Fatalf("cell %d status %v, want skipped", i, r.Status)
-		}
-		raw, ok := r.Payload.(json.RawMessage)
-		if !ok {
-			t.Fatalf("cell %d payload is %T, want json.RawMessage", i, r.Payload)
-		}
-		var p payload
-		if err := json.Unmarshal(raw, &p); err != nil {
-			t.Fatal(err)
-		}
-		if want := float64(i) + 0.5; p.Miss != want {
-			t.Errorf("cell %d replayed %v, want %v", i, p.Miss, want)
-		}
-	}
-}
-
-// TestResumeSkipsOnlyCompleted interleaves a failed cell into the first
-// run: on resume, only the completed cells replay; the failed one re-runs.
-func TestResumeSkipsOnlyCompleted(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "sweep.journal")
-	j1, err := OpenJournal(path, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fail := true
-	run := func(i int) Task {
-		return Task{Cell: cell(i), Run: func(context.Context) (any, error) {
-			if i == 1 && fail {
-				return nil, errors.New("transient blip")
-			}
-			return i, nil
-		}}
-	}
-	runAll(Options{Journal: j1}, []Task{run(0), run(1), run(2)})
-	j1.Close()
-
-	j2, err := OpenJournal(path, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer j2.Close()
-	fail = false
-	results := runAll(Options{Journal: j2}, []Task{run(0), run(1), run(2)})
-	want := []Status{StatusSkipped, StatusDone, StatusSkipped}
-	for i, r := range results {
-		if r.Status != want[i] {
-			t.Errorf("cell %d: status %v, want %v", i, r.Status, want[i])
-		}
 	}
 }
 
@@ -189,37 +87,5 @@ func TestCellTimeout(t *testing.T) {
 		if r.Status != StatusFailed || !errors.Is(r.Err, context.DeadlineExceeded) {
 			t.Errorf("cell %d: %+v, want failed with DeadlineExceeded", i, r)
 		}
-	}
-}
-
-// TestJournalTornLine verifies a journal with a torn trailing line (killed
-// mid-write) still resumes its intact prefix.
-func TestJournalTornLine(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "sweep.journal")
-	j, err := OpenJournal(path, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := j.Record(cell(0), 1.0); err != nil {
-		t.Fatal(err)
-	}
-	if err := j.Record(cell(1), 2.0); err != nil {
-		t.Fatal(err)
-	}
-	// Simulate the kill: append half a record.
-	if _, err := j.f.WriteString(`{"figure":"test","workl`); err != nil {
-		t.Fatal(err)
-	}
-	j.Close()
-	j2, err := OpenJournal(path, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer j2.Close()
-	if j2.Len() != 2 {
-		t.Fatalf("resumed %d cells from torn journal, want 2", j2.Len())
-	}
-	if _, ok := j2.Lookup(cell(1)); !ok {
-		t.Error("intact cell lost")
 	}
 }

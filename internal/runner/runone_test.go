@@ -19,7 +19,7 @@ func TestRunOneSuccess(t *testing.T) {
 	if res.Payload != 42 {
 		t.Fatalf("payload = %v, want 42", res.Payload)
 	}
-	if done, _, _, _ := report.Counts(); done != 1 {
+	if done, _, _ := report.Counts(); done != 1 {
 		t.Fatalf("report done = %d, want 1", done)
 	}
 }
@@ -65,39 +65,5 @@ func TestRunOneCancelledBeforeStart(t *testing.T) {
 	})
 	if res.Status != StatusAborted {
 		t.Fatalf("status = %v, want aborted", res.Status)
-	}
-}
-
-func TestRunOneJournalReplay(t *testing.T) {
-	dir := t.TempDir()
-	j, err := OpenJournal(dir+"/j.json", false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cell := Cell{Figure: "job", Workload: "w"}
-	if res := RunOne(context.Background(), Options{Journal: j}, Task{
-		Cell: cell,
-		Run:  func(context.Context) (any, error) { return map[string]int{"v": 7}, nil },
-	}); res.Status != StatusDone {
-		t.Fatalf("first run status = %v", res.Status)
-	}
-	if err := j.Close(); err != nil {
-		t.Fatal(err)
-	}
-	j2, err := OpenJournal(dir+"/j.json", true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		if err := j2.Close(); err != nil {
-			t.Fatal(err)
-		}
-	}()
-	res := RunOne(context.Background(), Options{Journal: j2}, Task{
-		Cell: cell,
-		Run:  func(context.Context) (any, error) { t.Fatal("must replay, not rerun"); return nil, nil },
-	})
-	if res.Status != StatusSkipped {
-		t.Fatalf("resumed status = %v, want skipped", res.Status)
 	}
 }

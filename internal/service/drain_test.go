@@ -9,7 +9,6 @@ import (
 	"testing"
 	"time"
 
-	"xbc/internal/runner"
 	"xbc/internal/service/api"
 	"xbc/internal/service/jobspec"
 )
@@ -17,13 +16,12 @@ import (
 // drainHarness builds a 1-shard/1-worker server whose executor blocks on
 // release, so the test controls exactly which job is in flight when the
 // drain begins.
-func drainHarness(t *testing.T, journal *runner.Journal) (*Server, string, chan struct{}, chan string) {
+func drainHarness(t *testing.T) (*Server, string, chan struct{}, chan string) {
 	t.Helper()
 	release := make(chan struct{})
 	started := make(chan string, 16)
 	srv, ts := newTestServer(t, Options{
 		Shards: 1, WorkersPerShard: 1, QueueDepth: 8,
-		Journal: journal,
 		Exec: func(s jobspec.Spec) (jobspec.Result, error) {
 			started <- s.Label()
 			<-release
@@ -34,12 +32,7 @@ func drainHarness(t *testing.T, journal *runner.Journal) (*Server, string, chan 
 }
 
 func TestDrainSemantics(t *testing.T) {
-	dir := t.TempDir()
-	journal, err := runner.OpenJournal(dir+"/drain.json", false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv, base, release, started := drainHarness(t, journal)
+	srv, base, release, started := drainHarness(t)
 
 	// healthz is ok before the drain.
 	resp, err := http.Get(base + "/healthz")
@@ -96,8 +89,8 @@ func TestDrainSemantics(t *testing.T) {
 		t.Fatalf("rejection error %q", e.Error)
 	}
 
-	// Queued jobs are aborted deterministically (and journaled) without
-	// waiting for the in-flight job.
+	// Queued jobs are aborted deterministically without waiting for the
+	// in-flight job.
 	for _, id := range []string{q1.ID, q2.ID} {
 		job := waitJob(t, base, id)
 		if job.State != "aborted" {
@@ -121,28 +114,6 @@ func TestDrainSemantics(t *testing.T) {
 	job := waitJob(t, base, inflight.ID)
 	if job.State != "done" || job.Metrics == nil {
 		t.Fatalf("in-flight job after drain = %s (%s)", job.State, job.Error)
-	}
-
-	// The journal holds exactly the two rejected specs, replayable.
-	if err := journal.Close(); err != nil {
-		t.Fatal(err)
-	}
-	j2, err := runner.OpenJournal(dir+"/drain.json", true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		if err := j2.Close(); err != nil {
-			t.Fatal(err)
-		}
-	}()
-	if j2.Len() != 2 {
-		t.Fatalf("journal holds %d cells, want 2", j2.Len())
-	}
-	for _, id := range []string{q1.ID, q2.ID} {
-		if _, ok := j2.Lookup(runner.Cell{Figure: "job", Workload: "xbc/straightline", Config: id}); !ok {
-			t.Errorf("journal missing drained job %s", id)
-		}
 	}
 
 	// Drain is idempotent.
@@ -210,7 +181,7 @@ func TestDrainUnderLoad(t *testing.T) {
 }
 
 func TestDrainWithoutJournalRejectsDeterministically(t *testing.T) {
-	srv, base, release, started := drainHarness(t, nil)
+	srv, base, release, started := drainHarness(t)
 	sub := decodeBody[api.SubmitResponse](t, postJSON(t, base+"/v1/jobs", tinySpec()))
 	<-started
 	qspec := tinySpec()

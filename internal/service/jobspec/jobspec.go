@@ -118,6 +118,29 @@ func (r Result) EffectiveFidelity() string {
 	return r.Fidelity
 }
 
+// ResultStoreKey is the persistent-store key of the result of the job
+// with content key key. xbcd and cmd/experiments both store results
+// under it, in the EncodeResult layout, so either serves the other.
+func ResultStoreKey(key string) string { return "r:" + key }
+
+// storedResult is the persisted layout of one Result. The spec is not
+// stored: the store key is its content hash, so key equality is spec
+// equality. Records written by older binaries also carry an "attempts"
+// count, which decoding ignores.
+type storedResult struct {
+	Result Result `json:"result"`
+}
+
+// EncodeResult renders r in the persisted layout.
+func EncodeResult(r Result) ([]byte, error) { return json.Marshal(storedResult{Result: r}) }
+
+// DecodeResult parses a result persisted by EncodeResult.
+func DecodeResult(b []byte) (Result, error) {
+	var sr storedResult
+	err := json.Unmarshal(b, &sr)
+	return sr.Result, err
+}
+
 // Normalize returns a copy with defaults filled and the workload name
 // resolved into its program spec, so that a named workload and its inline
 // equivalent are the same job. Normalize does not validate; an unknown

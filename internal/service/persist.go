@@ -1,13 +1,11 @@
 package service
 
 import (
-	"encoding/json"
 	"fmt"
 	"strings"
 	"sync"
 	"time"
 
-	"xbc/internal/runner"
 	"xbc/internal/service/jobspec"
 	"xbc/internal/store"
 )
@@ -23,37 +21,25 @@ import (
 //
 // Key namespaces inside the one store:
 //
-//	r:<job content key>      persisted job result (JSON storedResult)
+//	r:<job content key>      persisted job result (jobspec.EncodeResult)
 //	c:<corpus content key>   generated trace stream (.xtr bytes)
 //	s:<snapshot key>         warm-state snapshot (sealed snapshot blob)
+//	x:<figure cell key>      figure cell no spec describes (cmd/experiments)
 
 const (
-	resultKeyPrefix   = "r:"
 	corpusKeyPrefix   = "c:"
 	snapshotKeyPrefix = "s:"
 )
-
-// storedResult is the persisted form of one completed job. The spec is
-// not stored: the submitter supplies it, and the store key is its content
-// hash, so key equality is spec equality. Records written by older
-// binaries also carry an "attempts" count, which decoding ignores.
-type storedResult struct {
-	Result jobspec.Result `json:"result"`
-}
 
 // persistItem is one pending write-behind entry.
 type persistItem struct {
 	key string
 	val []byte
-	// journal marks items worth journaling if the flush fails (results;
-	// corpus streams are deterministically regenerable and are not).
-	journal bool
 }
 
 // persister owns the store on behalf of a Server.
 type persister struct {
-	st   *store.Store
-	jrnl *runner.Journal
+	st *store.Store
 
 	ch        chan persistItem
 	stop      chan struct{} // closed by close(); producers and the flusher select on it
@@ -62,11 +48,10 @@ type persister struct {
 
 	mu           sync.Mutex
 	writes       uint64 // store puts that succeeded
-	writeErrors  uint64 // store puts that failed
+	writeErrors  uint64 // store puts that failed, or were enqueued after close
 	resultHits   uint64 // submissions answered from the store
 	resultMisses uint64 // store lookups that found nothing
 	corpusHits   uint64 // corpus streams loaded instead of generated
-	journaled    uint64 // unflushed items handed to the drain journal
 	decodeErrors uint64 // stored records that failed to decode
 }
 
@@ -75,10 +60,9 @@ type persister struct {
 // longer than a store append, so in practice the queue never fills.
 const persistQueueDepth = 1024
 
-func newPersister(st *store.Store, jrnl *runner.Journal) *persister {
+func newPersister(st *store.Store) *persister {
 	p := &persister{
 		st:   st,
-		jrnl: jrnl,
 		ch:   make(chan persistItem, persistQueueDepth),
 		stop: make(chan struct{}),
 		done: make(chan struct{}),
@@ -110,7 +94,8 @@ func (p *persister) loop() {
 	}
 }
 
-// flush writes one item, journaling results the store could not take.
+// flush writes one item. A failed write is counted and dropped: every
+// record is regenerable from its spec.
 func (p *persister) flush(it persistItem) {
 	err := p.st.Put(it.key, it.val)
 	p.mu.Lock()
@@ -120,28 +105,21 @@ func (p *persister) flush(it persistItem) {
 		return
 	}
 	p.writeErrors++
-	if !it.journal || p.jrnl == nil {
-		return
-	}
-	cell := runner.Cell{Figure: "store", Workload: "unflushed", Config: it.key}
-	if jerr := p.jrnl.Record(cell, json.RawMessage(it.val)); jerr == nil {
-		p.journaled++
-	}
 }
 
 // close stops the flusher after draining everything enqueued. Safe to
 // call more than once, and safe against producers still racing the
-// drain: a late enqueue falls into the stop case and is journaled
-// instead of panicking on a closed channel.
+// drain: a late enqueue falls into the stop case and is counted as a
+// write error instead of panicking on a closed channel.
 func (p *persister) close() {
 	p.closeOnce.Do(func() { close(p.stop) })
 	//xbc:ignore ctxflow loop closes done unconditionally on return and stop was just closed, so this receive is bounded
 	<-p.done
 }
 
-// enqueue hands one item to the flusher, or — when the persister has
-// been stopped — journals result items directly so a drain racing a
-// final completion loses nothing.
+// enqueue hands one item to the flusher. Once the persister has been
+// stopped, the item is counted as a write error: a drain racing a final
+// completion leaves a result that a resubmission recomputes.
 func (p *persister) enqueue(it persistItem) {
 	select {
 	case p.ch <- it:
@@ -149,19 +127,12 @@ func (p *persister) enqueue(it persistItem) {
 		p.mu.Lock()
 		defer p.mu.Unlock()
 		p.writeErrors++
-		if !it.journal || p.jrnl == nil {
-			return
-		}
-		cell := runner.Cell{Figure: "store", Workload: "unflushed", Config: it.key}
-		if jerr := p.jrnl.Record(cell, json.RawMessage(it.val)); jerr == nil {
-			p.journaled++
-		}
 	}
 }
 
 // saveResult enqueues a completed job's result for write-behind.
 func (p *persister) saveResult(id string, res jobspec.Result) {
-	val, err := json.Marshal(storedResult{Result: res})
+	val, err := jobspec.EncodeResult(res)
 	if err != nil {
 		// Result is a plain value struct; this cannot fail. Count it
 		// rather than crash a worker if that ever changes.
@@ -170,22 +141,22 @@ func (p *persister) saveResult(id string, res jobspec.Result) {
 		p.mu.Unlock()
 		return
 	}
-	p.enqueue(persistItem{key: resultKeyPrefix + id, val: val, journal: true})
+	p.enqueue(persistItem{key: jobspec.ResultStoreKey(id), val: val})
 }
 
 // loadResult is the read-through path: a persisted result for the content
 // key, decoded, or false. A record that fails to decode is counted and
 // treated as a miss (the job simply re-runs).
 func (p *persister) loadResult(id string) (jobspec.Result, bool) {
-	val, ok := p.st.Get(resultKeyPrefix + id)
+	val, ok := p.st.Get(jobspec.ResultStoreKey(id))
 	if !ok {
 		p.mu.Lock()
 		p.resultMisses++
 		p.mu.Unlock()
 		return jobspec.Result{}, false
 	}
-	var sr storedResult
-	if err := json.Unmarshal(val, &sr); err != nil {
+	res, err := jobspec.DecodeResult(val)
+	if err != nil {
 		p.mu.Lock()
 		p.decodeErrors++
 		p.mu.Unlock()
@@ -194,7 +165,7 @@ func (p *persister) loadResult(id string) (jobspec.Result, bool) {
 	p.mu.Lock()
 	p.resultHits++
 	p.mu.Unlock()
-	return sr.Result, true
+	return res, true
 }
 
 // Load implements lru.Backing for the trace corpus: a persisted trace
@@ -211,16 +182,14 @@ func (p *persister) Load(key string) ([]byte, bool) {
 }
 
 // Save implements lru.Backing for the trace corpus: a freshly generated
-// stream, written behind. Corpus entries are not journaled on failure —
-// they are deterministically regenerable from the spec.
+// stream, written behind.
 func (p *persister) Save(key string, val []byte) {
 	p.enqueue(persistItem{key: corpusKeyPrefix + key, val: val})
 }
 
 // snapshotBacking adapts the persister to lru.Backing under the
 // "s:" namespace: warm-state blobs read through synchronously (they save
-// a warmup simulation) and write behind (pure optimization, regenerable,
-// never journaled).
+// a warmup simulation) and write behind (pure optimization, regenerable).
 type snapshotBacking struct{ p *persister }
 
 func (b snapshotBacking) Load(key string) ([]byte, bool) {
@@ -245,7 +214,7 @@ func (p *persister) renderMetrics(b *strings.Builder) {
 	p.mu.Lock()
 	writes, writeErrors := p.writes, p.writeErrors
 	resultHits, resultMisses := p.resultHits, p.resultMisses
-	corpusHits, journaled, decodeErrors := p.corpusHits, p.journaled, p.decodeErrors
+	corpusHits, decodeErrors := p.corpusHits, p.decodeErrors
 	p.mu.Unlock()
 	counter := func(name, help string, v uint64) {
 		fmt.Fprintf(b, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
@@ -258,7 +227,6 @@ func (p *persister) renderMetrics(b *strings.Builder) {
 	counter("xbcd_store_hits_total", "submissions answered from the persistent store", resultHits)
 	counter("xbcd_store_misses_total", "store lookups that found no persisted result", resultMisses)
 	counter("xbcd_store_corpus_hits_total", "corpus streams loaded from the store instead of generated", corpusHits)
-	counter("xbcd_store_journal_drops_total", "unflushed results handed to the drain journal", journaled)
 	counter("xbcd_store_decode_errors_total", "persisted records that failed to decode", decodeErrors)
 	counter("xbcd_store_quarantined_total", "corrupt records quarantined at open or read time", st.Quarantined)
 	counter("xbcd_store_torn_truncations_total", "torn tails truncated at open", st.TornTruncations)

@@ -5,13 +5,11 @@ import (
 	"io"
 	"net/http"
 	"os"
-	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
 	"time"
 
-	"xbc/internal/runner"
 	"xbc/internal/service/api"
 	"xbc/internal/service/jobspec"
 	"xbc/internal/store"
@@ -200,46 +198,6 @@ func TestStoreBackstopsLRUEviction(t *testing.T) {
 	}
 	if got := execs[subA.ID]; got != 1 {
 		t.Fatalf("spec A executed %d times, want exactly 1", got)
-	}
-}
-
-// TestDrainJournalsUnflushedWrites: when the store cannot take a write at
-// drain time, the result lands in the operator journal instead of
-// vanishing.
-func TestDrainJournalsUnflushedWrites(t *testing.T) {
-	dir := t.TempDir()
-	jrnl, err := runner.OpenJournal(filepath.Join(dir, "drain.journal"), false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer jrnl.Close()
-	st := openStoreT(t, filepath.Join(dir, "store"))
-	srv, ts := newTestServer(t, Options{Store: st, Journal: jrnl})
-	// Close the store out from under the flusher: every write-behind Put
-	// now fails, which is the degraded-disk shape at drain time.
-	if err := st.Close(); err != nil {
-		t.Fatal(err)
-	}
-	sub := decodeBody[api.SubmitResponse](t, postJSON(t, ts.URL+"/v1/jobs", tinySpec()))
-	job := waitJob(t, ts.URL, sub.ID)
-	if job.State != "done" {
-		t.Fatalf("job state = %q", job.State)
-	}
-	srv.Drain()
-	if jrnl.Len() == 0 {
-		t.Fatal("unflushed result was not journaled at drain")
-	}
-	cell := runner.Cell{Figure: "store", Workload: "unflushed", Config: "r:" + sub.ID}
-	raw, ok := jrnl.Lookup(cell)
-	if !ok {
-		t.Fatalf("journal lacks the unflushed result for %s", sub.ID)
-	}
-	var sr storedResult
-	if err := json.Unmarshal(raw, &sr); err != nil {
-		t.Fatalf("journaled payload does not decode: %v", err)
-	}
-	if !reflect.DeepEqual(&sr.Result.Metrics, job.Metrics) {
-		t.Fatal("journaled metrics differ from the served job")
 	}
 }
 

@@ -10,7 +10,7 @@
 //	   otherwise               -> enqueued on key-hash shard ("queued")
 //	worker: queued -> running -> done | failed   (runner: one execution,
 //	        panic isolation, per-job timeout)
-//	drain:  queued -> aborted (journaled when a journal is configured)
+//	drain:  queued -> aborted ("drained"; resubmitting is idempotent)
 //
 // Determinism: simulations are bit-reproducible, so the result cache is
 // semantically transparent — a cached answer is byte-identical to a fresh
@@ -79,9 +79,6 @@ type Options struct {
 	// Clock stamps job lifecycle events. The daemon binds time.Now here;
 	// leaving it nil (tests) makes all timestamps zero.
 	Clock Clock
-	// Journal, when non-nil, records jobs a drain rejects from the queue,
-	// so an operator can resubmit exactly what was dropped.
-	Journal *runner.Journal
 	// Store, when non-nil, persists completed results and generated
 	// corpus streams beneath the in-memory caches: submissions read
 	// through to it on a cache miss (warm start after restart), and
@@ -154,7 +151,7 @@ func New(opts Options) *Server {
 		jobs:  make(map[string]*Job),
 	}
 	if opts.Store != nil {
-		s.persist = newPersister(opts.Store, opts.Journal)
+		s.persist = newPersister(opts.Store)
 		corpus.SetStore(s.persist)
 	}
 	if opts.SnapshotEntries > 0 {
@@ -329,11 +326,11 @@ func (s *Server) Get(id string) (*Job, bool) {
 func (s *Server) Draining() bool { return s.draining.Load() }
 
 // Drain stops intake (Submit returns ErrDraining, /healthz flips to
-// draining), aborts every still-queued job — journaling each when a
-// journal is configured — waits for in-flight jobs to finish, flushes the
-// store's write-behind queue (journaling anything the store could not
-// take), and returns. It is idempotent; concurrent callers all block
-// until the first drain completes.
+// draining), aborts every still-queued job, waits for in-flight jobs to
+// finish, flushes the store's write-behind queue, and returns. A drained
+// job's ID is its content key, so resubmitting it later is idempotent. It
+// is idempotent; concurrent callers all block until the first drain
+// completes.
 func (s *Server) Drain() {
 	s.drainOnce.Do(func() {
 		s.draining.Store(true)
@@ -353,19 +350,9 @@ func (s *Server) Drain() {
 	}
 }
 
-// abort marks a queued job rejected-by-drain and journals its spec.
+// abort marks a queued job rejected-by-drain.
 func (s *Server) abort(j *Job) {
-	if s.opts.Journal != nil {
-		cell := runner.Cell{Figure: "job", Workload: j.Spec.Label(), Config: j.ID}
-		if err := s.opts.Journal.Record(cell, j.Spec); err != nil {
-			j.transition(JobAborted, s.opts.Clock.now(), "drained; journaling failed: "+err.Error())
-			s.finish(j)
-			return
-		}
-		j.transition(JobAborted, s.opts.Clock.now(), "drained; spec journaled")
-	} else {
-		j.transition(JobAborted, s.opts.Clock.now(), "drained")
-	}
+	j.transition(JobAborted, s.opts.Clock.now(), "drained")
 	s.finish(j)
 }
 
@@ -413,10 +400,6 @@ func (s *Server) run(j *Job) {
 		j.fail(res.Err.Error(), s.opts.Clock.now())
 	case runner.StatusAborted:
 		j.transition(JobAborted, s.opts.Clock.now(), "execution aborted")
-	case runner.StatusSkipped:
-		// No journal is wired into the execution path, so replay cannot
-		// happen; treat it as an internal fault rather than dropping the job.
-		j.fail("internal: unexpected journal replay", s.opts.Clock.now())
 	}
 	s.finish(j)
 }

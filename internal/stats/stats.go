@@ -133,21 +133,21 @@ func (h *Histogram) Merge(other *Histogram) {
 	h.sum += other.sum
 }
 
-// histogramJSON is the checkpoint wire form of a Histogram; the unexported
-// fields need explicit marshalling so experiment journals can round-trip
-// Figure-1 payloads.
+// histogramJSON is the stored form of a Histogram; the unexported fields
+// need explicit marshalling so a figure run's store can round-trip
+// Figure-1 cells.
 type histogramJSON struct {
 	Buckets []uint64 `json:"buckets"`
 	Total   uint64   `json:"total"`
 	Sum     float64  `json:"sum"`
 }
 
-// MarshalJSON encodes the histogram for checkpoint journals.
+// MarshalJSON encodes the histogram for the figure store.
 func (h *Histogram) MarshalJSON() ([]byte, error) {
 	return json.Marshal(histogramJSON{Buckets: h.buckets, Total: h.total, Sum: h.sum})
 }
 
-// UnmarshalJSON restores a journaled histogram.
+// UnmarshalJSON restores a stored histogram.
 func (h *Histogram) UnmarshalJSON(data []byte) error {
 	var v histogramJSON
 	if err := json.Unmarshal(data, &v); err != nil {

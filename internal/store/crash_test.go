@@ -366,7 +366,9 @@ func TestAckedNeverLostProperty(t *testing.T) {
 					acked[key] = val
 				}
 			}
-			// Kill: abandon the store without Close.
+			// Kill: abandon the store without Close. The kernel drops
+			// the directory lock with the process.
+			s.unlock()
 		}
 		s := openT(t, dir)
 		for k, v := range acked {

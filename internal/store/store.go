@@ -16,6 +16,9 @@
 //   - Compaction rewrites live records into a temporary segment and
 //     atomically swaps it in via rename; a crash at any point leaves
 //     either the old segment (tmp is discarded on open) or the new one.
+//   - One Store owns a directory: Open takes an exclusive advisory lock
+//     and fails with ErrLocked while another Store, in this process or
+//     another, holds it.
 //
 // Everything xbcd persists is regenerable from its spec, so a record lost
 // to a crash outside the ack discipline is recomputed, never served wrong.
@@ -42,6 +45,7 @@ import (
 const (
 	segmentName = "segment.xbs"
 	segmentTmp  = "segment.xbs.tmp"
+	lockName    = "lock"
 )
 
 // The segment header: 8 bytes of magic versioning the file format.
@@ -83,6 +87,9 @@ var ErrDegraded = errors.New("store: degraded (persisting disabled after a write
 
 // ErrClosed is returned by operations on a closed store.
 var ErrClosed = errors.New("store: closed")
+
+// ErrLocked is returned by Open when another Store holds the directory.
+var ErrLocked = errors.New("store: directory is locked by another open store")
 
 // Options configures Open.
 type Options struct {
@@ -190,6 +197,7 @@ type Stats struct {
 type Store struct {
 	opts Options
 	dir  string
+	lock *os.File // the directory lock, held until Close; nil without flock
 
 	mu        sync.Mutex
 	seg       file
@@ -218,21 +226,18 @@ func Open(opts Options) (*Store, error) {
 	if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: creating %s: %w", opts.Dir, err)
 	}
+	lock, err := lockDir(opts.Dir)
+	if err != nil {
+		return nil, err
+	}
 	s := &Store{
 		opts:  opts,
 		dir:   opts.Dir,
+		lock:  lock,
 		index: make(map[string]recRef),
 	}
-	// A leftover temporary segment means a crash interrupted a compaction
-	// before its atomic rename: the real segment is still authoritative.
-	if err := os.Remove(filepath.Join(opts.Dir, segmentTmp)); err != nil && !os.IsNotExist(err) {
-		return nil, fmt.Errorf("store: clearing stale compaction temp: %w", err)
-	}
-	if err := s.openSegment(); err != nil {
-		return nil, err
-	}
-	if err := s.loadSegment(); err != nil {
-		closeQuiet(s.seg)
+	if err := s.load(); err != nil {
+		s.unlock()
 		return nil, err
 	}
 	if opts.Fsync == FsyncInterval {
@@ -241,6 +246,31 @@ func Open(opts Options) (*Store, error) {
 		go s.syncLoop()
 	}
 	return s, nil
+}
+
+// load opens and scans the segment. It runs under the directory lock,
+// so a temporary segment left behind can only be a crashed compaction's.
+func (s *Store) load() error {
+	// A leftover temporary segment means a crash interrupted a compaction
+	// before its atomic rename: the real segment is still authoritative.
+	if err := os.Remove(filepath.Join(s.dir, segmentTmp)); err != nil && !os.IsNotExist(err) {
+		return fmt.Errorf("store: clearing stale compaction temp: %w", err)
+	}
+	if err := s.openSegment(); err != nil {
+		return err
+	}
+	if err := s.loadSegment(); err != nil {
+		closeQuiet(s.seg)
+		return err
+	}
+	return nil
+}
+
+// unlock releases the directory lock.
+func (s *Store) unlock() {
+	if s.lock != nil {
+		closeQuiet(s.lock)
+	}
 }
 
 // closeQuiet closes f on an error path where the original error matters
@@ -370,7 +400,7 @@ func (s *Store) hookAt(point string) error {
 	}
 	act := s.opts.hook(point, nil)
 	if act.Crash {
-		panic(errCrash)
+		s.crash()
 	}
 	return act.Err
 }
@@ -390,7 +420,7 @@ func (s *Store) writeStep(f file, size *int64, rec []byte, point string) error {
 	n, err := f.Write(data)
 	*size += int64(n)
 	if act.Crash {
-		panic(errCrash)
+		s.crash()
 	}
 	if err != nil {
 		return err
@@ -402,6 +432,13 @@ func (s *Store) writeStep(f file, size *int64, rec []byte, point string) error {
 		return io.ErrShortWrite
 	}
 	return nil
+}
+
+// crash is the injected kill -9: the kernel would drop the directory
+// lock with the process, so release it, then unwind.
+func (s *Store) crash() {
+	s.unlock()
+	panic(errCrash)
 }
 
 // syncStep fsyncs f at the named fault point.
@@ -634,5 +671,6 @@ func (s *Store) Close() error {
 	if err := s.seg.Close(); err != nil && firstErr == nil {
 		firstErr = err
 	}
+	s.unlock()
 	return firstErr
 }

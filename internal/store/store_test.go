@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -429,5 +430,34 @@ func TestConcurrentClose(t *testing.T) {
 	wg.Wait()
 	if err := s.Put("k2", nil); err != ErrClosed {
 		t.Fatalf("Put after concurrent Close: %v, want ErrClosed", err)
+	}
+}
+
+// TestSecondOpenIsLocked: two Stores on one directory would each append
+// at their own offset and overwrite each other's acked records, so the
+// second Open must fail with ErrLocked (without touching the files), and
+// the directory must open again once the first Store closes.
+func TestSecondOpenIsLocked(t *testing.T) {
+	dir := t.TempDir()
+	a := openT(t, dir)
+	for i := 0; i < 10; i++ {
+		mustPut(t, a, fmt.Sprintf("a-%d", i), []byte("first"))
+	}
+	if b, err := Open(Options{Dir: dir}); !errors.Is(err, ErrLocked) {
+		if b != nil {
+			b.Close()
+		}
+		t.Fatalf("second Open of a held directory: err = %v, want ErrLocked", err)
+	}
+	for i := 0; i < 10; i++ {
+		mustPut(t, a, fmt.Sprintf("b-%d", i), []byte("second"))
+	}
+	if err := a.Close(); err != nil {
+		t.Fatal(err)
+	}
+	c := openT(t, dir)
+	defer c.Close()
+	if n := c.Len(); n != 20 {
+		t.Fatalf("reopen found %d keys, want all 20 acked", n)
 	}
 }

@@ -7,9 +7,10 @@
 # crash-safety phase: SIGKILL the daemon (no drain, no flush beyond the
 # write-behind already landed), restart it on the same store, and
 # require every previously computed job to come back as a store hit
-# with bit-identical metrics and zero re-simulations. Finally SIGTERM
-# and require a clean drain within a bounded time. Used by `make e2e`
-# and the CI e2e job.
+# with bit-identical metrics and zero re-simulations. Finally SIGTERM,
+# require a clean drain within a bounded time, and run a figure on the
+# drained daemon's store: every cell must be served from the daemon's
+# results. Used by `make e2e` and the CI e2e job.
 set -eu
 
 GO=${GO:-go}
@@ -22,9 +23,10 @@ trap 'status=$?
   rm -rf "$WORK"
   exit $status' EXIT INT TERM
 
-echo "e2e: building xbcd and xbcctl"
+echo "e2e: building xbcd, xbcctl and experiments"
 $GO build -o "$WORK/xbcd" ./cmd/xbcd
 $GO build -o "$WORK/xbcctl" ./cmd/xbcctl
+$GO build -o "$WORK/experiments" ./cmd/experiments
 
 # start_xbcd <addr-file> <log-file> [extra flags...]: launches the daemon
 # and waits (max ~5s) for it to write its bound address.
@@ -51,7 +53,7 @@ start_xbcd() {
   ADDR="http://$(cat "$addr_file")"
 }
 
-start_xbcd "$WORK/addr" "$WORK/xbcd.log" -drain-journal "$WORK/drain.json"
+start_xbcd "$WORK/addr" "$WORK/xbcd.log"
 echo "e2e: xbcd (pid $XBCD_PID) at $ADDR"
 
 echo "e2e: selfcheck — served metrics must equal a direct local run"
@@ -166,6 +168,10 @@ echo "$METRICS" | grep -q '^xbcd_store_hits_total [1-9]' || {
   exit 1
 }
 
+echo "e2e: TC sweep — with the XBC sweep above, Figure 8's cells are all served"
+"$WORK/xbcctl" sweep -addr "$ADDR" -fe tc -traces straightline,loopnest,callheavy \
+  -budgets 8192 -uops 20000 -wait
+
 echo "e2e: graceful shutdown"
 kill -TERM "$XBCD_PID"
 i=0
@@ -182,6 +188,19 @@ XBCD_PID=
 grep -q 'drained; bye' "$WORK/xbcd2.log" || {
   echo "e2e: xbcd exited without completing its drain; log:" >&2
   cat "$WORK/xbcd2.log" >&2
+  exit 1
+}
+
+echo "e2e: Figure 8 on the drained daemon's store — nothing may simulate"
+"$WORK/experiments" -store "$WORK/store" -fig 8 -traces straightline,loopnest,callheavy \
+  -uops 20000 -budget 8192 >"$WORK/fig8.out" 2>"$WORK/fig8.err" || {
+  echo "e2e: experiments failed on the daemon's store:" >&2
+  cat "$WORK/fig8.err" >&2
+  exit 1
+}
+cat "$WORK/fig8.err"
+grep -q 'plan: .* 0 simulated' "$WORK/fig8.err" || {
+  echo "e2e: Figure 8 re-simulated cells the daemon had stored" >&2
   exit 1
 }
 

@@ -34,6 +34,7 @@ import (
 	"xbc/internal/program"
 	"xbc/internal/runner"
 	"xbc/internal/stats"
+	"xbc/internal/store"
 	"xbc/internal/tcache"
 	"xbc/internal/trace"
 	"xbc/internal/workload"
@@ -301,8 +302,8 @@ type Summary = trace.Summary
 // workloads, 1M uops each, 32K budget, size sweep 8-64K).
 func DefaultExperimentOptions() ExperimentOptions { return experiments.DefaultOptions() }
 
-// Robustness layer: panic-isolated runs, invariant checking, checkpoint
-// journals, and fault-injected streams for hardening tests.
+// Robustness layer: panic-isolated runs, invariant checking, resumable
+// figure runs, and fault-injected streams for hardening tests.
 
 // PanicError wraps a panic recovered by RunSafe: which frontend crashed,
 // the recovered value, and the goroutine stack.
@@ -322,18 +323,16 @@ func NewCheckedXBCFrontend(uopBudget int) Frontend {
 	return xbcore.New(cfg, frontend.DefaultConfig())
 }
 
-// Journal is a checkpoint journal for experiment sweeps: completed cells
-// are recorded as they finish and replayed on a resumed run.
-type Journal = runner.Journal
+// Store is the crash-safe result store: a figure run on it records each
+// cell as it finishes and serves every cell it already holds, including
+// results xbcd computed. Wire it into ExperimentOptions.Store.
+type Store = store.Store
 
-// OpenJournal opens (resume=true) or truncates (resume=false) the
-// journal at path. Wire it into ExperimentOptions.Journal.
-func OpenJournal(path string, resume bool) (*Journal, error) {
-	return runner.OpenJournal(path, resume)
-}
+// OpenStore opens (or creates) the store in dir, fsyncing every write.
+func OpenStore(dir string) (*Store, error) { return store.Open(store.Options{Dir: dir}) }
 
-// RunReport accumulates per-cell outcomes (done / resumed / failed /
-// aborted) across experiment calls. Wire it into
+// RunReport accumulates per-cell outcomes (done / failed / aborted)
+// across experiment calls. Wire it into
 // ExperimentOptions.Report.
 type RunReport = runner.Report
 
