@@ -31,7 +31,7 @@ var (
 // and frontends measure simulation, not generation. Generation failures
 // are recorded (not panicked) so every benchmark that needs the corpus
 // reports the original error instead of a confusing nil-map lookup.
-func benchStream(b *testing.B, name string) *xbc.Stream {
+func benchStream(b testing.TB, name string) *xbc.Stream {
 	b.Helper()
 	streamOnce.Do(func() {
 		streams = make(map[string]*xbc.Stream)
@@ -180,24 +180,49 @@ func benchFrontend(b *testing.B, mk func() xbc.Frontend) {
 	b.ReportMetric(float64(want)*float64(b.N)/b.Elapsed().Seconds(), "uops/s")
 }
 
-func BenchmarkFrontendIC(b *testing.B) {
-	benchFrontend(b, xbc.NewICFrontend)
+func newDecoded() xbc.Frontend { return xbc.NewDecodedFrontend(32 * 1024) }
+func newTC() xbc.Frontend      { return xbc.NewTraceCacheFrontend(32 * 1024) }
+func newBBTC() xbc.Frontend    { return xbc.NewBBTCFrontend(32 * 1024) }
+func newXBC() xbc.Frontend     { return xbc.NewXBCFrontend(32 * 1024) }
+
+func newXBCNextXB() xbc.Frontend {
+	cfg := xbc.DefaultXBCConfig(32 * 1024)
+	cfg.NextXB = true
+	return xbc.NewXBCFrontendWith(cfg, xbc.DefaultFrontendConfig())
 }
 
-func BenchmarkFrontendDecoded(b *testing.B) {
-	benchFrontend(b, func() xbc.Frontend { return xbc.NewDecodedFrontend(32 * 1024) })
-}
+func BenchmarkFrontendIC(b *testing.B)      { benchFrontend(b, xbc.NewICFrontend) }
+func BenchmarkFrontendDecoded(b *testing.B) { benchFrontend(b, newDecoded) }
+func BenchmarkFrontendTC(b *testing.B)      { benchFrontend(b, newTC) }
+func BenchmarkFrontendBBTC(b *testing.B)    { benchFrontend(b, newBBTC) }
+func BenchmarkFrontendXBC(b *testing.B)     { benchFrontend(b, newXBC) }
 
-func BenchmarkFrontendTC(b *testing.B) {
-	benchFrontend(b, func() xbc.Frontend { return xbc.NewTraceCacheFrontend(32 * 1024) })
-}
+// BenchmarkFrontendXBCNextXB measures the XBC with next-XB prediction.
+func BenchmarkFrontendXBCNextXB(b *testing.B) { benchFrontend(b, newXBCNextXB) }
 
-func BenchmarkFrontendBBTC(b *testing.B) {
-	benchFrontend(b, func() xbc.Frontend { return xbc.NewBBTCFrontend(32 * 1024) })
-}
-
-func BenchmarkFrontendXBC(b *testing.B) {
-	benchFrontend(b, func() xbc.Frontend { return xbc.NewXBCFrontend(32 * 1024) })
+// TestFrontendAllocs holds the allocs/op ledger of the BenchmarkFrontend*
+// benchmarks (BENCH_PR4.json, gated loosely by make bench-gate) in
+// tier-1 as exact counts: building a frontend and replaying the gcc
+// stream through it allocates exactly this many times.
+func TestFrontendAllocs(t *testing.T) {
+	s := benchStream(t, "gcc")
+	for _, tc := range []struct {
+		name string
+		mk   func() xbc.Frontend
+		want float64
+	}{
+		{"IC", xbc.NewICFrontend, 21},
+		{"Decoded", newDecoded, 2901},
+		{"TC", newTC, 2006},
+		{"BBTC", newBBTC, 3818},
+		{"XBC", newXBC, 67},
+		{"XBCNextXB", newXBCNextXB, 72},
+	} {
+		got := testing.AllocsPerRun(5, func() { xbc.Run(tc.mk(), s) })
+		if got != tc.want {
+			t.Errorf("Frontend%s: %v allocs per run, want exactly %v", tc.name, got, tc.want)
+		}
+	}
 }
 
 // BenchmarkGenerate measures synthetic stream generation throughput.
@@ -261,13 +286,4 @@ func BenchmarkContextSwitch(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-}
-
-// BenchmarkFrontendXBCNextXB measures the XBC with next-XB prediction.
-func BenchmarkFrontendXBCNextXB(b *testing.B) {
-	benchFrontend(b, func() xbc.Frontend {
-		cfg := xbc.DefaultXBCConfig(32 * 1024)
-		cfg.NextXB = true
-		return xbc.NewXBCFrontendWith(cfg, xbc.DefaultFrontendConfig())
-	})
 }

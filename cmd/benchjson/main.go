@@ -1,7 +1,8 @@
 // Command benchjson runs the repo's benchmarks and records the numbers
 // that matter for hot-path regressions — simulation throughput (uops/s)
 // and allocations per op — as stable JSON, so two runs can be diffed
-// mechanically instead of eyeballed.
+// mechanically instead of eyeballed. Each benchmark runs five times
+// (go test -count 5) and every number recorded is its median.
 //
 // Usage:
 //
@@ -28,6 +29,7 @@ import (
 	"log"
 	"os"
 	"os/exec"
+	"reflect"
 	"regexp"
 	"sort"
 	"strconv"
@@ -63,8 +65,11 @@ type File struct {
 // on machines with different core counts would share no benchmarks.
 var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+(\d+)\s+(.*)$`)
 
+// parse reads a `go test -bench` log. A benchmark run several times
+// (-count) records each metric's median over its runs.
 func parse(r io.Reader) (map[string]Result, error) {
-	out := map[string]Result{}
+	runs := map[string][]Result{}
+	var names []string
 	sc := bufio.NewScanner(r)
 	for sc.Scan() {
 		m := benchLine.FindStringSubmatch(strings.TrimSpace(sc.Text()))
@@ -72,7 +77,10 @@ func parse(r io.Reader) (map[string]Result, error) {
 			continue
 		}
 		name := strings.TrimPrefix(m[1], "Benchmark")
-		res := out[name]
+		if _, seen := runs[name]; !seen {
+			names = append(names, name)
+		}
+		var res Result
 		fields := strings.Fields(m[3])
 		// Fields come in (value, unit) pairs: 123 ns/op 456 B/op ...
 		for i := 0; i+1 < len(fields); i += 2 {
@@ -95,14 +103,43 @@ func parse(r io.Reader) (map[string]Result, error) {
 				res.SimUopsPerOp = v
 			}
 		}
-		out[name] = res
+		runs[name] = append(runs[name], res)
+	}
+	out := make(map[string]Result, len(names))
+	for _, name := range names {
+		out[name] = median(runs[name])
 	}
 	return out, sc.Err()
 }
 
+// median returns each metric's median over runs; an even count takes the
+// mean of the middle two.
+func median(runs []Result) Result {
+	var out Result
+	ov := reflect.ValueOf(&out).Elem()
+	vs := make([]float64, len(runs))
+	for f := 0; f < ov.NumField(); f++ {
+		for i, r := range runs {
+			vs[i] = reflect.ValueOf(r).Field(f).Float()
+		}
+		sort.Float64s(vs)
+		mid := len(vs) / 2
+		v := vs[mid]
+		if len(vs)%2 == 0 {
+			v = (vs[mid-1] + v) / 2
+		}
+		ov.Field(f).SetFloat(v)
+	}
+	return out
+}
+
+// benchCount is how many times each benchmark runs: the recorded numbers
+// are medians, so one noisy run cannot trip a gate.
+const benchCount = "5"
+
 func run(bench, benchtime, pkg string) (map[string]Result, error) {
 	cmd := exec.Command("go", "test", "-run", "^$",
-		"-bench", bench, "-benchmem", "-benchtime", benchtime, pkg)
+		"-bench", bench, "-benchmem", "-benchtime", benchtime, "-count", benchCount, pkg)
 	cmd.Stderr = os.Stderr
 	out, err := cmd.Output()
 	if err != nil {

@@ -232,3 +232,22 @@ PASS
 		t.Errorf("parsed %+v", r)
 	}
 }
+
+func TestParseRecordsMedians(t *testing.T) {
+	log := `BenchmarkFidelityEstimate-2   3   5700000 ns/op   155.0 uops/s   40006 simuops/op
+BenchmarkFidelityEstimate-2   3   4000000 ns/op   268.0 uops/s   40006 simuops/op
+BenchmarkFidelityEstimate-2   3   5000000 ns/op   200.0 uops/s   40006 simuops/op
+BenchmarkFrontendIC-2   5   100 ns/op   20 allocs/op
+BenchmarkFrontendIC-2   5   300 ns/op   22 allocs/op
+`
+	got, err := parse(strings.NewReader(log))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r := got["FidelityEstimate"]; r.NsPerOp != 5000000 || r.UopsPerS != 200 || r.SimUopsPerOp != 40006 {
+		t.Errorf("odd count: parsed %+v, want the middle run", r)
+	}
+	if r := got["FrontendIC"]; r.NsPerOp != 200 || r.AllocsPerOp != 21 {
+		t.Errorf("even count: parsed %+v, want the mean of the middle two", r)
+	}
+}

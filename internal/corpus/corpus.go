@@ -15,14 +15,11 @@ package corpus
 import (
 	"bytes"
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
-	"encoding/json"
-	"fmt"
 	"strconv"
 	"sync"
 	"sync/atomic"
 
+	"xbc/internal/keyhash"
 	"xbc/internal/lru"
 	"xbc/internal/program"
 	"xbc/internal/trace"
@@ -60,19 +57,15 @@ func ClearStore(cs lru.Backing) { shared.clearStore(cs) }
 // identity of every memo derived from the stream, such as jobspec's
 // sampling analyses.
 type Key struct {
-	spec [sha256.Size]byte // hash of the canonical spec encoding
-	uops uint64            // requested minimum dynamic uop count
+	spec string // content hash of the spec
+	uops uint64 // requested minimum dynamic uop count
 }
 
-// KeyFor derives the content key for (spec, uops). Specs are flat value
-// structs, so their deterministic JSON encoding is a sound canonical
-// form: equal specs hash equal, any differing field hashes different.
+// KeyFor derives the content key for (spec, uops): the content hash of
+// the spec, which covers every field, and the length.
 func KeyFor(spec program.Spec, uops uint64) (Key, error) {
-	b, err := json.Marshal(spec)
-	if err != nil {
-		return Key{}, fmt.Errorf("corpus: canonicalizing workload spec %q: %w", spec.Name, err)
-	}
-	return Key{spec: sha256.Sum256(b), uops: uops}, nil
+	sum, err := keyhash.Content(spec)
+	return Key{spec: sum, uops: uops}, err
 }
 
 // String renders the key as hex(spec hash):uops, the form the store
@@ -140,7 +133,7 @@ func (c *corpus) load(key Key, spec program.Spec, minUops uint64) (*trace.Stream
 // hex(spec hash):uops. Stores written by earlier builds use the same
 // format, so their streams keep serving hits.
 func storeKeyFor(key Key) string {
-	return hex.EncodeToString(key.spec[:]) + ":" + strconv.FormatUint(key.uops, 10)
+	return key.spec + ":" + strconv.FormatUint(key.uops, 10)
 }
 
 func (c *corpus) setStore(cs lru.Backing) {

@@ -38,7 +38,7 @@ func TestKeySoundness(t *testing.T) {
 		t.Fatal("changing uops did not change the key")
 	}
 
-	muts := corpustest.LeafMutations(t, small())
+	muts := corpustest.LeafMutations(t, small(), validProgram, nil)
 	if len(muts) < reflect.TypeOf(program.Spec{}).NumField() {
 		t.Fatalf("walked %d leaves, fewer than the %d fields", len(muts), reflect.TypeOf(program.Spec{}).NumField())
 	}
@@ -70,6 +70,8 @@ func TestKeySoundness(t *testing.T) {
 		t.Fatalf("%d generations for %d distinct keys", n, len(muts))
 	}
 }
+
+func validProgram(s program.Spec) bool { return s.Validate() == nil }
 
 // TestStoreKeyFormat pins the persisted key format, hex(SHA-256 of the
 // spec's JSON):uops, rebuilt here independently: a store written by an

@@ -79,7 +79,8 @@ type Options struct {
 	Report *runner.Report
 	// Plan, when non-nil, accumulates the planner's reuse accounting
 	// (planned / deduped / reused / simulated) across all figures of a run
-	// for CLI epilogues.
+	// for CLI epilogues. Without a Store, its Memo is the run's memory: a
+	// cell that several figures of the run plan is simulated once.
 	Plan *planner.Tally
 }
 

@@ -55,17 +55,17 @@ func runModels(o Options, figure string, ws []workload.Workload, kinds []string,
 		if err != nil {
 			return ms, ok, err
 		}
+		stream, err := s.StreamKey()
+		if err != nil {
+			return ms, ok, err
+		}
 		cells[i] = cell{
 			key:      key,
-			locality: fmt.Sprintf("%s@%d", s.Workload, s.Uops),
+			locality: stream.String(),
 			rc:       runner.Cell{Figure: figure, Workload: s.Workload, Config: fmt.Sprintf("%s-b%d-%s", s.Frontend, s.Budget, fidelityName(s.Fidelity))},
 		}
 	}
-	var st planner.Store
-	if o.Store != nil {
-		st = specStore{o.Store}
-	}
-	res, done, err := runPlanned(o, cells, st, func(ctx context.Context, i int) (jobspec.Result, error) {
+	res, done, err := runPlanned(o, cells, o.planStore(specStore{o.Store}), func(ctx context.Context, i int) (jobspec.Result, error) {
 		return jobspec.Execute(specs[i])
 	})
 	for i := range ws {
@@ -98,11 +98,21 @@ func runCells[T any](o Options, figure string, params []string, ws []workload.Wo
 
 // runXCells runs cells no spec describes, stored under their x: keys.
 func runXCells[T any](o Options, cells []cell, fn func(ctx context.Context, i int) (T, error)) ([]T, []bool, error) {
-	var st planner.Store
-	if o.Store != nil {
-		st = xStore[T]{o.Store}
+	return runPlanned(o, cells, o.planStore(xStore[T]{o.Store}), fn)
+}
+
+// planStore is where the run's plans find and record cells: durable, a
+// view of the Store, when there is one, else the run's memory (the Plan
+// tally's Memo), so a cell two figures share runs once either way. A run
+// with neither reuses nothing.
+func (o Options) planStore(durable planner.Store) planner.Store {
+	switch {
+	case o.Store != nil:
+		return durable
+	case o.Plan != nil:
+		return o.Plan.Memo()
 	}
-	return runPlanned(o, cells, st, fn)
+	return nil
 }
 
 // cell is one figure cell before planning.
@@ -113,8 +123,9 @@ type cell struct {
 }
 
 // xCell builds the cell named name that replays the streams of ws. Its
-// x: key is the figure, then the identity of each stream (program hash
-// and length, not the workload's name), then the parameters it reads.
+// x: key is the figure, then the corpus key of each stream (program hash
+// and length, not the workload's name), then the parameters it reads. Its
+// locality is the first stream's corpus key.
 func (o Options) xCell(figure, name string, ws []workload.Workload, params []string) (cell, error) {
 	parts := []string{"x:" + figure}
 	for _, w := range ws {
@@ -126,7 +137,7 @@ func (o Options) xCell(figure, name string, ws []workload.Workload, params []str
 	}
 	return cell{
 		key:      strings.Join(append(parts, params...), "/"),
-		locality: fmt.Sprintf("%s@%d", ws[0].Name, o.UopsPerTrace),
+		locality: parts[1],
 		rc:       runner.Cell{Figure: figure, Workload: name, Config: strings.Join(params, "-")},
 	}, nil
 }

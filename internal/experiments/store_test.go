@@ -93,7 +93,7 @@ func TestXKeyCoversProgramSpec(t *testing.T) {
 	if p := probe("alias", base); p.Reused != 1 {
 		t.Errorf("same program under another workload name: %s, want reused", p.String())
 	}
-	muts := corpustest.LeafMutations(t, base)
+	muts := corpustest.LeafMutations(t, base, func(s program.Spec) bool { return s.Validate() == nil }, nil)
 	if len(muts) < reflect.TypeOf(program.Spec{}).NumField() {
 		t.Fatalf("walked %d leaves, fewer than the %d fields", len(muts), reflect.TypeOf(program.Spec{}).NumField())
 	}
@@ -200,5 +200,34 @@ func waitDone(t *testing.T, srv *service.Server, id string) {
 			t.Fatalf("job %s never completed", id)
 		}
 		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// TestStorelessRunReusesAcrossFigures: without a Store, the figures of
+// one run share cells through the Plan tally's memo. Figure 9 at Figure
+// 8's budget then simulates nothing, and its values equal those of a run
+// with no tally at all.
+func TestStorelessRunReusesAcrossFigures(t *testing.T) {
+	o := smallOpts()
+	o.UopsPerTrace = 20_000
+	o.Sizes = []int{o.Budget}
+	want, err := Figure9(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tally := &planner.Tally{}
+	o.Plan = tally
+	if _, err := Figure8(o); err != nil {
+		t.Fatal(err)
+	}
+	got, err := Figure9(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p := tally.Snapshot(); p.Simulated != 4 || p.Reused != 4 {
+		t.Errorf("plan %s, want Figure 8's 4 cells simulated and reused by Figure 9", p.String())
+	}
+	if !reflect.DeepEqual(got.MissXBC, want.MissXBC) || !reflect.DeepEqual(got.MissTC, want.MissTC) {
+		t.Errorf("memo-served Figure 9 %v/%v, fresh %v/%v", got.MissXBC, got.MissTC, want.MissXBC, want.MissTC)
 	}
 }

@@ -1,6 +1,9 @@
 package keyhash
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
 	"fmt"
 	"hash/fnv"
 	"testing"
@@ -67,5 +70,26 @@ func BenchmarkSum32(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		Sum32(key)
+	}
+}
+
+// Content is the hex SHA-256 of the value's JSON: every persisted key is
+// built from it, so it is rebuilt here by hand.
+func TestContentIsSHA256OfJSON(t *testing.T) {
+	v := struct {
+		Name string  `json:"name"`
+		Uops uint64  `json:"uops"`
+		W    float64 `json:"w"`
+	}{"gcc", 40_000, 0.72}
+	b, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(b)
+	if got, err := Content(v); err != nil || got != hex.EncodeToString(sum[:]) {
+		t.Fatalf("Content = %s, %v; want %x", got, err, sum)
+	}
+	if _, err := Content(func() {}); err == nil {
+		t.Fatal("Content of an unencodable value must fail")
 	}
 }

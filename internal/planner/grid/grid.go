@@ -9,11 +9,7 @@
 package grid
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
-	"encoding/json"
 	"fmt"
-	"strconv"
 
 	"xbc/internal/interval"
 	"xbc/internal/service/jobspec"
@@ -93,29 +89,20 @@ func Expand(g Grid) ([]Cell, error) {
 }
 
 // Canonicalize normalizes and validates one spec into a plannable cell.
+// Its locality is the stream key, exactly what the corpus keys by, so
+// planner ordering keeps cells that replay one generated stream adjacent
+// regardless of frontend or budget.
 func Canonicalize(spec jobspec.Spec) (Cell, error) {
-	key, err := spec.Key() // Key normalizes and validates internally
+	// Normalizing resolves a workload name, the costly step; the keys of
+	// the normalized spec resolve nothing again and validate it.
+	norm := spec.Normalize()
+	key, err := norm.Key()
 	if err != nil {
 		return Cell{}, err
 	}
-	norm := spec.Normalize()
-	return Cell{Spec: spec, Norm: norm, Key: key, Locality: localityOf(norm)}, nil
-}
-
-// localityOf derives the trace-stream identity of a normalized spec: the
-// resolved program plus the stream length — exactly the corpus cache's
-// key ingredients — so planner ordering keeps cells that replay one
-// generated stream adjacent regardless of frontend or budget.
-func localityOf(norm jobspec.Spec) string {
-	if norm.Program == nil {
-		// Unresolvable workload name; Canonicalize rejects these before the
-		// locality matters, but the fallback keeps the function total.
-		return "workload:" + norm.Workload
-	}
-	b, err := json.Marshal(norm.Program)
+	stream, err := norm.StreamKey()
 	if err != nil {
-		return "program:" + norm.Program.Name
+		return Cell{}, err
 	}
-	sum := sha256.Sum256(b)
-	return hex.EncodeToString(sum[:4]) + ":" + strconv.FormatUint(norm.Uops, 10)
+	return Cell{Spec: spec, Norm: norm, Key: key, Locality: stream.String()}, nil
 }

@@ -152,11 +152,37 @@ func (r Report) String() string {
 	return s
 }
 
-// Tally accumulates plan reports across many Run calls (all figures of
-// one CLI invocation). It is safe for concurrent use.
+// Tally accumulates plan reports across the Run calls of one run (all
+// figures of one CLI invocation) and keeps the run's memory, Memo. It is
+// safe for concurrent use.
 type Tally struct {
-	mu  sync.Mutex
-	sum Report
+	mu   sync.Mutex
+	sum  Report
+	memo map[string]any
+}
+
+// Memo returns an in-memory Store that lives as long as the tally, so
+// plans of one run without a durable Store still run each cell they share
+// once. It serves the value the first plan computed, shared the way one
+// plan shares a value among duplicate cells.
+func (t *Tally) Memo() Store { return tallyMemo{t} }
+
+type tallyMemo struct{ t *Tally }
+
+func (m tallyMemo) Load(key string) (any, bool) {
+	m.t.mu.Lock()
+	defer m.t.mu.Unlock()
+	v, ok := m.t.memo[key]
+	return v, ok
+}
+
+func (m tallyMemo) Save(key string, v any) {
+	m.t.mu.Lock()
+	defer m.t.mu.Unlock()
+	if m.t.memo == nil {
+		m.t.memo = make(map[string]any)
+	}
+	m.t.memo[key] = v
 }
 
 // Add folds one plan's report into the tally.

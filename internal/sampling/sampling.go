@@ -160,12 +160,16 @@ func Run(fe frontend.Frontend, recs []trace.Rec, fecfg frontend.Config, cfg Conf
 // RunAnalyzed is Run with the stream analysis supplied by the caller —
 // necessarily one produced by Analyze over the same recs and cfg (the
 // analysis is deterministic, so a cached copy is indistinguishable from
-// a fresh one). An analysis whose final boundary is not the end of recs
-// was made for another stream and is rejected.
+// a fresh one). An analysis whose final boundary is not the end of recs,
+// or whose uop total is not that of recs, was made for another stream and
+// is rejected.
 func RunAnalyzed(fe frontend.Frontend, recs []trace.Rec, fecfg frontend.Config, cfg Config, a Analysis) (Result, error) {
 	n := len(a.Boundaries) - 1
 	if n < 0 || a.Boundaries[n] != len(recs) {
 		return Result{}, fmt.Errorf("sampling: analysis does not cover this %d-record stream", len(recs))
+	}
+	if u := uopsIn(recs, 0, len(recs)); a.TotalUops != u {
+		return Result{}, fmt.Errorf("sampling: analysis counts %d uops, this stream has %d", a.TotalUops, u)
 	}
 	res := Result{Intervals: n, Boundaries: a.Boundaries}
 	ses := fe.NewSession()

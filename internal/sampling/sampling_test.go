@@ -147,6 +147,23 @@ func TestRunAnalyzedRejectsForeignAnalysis(t *testing.T) {
 	}
 }
 
+// TestRunAnalyzedRejectsForeignUopTotal: a stream with the same record
+// count as the analyzed one but other uop counts is foreign too; its
+// extrapolated Uops must not be copied from the analysis.
+func TestRunAnalyzedRejectsForeignUopTotal(t *testing.T) {
+	recs := genRecs(t, "gcc", 200_000)
+	cfg := DefaultConfig()
+	a, err := Analyze(recs, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	other := append([]trace.Rec(nil), recs...)
+	other[len(other)/2].NumUops++
+	if _, err := RunAnalyzed(newXBC(), other, frontend.DefaultConfig(), cfg, a); err == nil {
+		t.Fatal("RunAnalyzed accepted an analysis whose uop total is not the stream's")
+	}
+}
+
 func TestRunShortStreamIsExact(t *testing.T) {
 	recs := genRecs(t, "gcc", 30_000)
 	full := frontend.Run(newXBC(), &trace.Stream{Recs: recs})

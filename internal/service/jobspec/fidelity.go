@@ -14,14 +14,10 @@ package jobspec
 
 import (
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
-	"encoding/json"
-	"fmt"
 	"sync/atomic"
 
-	"xbc/internal/corpus"
 	"xbc/internal/frontend"
+	"xbc/internal/interval"
 	"xbc/internal/lru"
 	"xbc/internal/sampling"
 	"xbc/internal/snapshot"
@@ -88,33 +84,38 @@ func SnapshotWarmupUops(uops uint64) uint64 {
 	return maxSnapshotWarmup
 }
 
-// SnapshotKey content-addresses the warm state a run of this spec can
-// reuse: the normalized spec minus the run length — the trace generator
-// is a deterministic walker, so specs differing only in Uops share a
-// stream prefix and hence warm state — and minus the post-run analysis
-// knobs (Core) and the rung (Fidelity) that don't shape simulator state;
-// plus the warmup point and the snapshot format version, so a format bump
-// or a different capture point misses instead of misrestoring.
-func (s Spec) SnapshotKey() (string, error) {
-	n := s.Normalize()
-	if err := n.Validate(); err != nil {
-		return "", err
-	}
-	warmup := SnapshotWarmupUops(n.Uops)
-	n.Workload = "" // the resolved program is the trace identity
-	n.Uops = 0
-	n.Fidelity = ""
-	n.Core = nil
-	b, err := json.Marshal(struct {
-		Spec    Spec   `json:"spec"`
-		Warmup  uint64 `json:"warmup"`
-		Version uint32 `json:"version"`
-	}{n, warmup, snapshot.Version})
+// execute runs the normalized spec n over recs, restoring and saving warm
+// state through mgr (nil: none) and taking the stream analysis of a
+// sampled rung from analyze. Execute passes the attached caches; the key
+// soundness test passes none, to compute each value with caching off.
+func execute(n Spec, recs []trace.Rec, mgr *snapshot.Manager, analyze func(Spec, []trace.Rec) (sampling.Analysis, error)) (Result, error) {
+	fe, err := n.NewFrontend()
 	if err != nil {
-		return "", fmt.Errorf("jobspec: canonicalizing snapshot key: %w", err)
+		return Result{}, err
 	}
-	sum := sha256.Sum256(b)
-	return hex.EncodeToString(sum[:]), nil
+	var res Result
+	switch n.Fidelity {
+	case FidelitySampled, FidelityEstimate:
+		var a sampling.Analysis
+		var sr sampling.Result
+		if a, err = analyze(n, recs); err == nil {
+			sr, err = sampling.RunAnalyzed(fe, recs, frontend.DefaultConfig(), SamplingConfig(n.Fidelity), a)
+		}
+		res = Result{Metrics: sr.Metrics, Fidelity: n.Fidelity, ErrorBound: sr.ErrorBound, SampledUops: sr.SimulatedUops}
+	default:
+		res, err = executeFull(n, fe, recs, mgr)
+	}
+	if err != nil {
+		return Result{}, err
+	}
+	if n.Core != nil {
+		est, err := interval.FromMetrics(res.Metrics, *n.Core)
+		if err != nil {
+			return Result{}, err
+		}
+		res.Estimate = &est
+	}
+	return res, nil
 }
 
 // executeFull runs the exact cycle-level simulation on one session. With
@@ -136,11 +137,8 @@ func executeFull(n Spec, fe frontend.Frontend, recs []trace.Rec, mgr *snapshot.M
 			}
 		}
 		if !hit {
-			if warmIdx := recIndexAtUops(recs, SnapshotWarmupUops(n.Uops)); warmIdx > 0 && warmIdx < len(recs) {
-				ses.StepTo(recs, warmIdx)
-				var w snapshot.Writer
-				ses.SaveState(&w)
-				mgr.Save(key, snapshot.Seal(w.Bytes()))
+			if blob, ok := saveWarm(ses, recs, n.Uops); ok {
+				mgr.Save(key, blob)
 			}
 		}
 	}
@@ -150,6 +148,20 @@ func executeFull(n Spec, fe frontend.Frontend, recs []trace.Rec, mgr *snapshot.M
 		return Result{}, err
 	}
 	return Result{Metrics: m, Fidelity: FidelityFull, SnapshotHit: hit}, nil
+}
+
+// saveWarm steps ses to the warm-up point of a run of uops over recs and
+// returns its sealed warm state, or false when that point is not inside
+// the run.
+func saveWarm(ses frontend.Session, recs []trace.Rec, uops uint64) ([]byte, bool) {
+	warmIdx := recIndexAtUops(recs, SnapshotWarmupUops(uops))
+	if warmIdx <= 0 || warmIdx >= len(recs) {
+		return nil, false
+	}
+	ses.StepTo(recs, warmIdx)
+	var w snapshot.Writer
+	ses.SaveState(&w)
+	return snapshot.Seal(w.Bytes()), true
 }
 
 // restoreSession opens and decodes a snapshot blob into a fresh session,
@@ -183,15 +195,6 @@ func recIndexAtUops(recs []trace.Rec, uops uint64) int {
 	return len(recs)
 }
 
-// analysisKey identifies one memoized stream analysis: the analysis is a
-// deterministic function of the stream, named by its corpus content key,
-// and of the interval configuration.
-type analysisKey struct {
-	stream   corpus.Key
-	interval int
-	clusters int
-}
-
 // analyses memoizes sampling.Analyze across Execute calls. The analysis
 // is frontend-independent and the dominant cost of a sampled cell, so a
 // sweep fanning budgets or frontends out over one stream pays it once,
@@ -200,34 +203,13 @@ var analyses = lru.New[analysisKey, sampling.Analysis](64)
 
 // analyzeCached returns the memoized analysis for the stream of the
 // normalized spec n, computing it on a miss.
-func analyzeCached(n Spec, recs []trace.Rec, cfg sampling.Config) (sampling.Analysis, error) {
-	stream, err := corpus.KeyFor(*n.Program, n.Uops)
+func analyzeCached(n Spec, recs []trace.Rec) (sampling.Analysis, error) {
+	key, err := n.analysisKey()
 	if err != nil {
 		return sampling.Analysis{}, err
 	}
-	key := analysisKey{stream: stream, interval: cfg.IntervalUops, clusters: cfg.MaxClusters}
 	a, _, err := analyses.Do(context.TODO(), key, func() (sampling.Analysis, error) {
-		return sampling.Analyze(recs, cfg)
+		return sampling.Analyze(recs, SamplingConfig(n.Fidelity))
 	})
 	return a, err
-}
-
-// executeSampled runs the sampled or estimate rung through
-// internal/sampling.
-func executeSampled(n Spec, fe frontend.Frontend, recs []trace.Rec) (Result, error) {
-	cfg := SamplingConfig(n.Fidelity)
-	a, err := analyzeCached(n, recs, cfg)
-	if err != nil {
-		return Result{}, err
-	}
-	sr, err := sampling.RunAnalyzed(fe, recs, frontend.DefaultConfig(), cfg, a)
-	if err != nil {
-		return Result{}, err
-	}
-	return Result{
-		Metrics:     sr.Metrics,
-		Fidelity:    n.Fidelity,
-		ErrorBound:  sr.ErrorBound,
-		SampledUops: sr.SimulatedUops,
-	}, nil
 }

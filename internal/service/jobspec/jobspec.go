@@ -8,8 +8,6 @@
 package jobspec
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"strings"
@@ -225,27 +223,6 @@ func (s Spec) validateModel() error {
 	return nil
 }
 
-// Key returns the content-addressed job identity: the hex SHA-256 of the
-// normalized spec's canonical JSON encoding (the same construction as the
-// trace corpus key). Equal jobs key equal; any semantic difference —
-// frontend, resolved program, length, budget, flags, core — keys
-// different.
-func (s Spec) Key() (string, error) {
-	n := s.Normalize()
-	if err := n.Validate(); err != nil {
-		return "", err
-	}
-	// The resolved program is the trace identity; drop the display name so
-	// a named workload and its inline copy cannot diverge on it.
-	n.Workload = ""
-	b, err := json.Marshal(n)
-	if err != nil {
-		return "", fmt.Errorf("jobspec: canonicalizing: %w", err)
-	}
-	sum := sha256.Sum256(b)
-	return hex.EncodeToString(sum[:]), nil
-}
-
 // Label is a short human identity for logs and metrics rows: the frontend
 // kind plus the trace name.
 func (s Spec) Label() string {
@@ -310,34 +287,13 @@ func Execute(s Spec) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	fe, err := n.NewFrontend()
-	if err != nil {
-		return Result{}, err
+	mgr := SnapshotManager()
+	if n.Check {
+		// The checker validates invariants over the whole run; a
+		// restored prefix would hide it from the checker.
+		mgr = nil
 	}
-	var res Result
-	switch n.Fidelity {
-	case FidelitySampled, FidelityEstimate:
-		res, err = executeSampled(n, fe, stream.Records())
-	default:
-		mgr := SnapshotManager()
-		if n.Check {
-			// The checker validates invariants over the whole run; a
-			// restored prefix would hide it from the checker.
-			mgr = nil
-		}
-		res, err = executeFull(n, fe, stream.Records(), mgr)
-	}
-	if err != nil {
-		return Result{}, err
-	}
-	if n.Core != nil {
-		est, err := interval.FromMetrics(res.Metrics, *n.Core)
-		if err != nil {
-			return Result{}, err
-		}
-		res.Estimate = &est
-	}
-	return res, nil
+	return execute(n, stream.Records(), mgr, analyzeCached)
 }
 
 // ResolveWorkload finds a built-in workload by name: the 21 paper traces
