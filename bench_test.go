@@ -203,7 +203,11 @@ func BenchmarkFrontendXBCNextXB(b *testing.B) { benchFrontend(b, newXBCNextXB) }
 // TestFrontendAllocs holds the allocs/op ledger of the BenchmarkFrontend*
 // benchmarks (BENCH_PR4.json, gated loosely by make bench-gate) in
 // tier-1 as exact counts: building a frontend and replaying the gcc
-// stream through it allocates exactly this many times.
+// stream through it allocates exactly this many times. Each count is at
+// or below the ledger's (20, 2900, 2004, 3815, 64, 69). The counts
+// include map and slice growth, so they are those of the Go 1.24
+// runtime; a Go release that moves them is re-measured here, and no
+// count may rise above the ledger's.
 func TestFrontendAllocs(t *testing.T) {
 	s := benchStream(t, "gcc")
 	for _, tc := range []struct {
@@ -211,12 +215,12 @@ func TestFrontendAllocs(t *testing.T) {
 		mk   func() xbc.Frontend
 		want float64
 	}{
-		{"IC", xbc.NewICFrontend, 21},
-		{"Decoded", newDecoded, 2901},
-		{"TC", newTC, 2006},
-		{"BBTC", newBBTC, 3818},
-		{"XBC", newXBC, 67},
-		{"XBCNextXB", newXBCNextXB, 72},
+		{"IC", xbc.NewICFrontend, 19},
+		{"Decoded", newDecoded, 2899},
+		{"TC", newTC, 2004},
+		{"BBTC", newBBTC, 3804},
+		{"XBC", newXBC, 61},
+		{"XBCNextXB", newXBCNextXB, 66},
 	} {
 		got := testing.AllocsPerRun(5, func() { xbc.Run(tc.mk(), s) })
 		if got != tc.want {

@@ -49,16 +49,33 @@ func main() {
 		w = f
 	}
 
-	opts := xbc.DefaultExperimentOptions()
-	opts.UopsPerTrace = *uops
-	opts.Budget = *budget
-	opts.Parallel = runtime.NumCPU()
+	opts := options(*uops, *budget)
+	if err := report(w, opts); err != nil {
+		log.Fatal(err)
+	}
+	log.Printf("plan: %s", opts.Plan.Snapshot().String())
+}
 
-	// pr fails the run on a write error: a report silently truncated by a
-	// full disk is worse than no report.
+// options returns the run's experiment options. Its plan tally also
+// carries the run's memory, so a cell that several sections plan
+// (Figure 8's cells recur in Figure 9) runs once.
+func options(uops uint64, budget int) xbc.ExperimentOptions {
+	opts := xbc.DefaultExperimentOptions()
+	opts.UopsPerTrace = uops
+	opts.Budget = budget
+	opts.Parallel = runtime.NumCPU()
+	opts.Plan = &xbc.PlanTally{}
+	return opts
+}
+
+// report runs every section of the evaluation with opts and writes the
+// Markdown report to w. A write error fails the run: a report silently
+// truncated by a full disk is worse than no report.
+func report(w io.Writer, opts xbc.ExperimentOptions) error {
+	var werr error
 	pr := func(format string, args ...any) {
-		if _, err := fmt.Fprintf(w, format, args...); err != nil {
-			log.Fatal(err)
+		if werr == nil {
+			_, werr = fmt.Fprintf(w, format, args...)
 		}
 	}
 
@@ -68,43 +85,52 @@ func main() {
 	pr("Generated by `cmd/report` with %d workloads x %d uops, %dK-uop caches.\n\n",
 		len(opts.Workloads), opts.UopsPerTrace, opts.Budget/1024)
 
-	section := func(title string, table *stats.Table, chart *stats.Plot) {
+	section := func(title string, table *stats.Table, chart *stats.Plot) error {
 		pr("## %s\n\n```\n", title)
-		if err := table.Render(w); err != nil {
-			log.Fatal(err)
+		if werr == nil {
+			werr = table.Render(w)
 		}
 		if chart != nil {
 			pr("\n")
-			if err := chart.Render(w); err != nil {
-				log.Fatal(err)
+			if werr == nil {
+				werr = chart.Render(w)
 			}
 		}
 		pr("```\n\n")
+		return werr
 	}
 
 	f1, err := xbc.Figure1(opts)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	section("Figure 1 — block length distribution", f1.Table, nil)
+	if err := section("Figure 1 — block length distribution", f1.Table, nil); err != nil {
+		return err
+	}
 
 	f8, err := xbc.Figure8(opts)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	section("Figure 8 — bandwidth", f8.Table, nil)
+	if err := section("Figure 8 — bandwidth", f8.Table, nil); err != nil {
+		return err
+	}
 
 	f9, err := xbc.Figure9(opts)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	section("Figure 9 — miss rate vs size", f9.Table, f9.Plot)
+	if err := section("Figure 9 — miss rate vs size", f9.Table, f9.Plot); err != nil {
+		return err
+	}
 
 	f10, err := xbc.Figure10(opts)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	section("Figure 10 — miss rate vs associativity", f10.Table, f10.Plot)
+	if err := section("Figure 10 — miss rate vs associativity", f10.Table, f10.Plot); err != nil {
+		return err
+	}
 
 	studies := []struct {
 		title string
@@ -123,10 +149,13 @@ func main() {
 	for _, st := range studies {
 		tb, err := st.fn(opts)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
-		section(st.title, tb, nil)
+		if err := section(st.title, tb, nil); err != nil {
+			return err
+		}
 	}
 
 	pr("_Completed in %s._\n", time.Since(start).Round(time.Second))
+	return werr
 }

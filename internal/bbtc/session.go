@@ -91,7 +91,8 @@ func (s *session) Finish() (frontend.Metrics, error) {
 	m, st, f := &s.m, s.st, s.f
 	// Pointer redundancy: average number of trace-table references per
 	// resident block (the redundancy the BBTC moves out of uop storage).
-	refs := map[isa.Addr]int{}
+	// Sized for every block slot up front, so counting does not grow it.
+	refs := make(map[isa.Addr]int, len(st.blocks))
 	for k := range st.traces {
 		if st.traces[k].valid {
 			for _, b := range st.traces[k].blocks {

@@ -176,11 +176,11 @@ func (s *RAS) LoadState(r *snapshot.Reader) error {
 // SaveState appends the indirect predictor's dynamic state.
 func (p *IndirectPredictor) SaveState(w *snapshot.Writer) {
 	w.U64(p.hist)
-	w.Len(len(p.tags))
-	for i := range p.tags {
-		w.U64(uint64(p.tags[i]))
-		w.U64(uint64(p.targets[i]))
-		w.Bool(p.valid[i])
+	w.Len(len(p.entries))
+	for _, e := range p.entries {
+		w.U64(uint64(e.tag))
+		w.U64(uint64(e.target))
+		w.Bool(e.valid)
 	}
 }
 
@@ -188,11 +188,12 @@ func (p *IndirectPredictor) SaveState(w *snapshot.Writer) {
 // predictor.
 func (p *IndirectPredictor) LoadState(r *snapshot.Reader) error {
 	p.hist = r.U64()
-	r.LenExact(len(p.tags))
-	for i := range p.tags {
-		p.tags[i] = isa.Addr(r.U64())
-		p.targets[i] = isa.Addr(r.U64())
-		p.valid[i] = r.Bool()
+	r.LenExact(len(p.entries))
+	for i := range p.entries {
+		e := &p.entries[i]
+		e.tag = isa.Addr(r.U64())
+		e.target = isa.Addr(r.U64())
+		e.valid = r.Bool()
 	}
 	return r.Err()
 }

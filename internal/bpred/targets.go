@@ -146,9 +146,14 @@ type IndirectPredictor struct {
 	histBits uint
 	hist     uint64
 	mask     uint64
-	tags     []isa.Addr
-	targets  []isa.Addr
-	valid    []bool
+	entries  []indirectEntry
+}
+
+// indirectEntry is one table slot: the tag and target a lookup reads
+// together sit together.
+type indirectEntry struct {
+	tag, target isa.Addr
+	valid       bool
 }
 
 // NewIndirectPredictor returns a predictor with 2^indexBits entries using
@@ -162,9 +167,7 @@ func NewIndirectPredictor(indexBits, histBits uint) *IndirectPredictor {
 	return &IndirectPredictor{
 		histBits: histBits,
 		mask:     uint64(n - 1),
-		tags:     make([]isa.Addr, n),
-		targets:  make([]isa.Addr, n),
-		valid:    make([]bool, n),
+		entries:  make([]indirectEntry, n),
 	}
 }
 
@@ -175,19 +178,16 @@ func (p *IndirectPredictor) index(pc isa.Addr) uint64 {
 
 // Predict returns the predicted target of the indirect branch at pc.
 func (p *IndirectPredictor) Predict(pc isa.Addr) (isa.Addr, bool) {
-	i := p.index(pc)
-	if p.valid[i] && p.tags[i] == pc {
-		return p.targets[i], true
+	e := &p.entries[p.index(pc)]
+	if e.valid && e.tag == pc {
+		return e.target, true
 	}
 	return 0, false
 }
 
 // Update records the resolved target and folds it into the path history.
 func (p *IndirectPredictor) Update(pc, target isa.Addr) {
-	i := p.index(pc)
-	p.tags[i] = pc
-	p.targets[i] = target
-	p.valid[i] = true
+	p.entries[p.index(pc)] = indirectEntry{tag: pc, target: target, valid: true}
 	if p.histBits > 0 {
 		p.hist = p.hist<<2 ^ uint64(target>>1)
 	}
@@ -196,9 +196,5 @@ func (p *IndirectPredictor) Update(pc, target isa.Addr) {
 // Reset clears table and history.
 func (p *IndirectPredictor) Reset() {
 	p.hist = 0
-	for i := range p.valid {
-		p.valid[i] = false
-		p.tags[i] = 0
-		p.targets[i] = 0
-	}
+	clear(p.entries)
 }

@@ -114,8 +114,10 @@ type Analysis struct {
 	Reps     []int
 	Clusters []int
 	Weights  []float64
-	// TotalUops is the exact uop count of the whole stream.
-	TotalUops uint64
+	// IntervalUops holds the exact uop count of each interval, and
+	// TotalUops that of the whole stream.
+	IntervalUops []uint64
+	TotalUops    uint64
 }
 
 // Analyze computes the stream analysis for one (stream, config) pair.
@@ -125,7 +127,11 @@ func Analyze(recs []trace.Rec, cfg Config) (Analysis, error) {
 	}
 	bounds := interval.Boundaries(recs, cfg.IntervalUops)
 	n := len(bounds) - 1
-	a := Analysis{Boundaries: bounds, TotalUops: uopsIn(recs, 0, len(recs))}
+	a := Analysis{Boundaries: bounds, IntervalUops: make([]uint64, n)}
+	for k := 0; k < n; k++ {
+		a.IntervalUops[k] = uopsIn(recs, bounds[k], bounds[k+1])
+		a.TotalUops += a.IntervalUops[k]
+	}
 	if n <= 1 || n <= cfg.MaxClusters {
 		a.Exact = true
 		return a, nil
@@ -140,7 +146,7 @@ func Analyze(recs []trace.Rec, cfg Config) (Analysis, error) {
 	// stands for (exact, from the trace).
 	a.Weights = make([]float64, len(a.Reps))
 	for k := 0; k < n; k++ {
-		a.Weights[a.Clusters[k]] += float64(uopsIn(recs, bounds[k], bounds[k+1]))
+		a.Weights[a.Clusters[k]] += float64(a.IntervalUops[k])
 	}
 	return a, nil
 }
@@ -161,15 +167,20 @@ func Run(fe frontend.Frontend, recs []trace.Rec, fecfg frontend.Config, cfg Conf
 // necessarily one produced by Analyze over the same recs and cfg (the
 // analysis is deterministic, so a cached copy is indistinguishable from
 // a fresh one). An analysis whose final boundary is not the end of recs,
-// or whose uop total is not that of recs, was made for another stream and
-// is rejected.
+// or whose uop count for an interval the run simulates is not that of
+// recs, was made for another stream and is rejected. The check reads only
+// the representative intervals, so it costs no more than simulating
+// them; a stream that differs only inside skipped intervals goes unseen,
+// which the caller's stream key rules out.
 func RunAnalyzed(fe frontend.Frontend, recs []trace.Rec, fecfg frontend.Config, cfg Config, a Analysis) (Result, error) {
 	n := len(a.Boundaries) - 1
-	if n < 0 || a.Boundaries[n] != len(recs) {
+	if n < 0 || a.Boundaries[n] != len(recs) || len(a.IntervalUops) != n {
 		return Result{}, fmt.Errorf("sampling: analysis does not cover this %d-record stream", len(recs))
 	}
-	if u := uopsIn(recs, 0, len(recs)); a.TotalUops != u {
-		return Result{}, fmt.Errorf("sampling: analysis counts %d uops, this stream has %d", a.TotalUops, u)
+	for _, k := range a.Reps {
+		if u := uopsIn(recs, a.Boundaries[k], a.Boundaries[k+1]); u != a.IntervalUops[k] {
+			return Result{}, fmt.Errorf("sampling: analysis counts %d uops in interval %d, this stream has %d", a.IntervalUops[k], k, u)
+		}
 	}
 	res := Result{Intervals: n, Boundaries: a.Boundaries}
 	ses := fe.NewSession()

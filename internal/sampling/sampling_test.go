@@ -148,8 +148,9 @@ func TestRunAnalyzedRejectsForeignAnalysis(t *testing.T) {
 }
 
 // TestRunAnalyzedRejectsForeignUopTotal: a stream with the same record
-// count as the analyzed one but other uop counts is foreign too; its
-// extrapolated Uops must not be copied from the analysis.
+// count as the analyzed one but other uop counts in an interval the run
+// simulates is foreign too; its extrapolated Uops must not be copied
+// from the analysis.
 func TestRunAnalyzedRejectsForeignUopTotal(t *testing.T) {
 	recs := genRecs(t, "gcc", 200_000)
 	cfg := DefaultConfig()
@@ -157,8 +158,12 @@ func TestRunAnalyzedRejectsForeignUopTotal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if a.Exact {
+		t.Fatal("the stream must be long enough to sample")
+	}
+	rep := a.Reps[len(a.Reps)-1]
 	other := append([]trace.Rec(nil), recs...)
-	other[len(other)/2].NumUops++
+	other[(a.Boundaries[rep]+a.Boundaries[rep+1])/2].NumUops++
 	if _, err := RunAnalyzed(newXBC(), other, frontend.DefaultConfig(), cfg, a); err == nil {
 		t.Fatal("RunAnalyzed accepted an analysis whose uop total is not the stream's")
 	}

@@ -39,7 +39,7 @@ var projections = []projection{
 		keeps: []string{"Frontend", "Program", "Uops", "Budget", "Ports", "Check", "Fidelity", "Core"},
 		drops: []string{"Workload"},
 		overKeyed: map[string]string{
-			"Program.Name": "the stream's label; hashing it keeps one job key per program value",
+			"Program.Name": "hashed with the program, as the persisted r: format has it; a renamed copy of a program is a separate job",
 		},
 	},
 	{
@@ -56,7 +56,7 @@ var projections = []projection{
 		keeps: []string{"Frontend", "Program", "Uops", "Budget", "Ports", "Check"},
 		drops: []string{"Workload", "Fidelity", "Core"},
 		overKeyed: map[string]string{
-			"Program.Name": "the stream's label; hashing it keeps one job key per program value",
+			"Program.Name": "hashed with the program, as the persisted s: format has it; a renamed copy of a program misses the snapshot cache and warms again",
 			"Check":        "checked runs never snapshot; the key keeps the frontend model whole",
 		},
 	},
@@ -67,7 +67,7 @@ var projections = []projection{
 		keeps: []string{"Program", "Uops", "Fidelity", "Check"},
 		drops: []string{"Frontend", "Workload", "Budget", "Ports", "Core"},
 		overKeyed: map[string]string{
-			"Program.Name": "the stream's label; hashing it keeps one job key per program value",
+			"Program.Name": "inherited from the stream key, whose stream carries the name; a renamed copy of a program misses the analysis memo and analyzes again",
 		},
 	},
 }

@@ -110,6 +110,15 @@ func reasonKey(r abandonReason) string {
 	}
 }
 
+// reasonKeys holds reasonKey of every index, built once, so reporting the
+// reasons at the end of each run allocates no strings.
+var reasonKeys = func() (keys [numAbandonReasons]string) {
+	for r := range keys {
+		keys[r] = reasonKey(abandonReason(r))
+	}
+	return keys
+}()
+
 // charge adds a misprediction penalty to the metrics (suppressed in the
 // oracle limit study, where prediction is perfect).
 func (f *Frontend) charge(st *runState, m *frontend.Metrics, c int) {

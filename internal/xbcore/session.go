@@ -169,7 +169,7 @@ func (s *session) Finish() (frontend.Metrics, error) {
 	m.AddExtra("replacements", float64(st.cache.Replacements))
 	for r, v := range st.reasons {
 		if v > 0 {
-			m.AddExtra(reasonKey(abandonReason(r)), float64(v))
+			m.AddExtra(reasonKeys[r], float64(v))
 		}
 	}
 	m.Finalize(f.fecfg)
