@@ -232,6 +232,7 @@ func TestFrontendAllocs(t *testing.T) {
 // BenchmarkGenerate measures synthetic stream generation throughput.
 func BenchmarkGenerate(b *testing.B) {
 	w, _ := xbc.WorkloadByName("m88ksim")
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := xbc.Generate(w, 100_000); err != nil {
 			b.Fatal(err)

@@ -78,21 +78,6 @@ func (p *Program) StaticInsts() int { return p.staticInsts }
 // footprint that competes for XBC/TC capacity.
 func (p *Program) StaticUops() int { return p.staticUops }
 
-// InstAt looks up the static instruction at the given address. It is a
-// linear-probe over a lazily built index; used by tests and debug tools.
-func (p *Program) InstAt(ip isa.Addr) (isa.Inst, bool) {
-	for _, f := range p.Funcs {
-		for _, b := range f.Blocks {
-			for _, in := range b.Insts {
-				if in.IP == ip {
-					return in, true
-				}
-			}
-		}
-	}
-	return isa.Inst{}, false
-}
-
 // Validate checks structural invariants of the built program: instruction
 // encodings, terminator wiring, forward-only unconditional jumps, and the
 // call-graph DAG property (callees have strictly larger IDs). These are the

@@ -285,15 +285,3 @@ func TestPhasedChooserRotates(t *testing.T) {
 		t.Fatalf("phased chooser never rotated: %v", seen)
 	}
 }
-
-func TestInstAtFindsInstructions(t *testing.T) {
-	p := MustBuild(testSpec(13))
-	in := p.Funcs[1].Blocks[0].Insts[0]
-	got, ok := p.InstAt(in.IP)
-	if !ok || got != in {
-		t.Fatalf("InstAt(%#x) = %+v, %v", in.IP, got, ok)
-	}
-	if _, ok := p.InstAt(0xdeadbeef); ok {
-		t.Fatal("phantom instruction")
-	}
-}

@@ -8,6 +8,7 @@ import (
 
 	"xbc/internal/isa"
 	"xbc/internal/program"
+	"xbc/internal/workload"
 )
 
 func testStream(t *testing.T, seed int64, uops uint64) *Stream {
@@ -136,5 +137,23 @@ func TestReadRejectsGarbage(t *testing.T) {
 	trunc := buf.Bytes()[:buf.Len()/2]
 	if _, err := Read(bytes.NewReader(trunc)); err == nil {
 		t.Fatal("truncated stream accepted")
+	}
+}
+
+// TestGenerateAllocs holds the allocations of one trace.Generate of gcc
+// at 150k uops as an exact count: the program's blocks, instructions and
+// behaviours, the seeded sources of the branches the walk reaches, and
+// the pre-sized record slice. The count includes slice growth, so it is
+// that of the Go 1.24 runtime; a Go release that moves it is re-measured
+// here, and the count may not rise.
+func TestGenerateAllocs(t *testing.T) {
+	w, _ := workload.ByName("gcc")
+	got := testing.AllocsPerRun(2, func() {
+		if _, err := Generate(w.Spec, 150_000); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if got != 28738 {
+		t.Fatalf("Generate(gcc, 150k): %v allocs, want exactly %v", got, 28738)
 	}
 }
