@@ -12,9 +12,11 @@
 //
 // A cell a jobspec.Spec describes is that one job: it runs through
 // jobspec.Execute, the one execution path the service also takes, and
-// shares the service's stored results. Figures that vary geometry or
-// feature flags a spec cannot express build their models and replay the
-// corpus stream themselves.
+// shares the service's stored results. The geometry studies (Figure 10,
+// ablation, XBTB, renamer, path associativity) are such cells too, with
+// a jobspec.Geometry. Only Figure 1, which analyzes the trace itself,
+// and ContextSwitch, which interleaves two streams, replay the corpus
+// stream themselves.
 package experiments
 
 import (
@@ -27,14 +29,11 @@ import (
 	"xbc/internal/planner"
 	"xbc/internal/program"
 	"xbc/internal/runner"
-	"xbc/internal/sampling"
 	"xbc/internal/service/jobspec"
 	"xbc/internal/stats"
 	"xbc/internal/store"
-	"xbc/internal/tcache"
 	"xbc/internal/trace"
 	"xbc/internal/workload"
-	"xbc/internal/xbcore"
 )
 
 // Options parameterizes an experiment run. Zero fields take defaults from
@@ -132,8 +131,12 @@ func stream(o Options, w workload.Workload) (*trace.Stream, error) {
 	return corpus.Stream(w.Spec, o.UopsPerTrace)
 }
 
-// xbcAndTC is the model pair most figures compare.
-var xbcAndTC = []string{jobspec.KindXBC, jobspec.KindTC}
+// xbcAndTC is the model pair most figures compare; the geometry studies
+// that vary only the XBC run xbcOnly.
+var (
+	xbcAndTC = []string{jobspec.KindXBC, jobspec.KindTC}
+	xbcOnly  = []string{jobspec.KindXBC}
+)
 
 // ---------------------------------------------------------------------
 // Figure 1: length distribution of basic blocks, XBs, XBs with
@@ -224,7 +227,7 @@ type Fig8Result struct {
 // XBC and TC. The paper's finding: the difference is negligible.
 func Figure8(o Options) (*Fig8Result, error) {
 	o = o.withDefaults()
-	ms, ok, err := runModels(o, "fig8", o.Workloads, xbcAndTC, o.Budget, o.Fidelity)
+	ms, ok, err := runModels(o, "fig8", o.Workloads, kindsAt(xbcAndTC, o.Budget, o.Fidelity, nil))
 	if err != nil {
 		return nil, err
 	}
@@ -288,7 +291,7 @@ func Figure9(o Options) (*Fig9Result, error) {
 	}
 	var firstErr error
 	for j, size := range o.Sizes {
-		ms, ok, err := runModels(o, "fig9", o.Workloads, xbcAndTC, size, o.Fidelity)
+		ms, ok, err := runModels(o, "fig9", o.Workloads, kindsAt(xbcAndTC, size, o.Fidelity, nil))
 		if err != nil && firstErr == nil {
 			firstErr = err
 		}
@@ -346,59 +349,18 @@ type Fig10Result struct {
 // Figure10 reproduces Figure 10: average miss rate at associativities 1,
 // 2 and 4 with a fixed budget. The paper's finding: direct-mapped to
 // 2-way cuts misses by ~60%; 2-way to 4-way helps less.
-//
-// Associativity is a geometry no jobspec.Spec describes, so the cells
-// build their models here and run the rung themselves.
 func Figure10(o Options) (*Fig10Result, error) {
 	o = o.withDefaults()
-	missRate := func(fe frontend.Frontend, s *trace.Stream) (float64, error) {
-		if o.Fidelity == "" || o.Fidelity == jobspec.FidelityFull {
-			return frontend.Run(fe, s).UopMissRate(), nil
-		}
-		res, err := sampling.Run(fe, s.Records(), frontend.DefaultConfig(), sampling.ConfigFor(o.Fidelity))
-		return res.Metrics.UopMissRate(), err
-	}
 	res := &Fig10Result{Assocs: o.Assocs}
 	t := stats.NewTable(fmt.Sprintf("Figure 10 - miss rate vs associativity (%dK uops, average)", o.Budget/1024),
 		"ways", "XBC miss %", "TC miss %")
 	var firstErr error
 	for _, ways := range o.Assocs {
-		ways := ways
-		params := []string{budgetParam(o.Budget), fmt.Sprintf("w%d", ways), fidelityName(o.Fidelity)}
-		vals, ok, err := runCells(o, "fig10", params, o.Workloads,
-			func(ctx context.Context, w workload.Workload) (pairCell, error) {
-				s, err := stream(o, w)
-				if err != nil {
-					return pairCell{}, err
-				}
-				xc := xbcore.DefaultConfig(o.Budget)
-				xc.Ways = ways
-				xc.Sets = sizeToSets(o.Budget, xc.Banks*xc.BankUops*ways)
-				xm, err := missRate(xbcore.New(xc, frontend.DefaultConfig()), s)
-				if err != nil {
-					return pairCell{}, err
-				}
-
-				tc := tcache.DefaultConfig(o.Budget)
-				tc.Ways = ways
-				tc.Sets = sizeToSets(o.Budget, tc.MaxUops*ways)
-				tm, err := missRate(tcache.New(tc, frontend.DefaultConfig()), s)
-				if err != nil {
-					return pairCell{}, err
-				}
-				return pairCell{XBC: xm, TC: tm}, nil
-			})
+		ms, ok, err := runModels(o, "fig10", o.Workloads, kindsAt(xbcAndTC, o.Budget, o.Fidelity, &jobspec.Geometry{Ways: ways}))
 		if err != nil && firstErr == nil {
 			firstErr = err
 		}
-		var xs, ts []float64
-		for i := range vals {
-			if !ok[i] {
-				continue
-			}
-			xs = append(xs, vals[i].XBC)
-			ts = append(ts, vals[i].TC)
-		}
+		xs, ts := column(ms, ok, 0, frontend.Metrics.UopMissRate), column(ms, ok, 1, frontend.Metrics.UopMissRate)
 		res.AvgXBC = append(res.AvgXBC, stats.Mean(xs))
 		res.AvgTC = append(res.AvgTC, stats.Mean(ts))
 		t.AddRowf(ways, stats.Mean(xs), stats.Mean(ts))
@@ -417,23 +379,14 @@ func Figure10(o Options) (*Fig10Result, error) {
 	return res, nil
 }
 
-// pairCell is the stored value of a cell that measures one number per
-// structure (for the XBTB sweep: the XBC's miss rate and bandwidth).
-type pairCell struct {
-	XBC float64
-	TC  float64
-}
-
-// sizeToSets converts a uop budget and per-set uop capacity to a
-// power-of-two set count.
-func sizeToSets(budget, uopsPerSet int) int {
-	sets := budget / uopsPerSet
-	if sets < 1 {
-		sets = 1
+// column returns metric f of model k for every workload whose cells all
+// produced a value.
+func column(ms [][]frontend.Metrics, ok []bool, k int, f func(frontend.Metrics) float64) []float64 {
+	var out []float64
+	for i := range ms {
+		if ok[i] {
+			out = append(out, f(ms[i][k]))
+		}
 	}
-	p := 1
-	for p*2 <= sets {
-		p *= 2
-	}
-	return p
+	return out
 }

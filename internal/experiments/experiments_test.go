@@ -137,8 +137,8 @@ func TestAblationStudy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tb.NumRows() != len(Ablations()) {
-		t.Fatalf("rows = %d, want %d", tb.NumRows(), len(Ablations()))
+	if tb.NumRows() != len(ablations) {
+		t.Fatalf("rows = %d, want %d", tb.NumRows(), len(ablations))
 	}
 }
 

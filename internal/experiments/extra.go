@@ -1,15 +1,12 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 
 	"xbc/internal/frontend"
 	"xbc/internal/service/jobspec"
 	"xbc/internal/stats"
-	"xbc/internal/tcache"
 	"xbc/internal/workload"
-	"xbc/internal/xbcore"
 )
 
 // This file adds the studies the paper reports in text rather than as
@@ -21,7 +18,7 @@ import (
 // (nearly) redundancy free. Reports resident-copy averages per trace.
 func Redundancy(o Options) (*stats.Table, error) {
 	o = o.withDefaults()
-	ms, ok, err := runModels(o, "redundancy", o.Workloads, xbcAndTC, o.Budget, "")
+	ms, ok, err := runModels(o, "redundancy", o.Workloads, kindsAt(xbcAndTC, o.Budget, "", nil))
 	if err != nil {
 		return nil, err
 	}
@@ -54,7 +51,7 @@ func Redundancy(o Options) (*stats.Table, error) {
 // paper's section 2.
 func Frontends(o Options) (*stats.Table, error) {
 	o = o.withDefaults()
-	ms, ok, err := runModels(o, "frontends", o.Workloads, jobspec.Kinds(), o.Budget, "")
+	ms, ok, err := runModels(o, "frontends", o.Workloads, kindsAt(jobspec.Kinds(), o.Budget, "", nil))
 	if err != nil {
 		return nil, err
 	}
@@ -73,45 +70,23 @@ func Frontends(o Options) (*stats.Table, error) {
 	return t, nil
 }
 
-// AblationSpec names one feature-flag ablation.
-type AblationSpec struct {
-	Name   string
-	Mutate func(*xbcore.Config)
-}
-
-// Ablations returns the standard ablation set from DESIGN.md.
-func Ablations() []AblationSpec {
-	return []AblationSpec{
-		{"baseline (all on)", func(c *xbcore.Config) {}},
-		{"no promotion", func(c *xbcore.Config) { c.Promotion = false }},
-		{"no complex XBs", func(c *xbcore.Config) { c.ComplexXB = false }},
-		{"no set search", func(c *xbcore.Config) { c.SetSearch = false }},
-		{"no smart placement", func(c *xbcore.Config) { c.SmartPlacement = false }},
-		{"no dynamic placement", func(c *xbcore.Config) { c.DynamicPlacement = false }},
-		{"single XB/cycle", func(c *xbcore.Config) { c.XBsPerCycle = 1 }},
-		{"4 XBs/cycle", func(c *xbcore.Config) { c.XBsPerCycle = 4 }},
-		{"oracle prediction (limit)", func(c *xbcore.Config) { c.Oracle = true }},
-		{"bimodal XBP", func(c *xbcore.Config) { c.XBP = xbcore.XBPBimodal }},
-		{"tournament XBP", func(c *xbcore.Config) { c.XBP = xbcore.XBPTournament }},
-		{"next-XB prediction", func(c *xbcore.Config) { c.NextXB = true }},
-		{"2 banks", func(c *xbcore.Config) {
-			c.Banks, c.BankUops = 2, 8
-			c.Sets = sizeToSets(c.UopCapacity(), c.Banks*c.BankUops*c.Ways)
-		}},
-		{"8 banks", func(c *xbcore.Config) {
-			c.Banks, c.BankUops = 8, 2
-			c.Sets = sizeToSets(c.UopCapacity(), c.Banks*c.BankUops*c.Ways)
-		}},
-	}
-}
-
-// ablationCell is the stored value of one (ablation, workload) cell.
-type ablationCell struct {
-	Miss float64
-	BW   float64
-	Red  float64
-	SS   float64
-	Conf float64
+// ablations are the rows of the ablation table, each an xbc variant of
+// jobspec.Geometry ("" is the paper's configuration).
+var ablations = []struct{ label, variant string }{
+	{"baseline (all on)", ""},
+	{"no promotion", "no-promotion"},
+	{"no complex XBs", "no-complex-xb"},
+	{"no set search", "no-set-search"},
+	{"no smart placement", "no-smart-placement"},
+	{"no dynamic placement", "no-dynamic-placement"},
+	{"single XB/cycle", "1-xb-per-cycle"},
+	{"4 XBs/cycle", "4-xbs-per-cycle"},
+	{"oracle prediction (limit)", "oracle"},
+	{"bimodal XBP", "bimodal-xbp"},
+	{"tournament XBP", "tournament-xbp"},
+	{"next-XB prediction", "next-xb"},
+	{"2 banks", "2-banks"},
+	{"8 banks", "8-banks"},
 }
 
 // Ablation measures the XBC feature flags one at a time over a workload
@@ -125,42 +100,14 @@ func Ablation(o Options) (*stats.Table, error) {
 	}
 	t := stats.NewTable(fmt.Sprintf("XBC ablations (%dK uops, traces: %s)", o.Budget/1024, nameList(ws)),
 		"configuration", "miss %", "bandwidth", "redundancy", "set searches", "bank conflicts")
-	for _, ab := range Ablations() {
-		ab := ab
-		vals, ok, err := runCells(o, "ablation", []string{budgetParam(o.Budget), ab.Name}, ws,
-			func(ctx context.Context, w workload.Workload) (ablationCell, error) {
-				s, err := stream(o, w)
-				if err != nil {
-					return ablationCell{}, err
-				}
-				cfg := xbcore.DefaultConfig(o.Budget)
-				ab.Mutate(&cfg)
-				x := xbcore.New(cfg, frontend.DefaultConfig())
-				m := frontend.Run(x, s)
-				return ablationCell{
-					Miss: m.UopMissRate(),
-					BW:   m.Bandwidth(),
-					Red:  m.Extra["redundancy"],
-					SS:   m.Extra["set_searches"],
-					Conf: m.Extra["bank_conflicts"],
-				}, nil
-			})
+	for _, ab := range ablations {
+		ms, ok, err := runModels(o, "ablation", ws, kindsAt(xbcOnly, o.Budget, "", &jobspec.Geometry{Variant: ab.variant}))
 		if err != nil {
 			return nil, err
 		}
-		var miss, bw, red, ss, conf []float64
-		for i := range vals {
-			if !ok[i] {
-				continue
-			}
-			miss = append(miss, vals[i].Miss)
-			bw = append(bw, vals[i].BW)
-			red = append(red, vals[i].Red)
-			ss = append(ss, vals[i].SS)
-			conf = append(conf, vals[i].Conf)
-		}
-		t.AddRowf(ab.Name, stats.Mean(miss), stats.Mean(bw), stats.Mean(red),
-			stats.Mean(ss), stats.Mean(conf))
+		mean := func(f func(frontend.Metrics) float64) float64 { return stats.Mean(column(ms, ok, 0, f)) }
+		t.AddRowf(ab.label, mean(frontend.Metrics.UopMissRate), mean(frontend.Metrics.Bandwidth),
+			mean(extra("redundancy")), mean(extra("set_searches")), mean(extra("bank_conflicts")))
 	}
 	return t, nil
 }
@@ -187,12 +134,6 @@ func nameList(ws []workload.Workload) string {
 	return s
 }
 
-// pathAssocCell is the stored value of one path-associativity cell.
-type pathAssocCell struct {
-	TC, TCPath, XBC          float64
-	TCRed, TCPathRed, XBCRed float64
-}
-
 // PathAssociativity contrasts the baseline TC with the [Jaco97]-style
 // path-associative TC the paper cites, and with the XBC: path
 // associativity lets same-start traces coexist (raising hit rate at the
@@ -200,43 +141,31 @@ type pathAssocCell struct {
 // entirely.
 func PathAssociativity(o Options) (*stats.Table, error) {
 	o = o.withDefaults()
-	vals, ok, err := runCells(o, "pathassoc", []string{budgetParam(o.Budget)}, o.Workloads,
-		func(ctx context.Context, w workload.Workload) (pathAssocCell, error) {
-			s, err := stream(o, w)
-			if err != nil {
-				return pathAssocCell{}, err
-			}
-			base := tcache.DefaultConfig(o.Budget)
-			pa := base
-			pa.PathAssoc = true
-			mt := frontend.Run(tcache.New(base, frontend.DefaultConfig()), s)
-			mp := frontend.Run(tcache.New(pa, frontend.DefaultConfig()), s)
-			mx := frontend.Run(xbcore.New(xbcore.DefaultConfig(o.Budget), frontend.DefaultConfig()), s)
-			return pathAssocCell{
-				TC: mt.UopMissRate(), TCPath: mp.UopMissRate(), XBC: mx.UopMissRate(),
-				TCRed: mt.Extra["redundancy"], TCPathRed: mp.Extra["redundancy"], XBCRed: mx.Extra["redundancy"],
-			}, nil
-		})
+	ms, ok, err := runModels(o, "pathassoc", o.Workloads, []jobspec.Spec{
+		{Frontend: jobspec.KindTC, Budget: o.Budget},
+		{Frontend: jobspec.KindTC, Budget: o.Budget, Geometry: &jobspec.Geometry{Variant: jobspec.VariantPathAssoc}},
+		{Frontend: jobspec.KindXBC, Budget: o.Budget},
+	})
 	if err != nil {
 		return nil, err
 	}
 	t := stats.NewTable(fmt.Sprintf("Path associativity (%dK uops): miss%% (redundancy)", o.Budget/1024),
 		"trace", "TC", "TC+path", "XBC")
-	var a, b, c []float64
-	for i, w := range o.Workloads {
-		if !ok[i] {
-			continue
-		}
-		r := vals[i]
-		t.AddRow(w.Name,
-			fmt.Sprintf("%5.2f (%.2f)", r.TC, r.TCRed),
-			fmt.Sprintf("%5.2f (%.2f)", r.TCPath, r.TCPathRed),
-			fmt.Sprintf("%5.2f (%.2f)", r.XBC, r.XBCRed))
-		a = append(a, r.TC)
-		b = append(b, r.TCPath)
-		c = append(c, r.XBC)
+	cell := func(m frontend.Metrics) string {
+		return fmt.Sprintf("%5.2f (%.2f)", m.UopMissRate(), m.Extra["redundancy"])
 	}
+	for i, w := range o.Workloads {
+		if ok[i] {
+			t.AddRow(w.Name, cell(ms[i][0]), cell(ms[i][1]), cell(ms[i][2]))
+		}
+	}
+	miss := func(k int) float64 { return stats.Mean(column(ms, ok, k, frontend.Metrics.UopMissRate)) }
 	t.AddSeparator()
-	t.AddRowf("mean", stats.Mean(a), stats.Mean(b), stats.Mean(c))
+	t.AddRowf("mean", miss(0), miss(1), miss(2))
 	return t, nil
+}
+
+// extra reads one structure-specific measurement of a run.
+func extra(name string) func(frontend.Metrics) float64 {
+	return func(m frontend.Metrics) float64 { return m.Extra[name] }
 }

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"xbc/internal/frontend"
+	"xbc/internal/service/jobspec"
 	"xbc/internal/tcache"
 	"xbc/internal/trace"
 	"xbc/internal/workload"
@@ -106,13 +107,13 @@ func TestAssociativityKnee(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fe := frontend.DefaultConfig()
 	miss := map[int]float64{}
 	for _, ways := range []int{1, 2, 4} {
-		cfg := xbcore.DefaultConfig(8 * 1024)
-		cfg.Ways = ways
-		cfg.Sets = sizeToSets(8*1024, cfg.Banks*cfg.BankUops*ways)
-		miss[ways] = frontend.Run(xbcore.New(cfg, fe), s).UopMissRate()
+		fe, err := jobspec.Spec{Frontend: jobspec.KindXBC, Budget: 8 * 1024, Geometry: &jobspec.Geometry{Ways: ways}}.NewFrontend()
+		if err != nil {
+			t.Fatal(err)
+		}
+		miss[ways] = frontend.Run(fe, s).UopMissRate()
 	}
 	if !(miss[1] > miss[2]) {
 		t.Errorf("no gain from 2-way: %v", miss)

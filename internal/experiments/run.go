@@ -26,27 +26,32 @@ import (
 // A cell lives in the store in one of two namespaces. A cell a
 // jobspec.Spec describes is that job: its key is the job key, and its
 // value is stored under jobspec.ResultStoreKey in xbcd's layout, so a
-// figure run and the daemon serve each other's results. Every other cell
-// is stored as JSON under an x: key built from exactly what the cell
-// reads (see xCell).
+// figure run and the daemon serve each other's results. The two cells no
+// spec describes, Figure 1's trace analysis and ContextSwitch's
+// interleaved streams, are stored as JSON under an x: key built from
+// exactly what the cell reads (see xCell).
 
-// spec is the job that runs frontend kind over w's stream at budget on
-// the given rung.
-func (o Options) spec(kind string, w workload.Workload, budget int, fidelity string) jobspec.Spec {
-	return jobspec.Spec{Frontend: kind, Workload: w.Name, Program: &w.Spec, Uops: o.UopsPerTrace, Budget: budget, Fidelity: fidelity}
+// kindsAt returns one model per frontend kind, all at budget on the given
+// rung with geometry g. A model is a spec without its trace.
+func kindsAt(kinds []string, budget int, fidelity string, g *jobspec.Geometry) []jobspec.Spec {
+	out := make([]jobspec.Spec, len(kinds))
+	for i, kind := range kinds {
+		out[i] = jobspec.Spec{Frontend: kind, Budget: budget, Fidelity: fidelity, Geometry: g}
+	}
+	return out
 }
 
-// runModels runs each frontend kind over every workload at one budget
-// and rung, one spec cell per (workload, kind). It returns the metrics
-// per workload in kinds order, and ok[i] when all of workload i's cells
-// produced a value.
-func runModels(o Options, figure string, ws []workload.Workload, kinds []string, budget int, fidelity string) ([][]frontend.Metrics, []bool, error) {
+// runModels runs each model over every workload's stream, one spec cell
+// per (workload, model). It returns the metrics per workload in models
+// order, and ok[i] when all of workload i's cells produced a value.
+func runModels(o Options, figure string, ws []workload.Workload, models []jobspec.Spec) ([][]frontend.Metrics, []bool, error) {
 	ms := make([][]frontend.Metrics, len(ws))
 	ok := make([]bool, len(ws))
-	specs := make([]jobspec.Spec, 0, len(ws)*len(kinds))
+	specs := make([]jobspec.Spec, 0, len(ws)*len(models))
 	for _, w := range ws {
-		for _, kind := range kinds {
-			specs = append(specs, o.spec(kind, w, budget, fidelity))
+		for _, m := range models {
+			m.Workload, m.Program, m.Uops = w.Name, &w.Spec, o.UopsPerTrace
+			specs = append(specs, m)
 		}
 	}
 	cells := make([]cell, len(specs))
@@ -59,10 +64,18 @@ func runModels(o Options, figure string, ws []workload.Workload, kinds []string,
 		if err != nil {
 			return ms, ok, err
 		}
+		config := fmt.Sprintf("%s-b%d-%s", s.Frontend, s.Budget, fidelityName(s.Fidelity))
+		if s.Geometry != nil {
+			g, err := json.Marshal(s.Geometry)
+			if err != nil {
+				return ms, ok, err
+			}
+			config += string(g)
+		}
 		cells[i] = cell{
 			key:      key,
 			locality: stream.String(),
-			rc:       runner.Cell{Figure: figure, Workload: s.Workload, Config: fmt.Sprintf("%s-b%d-%s", s.Frontend, s.Budget, fidelityName(s.Fidelity))},
+			rc:       runner.Cell{Figure: figure, Workload: s.Workload, Config: config},
 		}
 	}
 	res, done, err := runPlanned(o, cells, o.planStore(specStore{o.Store}), func(ctx context.Context, i int) (jobspec.Result, error) {
@@ -70,8 +83,8 @@ func runModels(o Options, figure string, ws []workload.Workload, kinds []string,
 	})
 	for i := range ws {
 		ok[i] = true
-		for k := range kinds {
-			j := i*len(kinds) + k
+		for k := range models {
+			j := i*len(models) + k
 			ms[i] = append(ms[i], res[j].Metrics)
 			ok[i] = ok[i] && done[j]
 		}
@@ -80,8 +93,8 @@ func runModels(o Options, figure string, ws []workload.Workload, kinds []string,
 }
 
 // runCells fans fn out over the workloads as cells no spec describes,
-// keyed by figure, each workload's stream and params: the budget, sweep
-// point and fidelity the cell reads, and nothing else.
+// keyed by figure, each workload's stream and params: what the cell
+// reads, and nothing else.
 func runCells[T any](o Options, figure string, params []string, ws []workload.Workload, fn func(ctx context.Context, w workload.Workload) (T, error)) ([]T, []bool, error) {
 	cells := make([]cell, len(ws))
 	for i, w := range ws {
@@ -141,9 +154,6 @@ func (o Options) xCell(figure, name string, ws []workload.Workload, params []str
 		rc:       runner.Cell{Figure: figure, Workload: name, Config: strings.Join(params, "-")},
 	}, nil
 }
-
-// budgetParam renders a budget as an x: key parameter.
-func budgetParam(b int) string { return fmt.Sprintf("b%d", b) }
 
 // fidelityName names a rung, with "" read as full.
 func fidelityName(f string) string {

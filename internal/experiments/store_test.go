@@ -29,34 +29,32 @@ func planOf(t *testing.T, o Options, fig func(Options) error) planner.Report {
 	return tally.Snapshot()
 }
 
-func pathAssoc(o Options) error { _, err := PathAssociativity(o); return err }
 func figure1(o Options) error   { _, err := Figure1(o); return err }
+func figure8(o Options) error   { _, err := Figure8(o); return err }
 func figure10(o Options) error  { _, err := Figure10(o); return err }
+func ctxSwitch(o Options) error { _, err := ContextSwitch(o); return err }
+func pathAssoc(o Options) error { _, err := PathAssociativity(o); return err }
+func ablation(o Options) error  { _, err := Ablation(o); return err }
+func xbtb(o Options) error      { _, err := XBTBSweep(o); return err }
+func renamer(o Options) error   { _, err := RenamerSweep(o); return err }
 
 // TestXKeysCarryOnlyWhatCellsRead: a cell's store key holds the inputs
 // the cell reads and nothing else. The extra studies always run in full,
-// so a sampled run serves a full one; Figure 10 reads the rung, so it
-// does not; Figure 1 reads neither budget nor rung.
+// so a sampled context-switch run serves a full one; Figure 1 reads
+// neither budget nor rung.
 func TestXKeysCarryOnlyWhatCellsRead(t *testing.T) {
 	o := smallOpts()
 	o.UopsPerTrace = 20_000
-	o.Assocs = []int{2}
 	o.Store = openStoreT(t, t.TempDir())
 
 	sampled := o
 	sampled.Fidelity = jobspec.FidelitySampled
-	if p := planOf(t, sampled, pathAssoc); p.Simulated != len(o.Workloads) {
-		t.Fatalf("sampled pathassoc: %s", p.String())
+	pairs := 3
+	if p := planOf(t, sampled, ctxSwitch); p.Simulated != pairs {
+		t.Fatalf("sampled ctxswitch: %s", p.String())
 	}
-	if p := planOf(t, o, pathAssoc); p.Simulated != 0 || p.Reused != len(o.Workloads) {
-		t.Errorf("full pathassoc after a sampled run: %s, want every cell reused", p.String())
-	}
-
-	if p := planOf(t, sampled, figure10); p.Simulated != len(o.Workloads) {
-		t.Fatalf("sampled Figure 10: %s", p.String())
-	}
-	if p := planOf(t, o, figure10); p.Simulated != len(o.Workloads) {
-		t.Errorf("full Figure 10 after a sampled run: %s, want every cell simulated", p.String())
+	if p := planOf(t, o, ctxSwitch); p.Simulated != 0 || p.Reused != pairs {
+		t.Errorf("full ctxswitch after a sampled run: %s, want every cell reused", p.String())
 	}
 
 	o.Budget = 8 * 1024
@@ -68,6 +66,40 @@ func TestXKeysCarryOnlyWhatCellsRead(t *testing.T) {
 	for _, fo := range []Options{o, sampled} {
 		if p := planOf(t, fo, figure1); p.Simulated != 0 {
 			t.Errorf("Figure 1 at another budget or rung: %s, want every cell reused", p.String())
+		}
+	}
+}
+
+// TestGeometryCellsAreSpecCells: the geometry studies' cells are job
+// specs, one model each. A study cell at the paper's geometry is the
+// cell Figure 8 or another study already ran, and a rung the cell does
+// not read does not split it: the studies run in full, so a sampled run
+// serves a full one, while Figure 10 reads the rung.
+func TestGeometryCellsAreSpecCells(t *testing.T) {
+	o := smallOpts()
+	o.UopsPerTrace = 20_000
+	o.Assocs = []int{1, 2, 4}
+	o.Store = openStoreT(t, t.TempDir())
+	sampled := o
+	sampled.Fidelity = jobspec.FidelitySampled
+	n := len(o.Workloads)
+	for _, c := range []struct {
+		name              string
+		o                 Options
+		fig               func(Options) error
+		simulated, reused int
+	}{
+		{"Figure 8", o, figure8, 2 * n, 0},
+		{"Figure 10: 2-way XBC and 4-way TC are Figure 8's", o, figure10, 4 * n, 2 * n},
+		{"sampled Figure 10 reads the rung", sampled, figure10, 6 * n, 0},
+		{"sampled pathassoc: plain TC and XBC are Figure 8's", sampled, pathAssoc, n, 2 * n},
+		{"full pathassoc after a sampled run", o, pathAssoc, 0, 3 * n},
+		{"ablation: the baseline is Figure 8's XBC", o, ablation, 13 * n, n},
+		{"xbtb: 8192 entries is Figure 8's XBC", o, xbtb, 4 * n, n},
+		{"renamer: width 8 is Figure 8's pair and the 1-XB/cycle ablation", o, renamer, 9 * n, 3 * n},
+	} {
+		if p := planOf(t, c.o, c.fig); p.Simulated != c.simulated || p.Reused != c.reused {
+			t.Errorf("%s: %s, want %d simulated and %d reused", c.name, p.String(), c.simulated, c.reused)
 		}
 	}
 }

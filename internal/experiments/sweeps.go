@@ -6,6 +6,7 @@ import (
 
 	"xbc/internal/frontend"
 	"xbc/internal/interval"
+	"xbc/internal/service/jobspec"
 	"xbc/internal/stats"
 	"xbc/internal/tcache"
 	"xbc/internal/trace"
@@ -29,39 +30,13 @@ func XBTBSweep(o Options) (*stats.Table, error) {
 	t := stats.NewTable(fmt.Sprintf("XBTB capacity sweep (%dK-uop XBC, traces: %s)", o.Budget/1024, nameList(ws)),
 		"XBTB entries", "miss %", "bandwidth")
 	for _, n := range entries {
-		n := n
-		vals, ok, err := runCells(o, "xbtb", []string{budgetParam(o.Budget), fmt.Sprintf("n%d", n)}, ws,
-			func(ctx context.Context, w workload.Workload) (pairCell, error) {
-				s, err := stream(o, w)
-				if err != nil {
-					return pairCell{}, err
-				}
-				cfg := xbcore.DefaultConfig(o.Budget)
-				cfg.XBTBSets = sizeToSets(n, cfg.XBTBWays)
-				m := frontend.Run(xbcore.New(cfg, frontend.DefaultConfig()), s)
-				return pairCell{XBC: m.UopMissRate(), TC: m.Bandwidth()}, nil
-			})
+		ms, ok, err := runModels(o, "xbtb", ws, kindsAt(xbcOnly, o.Budget, "", &jobspec.Geometry{XBTBEntries: n}))
 		if err != nil {
 			return nil, err
 		}
-		var missV, bwV []float64
-		for i := range vals {
-			if !ok[i] {
-				continue
-			}
-			missV = append(missV, vals[i].XBC)
-			bwV = append(bwV, vals[i].TC)
-		}
-		t.AddRowf(n, stats.Mean(missV), stats.Mean(bwV))
+		t.AddRowf(n, stats.Mean(column(ms, ok, 0, frontend.Metrics.UopMissRate)), stats.Mean(column(ms, ok, 0, frontend.Metrics.Bandwidth)))
 	}
 	return t, nil
-}
-
-// renamerCell is the stored value of one renamer-sweep cell.
-type renamerCell struct {
-	XBC float64
-	TC  float64
-	One float64 // XBC limited to one XB per cycle
 }
 
 // RenamerSweep varies the renamer width. The paper fixes it at 8, where
@@ -77,35 +52,14 @@ func RenamerSweep(o Options) (*stats.Table, error) {
 	t := stats.NewTable(fmt.Sprintf("Renamer width sweep (%dK uops, traces: %s): bandwidth", o.Budget/1024, nameList(ws)),
 		"renamer", "XBC bw", "TC bw", "XBC 1/cyc bw")
 	for _, width := range widths {
-		width := width
-		fe := frontend.DefaultConfig()
-		fe.RenamerWidth = width
-		vals, ok, err := runCells(o, "renamer", []string{budgetParam(o.Budget), fmt.Sprintf("r%d", width)}, ws,
-			func(ctx context.Context, w workload.Workload) (renamerCell, error) {
-				s, err := stream(o, w)
-				if err != nil {
-					return renamerCell{}, err
-				}
-				xb := frontend.Run(xbcore.New(xbcore.DefaultConfig(o.Budget), fe), s).Bandwidth()
-				tb := frontend.Run(tcache.New(tcache.DefaultConfig(o.Budget), fe), s).Bandwidth()
-				one := xbcore.DefaultConfig(o.Budget)
-				one.XBsPerCycle = 1
-				ob := frontend.Run(xbcore.New(one, fe), s).Bandwidth()
-				return renamerCell{XBC: xb, TC: tb, One: ob}, nil
-			})
+		ms, ok, err := runModels(o, "renamer", ws, append(
+			kindsAt(xbcAndTC, o.Budget, "", &jobspec.Geometry{RenamerWidth: width}),
+			kindsAt(xbcOnly, o.Budget, "", &jobspec.Geometry{RenamerWidth: width, Variant: "1-xb-per-cycle"})...))
 		if err != nil {
 			return nil, err
 		}
-		var xbcV, tcV, oneV []float64
-		for i := range vals {
-			if !ok[i] {
-				continue
-			}
-			xbcV = append(xbcV, vals[i].XBC)
-			tcV = append(tcV, vals[i].TC)
-			oneV = append(oneV, vals[i].One)
-		}
-		t.AddRowf(width, stats.Mean(xbcV), stats.Mean(tcV), stats.Mean(oneV))
+		bw := func(k int) float64 { return stats.Mean(column(ms, ok, k, frontend.Metrics.Bandwidth)) }
+		t.AddRowf(width, bw(0), bw(1), bw(2))
 	}
 	return t, nil
 }
@@ -137,7 +91,7 @@ func ContextSwitch(o Options) (*stats.Table, error) {
 			}
 			streams[i][j] = w
 		}
-		c, err := o.xCell("ctxswitch", names[i], streams[i][:], []string{budgetParam(o.Budget)})
+		c, err := o.xCell("ctxswitch", names[i], streams[i][:], []string{fmt.Sprintf("b%d", o.Budget)})
 		if err != nil {
 			return nil, err
 		}
@@ -199,7 +153,7 @@ func Phases(o Options) (*stats.Table, error) {
 	if len(ws) == len(workload.All()) {
 		ws = pickRepresentatives()
 	}
-	ms, ok, err := runModels(o, "phases", ws, xbcAndTC, o.Budget, "")
+	ms, ok, err := runModels(o, "phases", ws, kindsAt(xbcAndTC, o.Budget, "", nil))
 	if err != nil {
 		return nil, err
 	}
@@ -233,7 +187,7 @@ func IPCEstimate(o Options) (*stats.Table, error) {
 			core.IssueWidth, core.WindowSize, nameList(ws)),
 		"size (uops)", "XBC", "TC", "XBC gain %", "XBC mis/Ku", "TC mis/Ku")
 	for _, size := range o.Sizes {
-		ms, ok, err := runModels(o, "ipc", ws, xbcAndTC, size, "")
+		ms, ok, err := runModels(o, "ipc", ws, kindsAt(xbcAndTC, size, "", nil))
 		if err != nil {
 			return nil, err
 		}

@@ -99,7 +99,7 @@ func execute(n Spec, recs []trace.Rec, mgr *snapshot.Manager, analyze func(Spec,
 		var a sampling.Analysis
 		var sr sampling.Result
 		if a, err = analyze(n, recs); err == nil {
-			sr, err = sampling.RunAnalyzed(fe, recs, frontend.DefaultConfig(), SamplingConfig(n.Fidelity), a)
+			sr, err = sampling.RunAnalyzed(fe, recs, n.frontendConfig(), SamplingConfig(n.Fidelity), a)
 		}
 		res = Result{Metrics: sr.Metrics, Fidelity: n.Fidelity, ErrorBound: sr.ErrorBound, SampledUops: sr.SimulatedUops}
 	default:

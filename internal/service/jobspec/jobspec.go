@@ -83,6 +83,10 @@ type Spec struct {
 	// Core, when set, additionally runs first-order interval analysis over
 	// the run's metrics and attaches the IPC estimate to the result.
 	Core *interval.CoreConfig `json:"core,omitempty"`
+	// Geometry, when set, moves the model away from the paper's
+	// configuration: associativity, XBTB size, renamer width or one
+	// mechanism variant.
+	Geometry *Geometry `json:"geometry,omitempty"`
 }
 
 // Result is one executed job: the frontend metrics, plus the interval
@@ -167,6 +171,7 @@ func (s Spec) Normalize() Spec {
 	if s.Check {
 		s.Fidelity = "" // the invariant checker needs the exact cycle-level run
 	}
+	s.Geometry = s.Geometry.normalize(s.Frontend)
 	if s.Program == nil && s.Workload != "" {
 		if w, ok := ResolveWorkload(s.Workload); ok {
 			spec := w.Spec
@@ -220,7 +225,7 @@ func (s Spec) validateModel() error {
 			return fmt.Errorf("jobspec: core config: %w", err)
 		}
 	}
-	return nil
+	return s.Geometry.validate()
 }
 
 // Label is a short human identity for logs and metrics rows: the frontend
@@ -236,14 +241,14 @@ func (s Spec) Label() string {
 	return s.Frontend + "/" + name
 }
 
-// NewFrontend constructs the frontend model the spec names, with the
-// paper's default timing parameters.
+// NewFrontend constructs the frontend model the spec names: the paper's
+// configuration at the spec's budget, moved by its geometry.
 func (s Spec) NewFrontend() (frontend.Frontend, error) {
 	n := s.Normalize()
 	if err := n.validateModel(); err != nil {
 		return nil, err
 	}
-	fecfg := frontend.DefaultConfig()
+	fecfg := n.frontendConfig()
 	switch n.Frontend {
 	case KindIC:
 		if n.Ports > 1 {
@@ -253,13 +258,13 @@ func (s Spec) NewFrontend() (frontend.Frontend, error) {
 	case KindDecoded:
 		return decoded.New(decoded.DefaultConfig(n.Budget), fecfg), nil
 	case KindTC:
-		return tcache.New(tcache.DefaultConfig(n.Budget), fecfg), nil
+		return tcache.New(n.Geometry.tc(tcache.DefaultConfig(n.Budget), n.Budget), fecfg), nil
 	case KindBBTC:
 		return bbtc.New(bbtc.DefaultConfig(n.Budget), fecfg), nil
 	case KindXBC:
 		cfg := xbcore.DefaultConfig(n.Budget)
 		cfg.Check = n.Check
-		return xbcore.New(cfg, fecfg), nil
+		return xbcore.New(n.Geometry.xbc(cfg, n.Budget), fecfg), nil
 	default:
 		return nil, fmt.Errorf("jobspec: unknown frontend %q", n.Frontend)
 	}

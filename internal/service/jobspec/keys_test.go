@@ -36,7 +36,7 @@ var projections = []projection{
 		name:  "Key",
 		key:   func(s Spec) (any, error) { return s.Key() },
 		value: func(t *testing.T, n Spec, st *trace.Stream) any { return executeUncached(t, n, st) },
-		keeps: []string{"Frontend", "Program", "Uops", "Budget", "Ports", "Check", "Fidelity", "Core"},
+		keeps: []string{"Frontend", "Program", "Uops", "Budget", "Ports", "Check", "Fidelity", "Core", "Geometry"},
 		drops: []string{"Workload"},
 		overKeyed: map[string]string{
 			"Program.Name": "hashed with the program, as the persisted r: format has it; a renamed copy of a program is a separate job",
@@ -47,17 +47,18 @@ var projections = []projection{
 		key:   func(s Spec) (any, error) { return s.StreamKey() },
 		value: func(t *testing.T, n Spec, st *trace.Stream) any { return st },
 		keeps: []string{"Program", "Uops"},
-		drops: []string{"Frontend", "Workload", "Budget", "Ports", "Check", "Fidelity", "Core"},
+		drops: []string{"Frontend", "Workload", "Budget", "Ports", "Check", "Fidelity", "Core", "Geometry"},
 	},
 	{
 		name:  "SnapshotKey",
 		key:   func(s Spec) (any, error) { return s.SnapshotKey() },
 		value: func(t *testing.T, n Spec, st *trace.Stream) any { return warmBlob(t, n, st) },
-		keeps: []string{"Frontend", "Program", "Uops", "Budget", "Ports", "Check"},
+		keeps: []string{"Frontend", "Program", "Uops", "Budget", "Ports", "Check", "Geometry"},
 		drops: []string{"Workload", "Fidelity", "Core"},
 		overKeyed: map[string]string{
-			"Program.Name": "hashed with the program, as the persisted s: format has it; a renamed copy of a program misses the snapshot cache and warms again",
-			"Check":        "checked runs never snapshot; the key keeps the frontend model whole",
+			"Program.Name":          "hashed with the program, as the persisted s: format has it; a renamed copy of a program misses the snapshot cache and warms again",
+			"Check":                 "checked runs never snapshot; the key keeps the frontend model whole",
+			"Geometry.RenamerWidth": "the renamer width enters only when the metrics are finalized, after the warm state; the key keeps the geometry whole, so a run at another width warms again",
 		},
 	},
 	{
@@ -65,7 +66,7 @@ var projections = []projection{
 		key:   func(s Spec) (any, error) { return s.analysisKey() },
 		value: func(t *testing.T, n Spec, st *trace.Stream) any { return analyzeUncached(t, n, st) },
 		keeps: []string{"Program", "Uops", "Fidelity", "Check"},
-		drops: []string{"Frontend", "Workload", "Budget", "Ports", "Core"},
+		drops: []string{"Frontend", "Workload", "Budget", "Ports", "Core", "Geometry"},
 		overKeyed: map[string]string{
 			"Program.Name": "inherited from the stream key, whose stream carries the name; a renamed copy of a program misses the analysis memo and analyzes again",
 		},
@@ -74,8 +75,8 @@ var projections = []projection{
 
 // keyBases holds one base spec per frontend kind, over small inline
 // programs at lengths that keep the walk fast. Between them, their walks
-// reach every generator knob. The estimate bases run past two sampling
-// intervals, so their analysis really clusters.
+// reach every generator knob and every geometry leaf. The estimate bases
+// run past two sampling intervals, so their analysis really clusters.
 func keyBases() []Spec {
 	prog := func(seed int64, functions int) *program.Spec {
 		p := program.DefaultSpec("probe", seed)
@@ -86,18 +87,24 @@ func keyBases() []Spec {
 	return []Spec{
 		{Frontend: KindIC, Workload: "probe", Program: prog(3, 16), Uops: 30_000, Ports: 1, Core: &core},
 		{Frontend: KindDecoded, Workload: "probe", Program: prog(3, 8), Uops: 30_001, Budget: 4096, Fidelity: FidelitySampled},
-		{Frontend: KindTC, Workload: "probe", Program: prog(1, 16), Uops: 24_000, Budget: 4096},
+		{Frontend: KindTC, Workload: "probe", Program: prog(1, 16), Uops: 24_000, Budget: 4096, Geometry: &Geometry{Ways: 2}},
 		{Frontend: KindBBTC, Workload: "probe", Program: prog(2, 12), Uops: 62_000, Budget: 8192, Fidelity: FidelityEstimate},
-		{Frontend: KindXBC, Workload: "probe", Program: prog(1, 8), Uops: 70_001, Budget: 4096, Fidelity: FidelityEstimate},
+		{Frontend: KindXBC, Workload: "probe", Program: prog(1, 8), Uops: 70_001, Budget: 4096, Fidelity: FidelityEstimate,
+			Geometry: &Geometry{XBTBEntries: 2048, RenamerWidth: 6, Variant: "no-promotion"}},
 	}
 }
 
 // keyAlternatives are the values the walk tries for the enum leaves, and
-// a budget and length step large enough to reshape the value.
+// a budget, length and XBTB step large enough to reshape the value.
 func keyAlternatives() map[string][]any {
 	alts := map[string][]any{
-		"Budget": {2048},
-		"Uops":   {uint64(16_000)},
+		"Budget":               {2048},
+		"Uops":                 {uint64(16_000)},
+		"Geometry.XBTBEntries": {0, 8},
+		"Geometry.Variant":     {""},
+	}
+	for _, v := range Variants() {
+		alts["Geometry.Variant"] = append(alts["Geometry.Variant"], v)
 	}
 	for _, k := range Kinds() {
 		alts["Frontend"] = append(alts["Frontend"], k)
@@ -153,7 +160,7 @@ func TestKeyProjectionsSound(t *testing.T) {
 		for _, m := range muts {
 			leaf := strings.SplitN(m.Field, "=", 2)[0]
 			field := strings.SplitN(strings.SplitN(leaf, ".", 2)[0], "[", 2)[0]
-			walked[field] = true
+			walked[field], walked[leaf] = true, true
 			keys, vals := keysAndValues(t, m.Spec, streams)
 			for i, p := range projections {
 				keyChanged := keys[i] != baseKeys[i]
@@ -179,6 +186,11 @@ func TestKeyProjectionsSound(t *testing.T) {
 	for f := range fields {
 		if !walked[f] {
 			t.Errorf("no base walked Spec.%s", f)
+		}
+	}
+	for i := 0; i < reflect.TypeOf(Geometry{}).NumField(); i++ {
+		if leaf := "Geometry." + reflect.TypeOf(Geometry{}).Field(i).Name; !walked[leaf] {
+			t.Errorf("no base walked %s", leaf)
 		}
 	}
 	for i, p := range projections {

@@ -265,6 +265,31 @@ func TestEstimateAttachedAndInvalidCoreRejected(t *testing.T) {
 	}
 }
 
+// TestGeometryBoundsRejected: a geometry leaf out of its bounds, or a
+// variant no model has, fails validation with 400 before any worker
+// builds a model from it; a geometry in bounds is its own job.
+func TestGeometryBoundsRejected(t *testing.T) {
+	_, ts := newTestServer(t, Options{})
+	for _, g := range []jobspec.Geometry{{Ways: 99}, {XBTBEntries: 1000}, {RenamerWidth: -1}, {Variant: "bogus"}} {
+		bad := tinySpec()
+		bad.Geometry = &g
+		resp := postJSON(t, ts.URL+"/v1/jobs", bad)
+		if e := decodeBody[api.Error](t, resp); resp.StatusCode != http.StatusBadRequest || !strings.Contains(e.Error, "geometry") {
+			t.Errorf("geometry %+v: status %d, error %q; want 400 naming the geometry", g, resp.StatusCode, e.Error)
+		}
+	}
+	plain := decodeBody[api.SubmitResponse](t, postJSON(t, ts.URL+"/v1/jobs", tinySpec()))
+	spec := tinySpec()
+	spec.Geometry = &jobspec.Geometry{Ways: 1, Variant: "no-promotion"}
+	sub := decodeBody[api.SubmitResponse](t, postJSON(t, ts.URL+"/v1/jobs", spec))
+	if sub.ID == plain.ID {
+		t.Fatal("the geometry must split the job key")
+	}
+	if job := waitJob(t, ts.URL, sub.ID); job.State != "done" {
+		t.Fatalf("geometry job: %s (%s)", job.State, job.Error)
+	}
+}
+
 func TestSweepFanOut(t *testing.T) {
 	_, ts := newTestServer(t, Options{})
 	req := api.SweepRequest{
