@@ -156,20 +156,6 @@ func TestRASWraparound(t *testing.T) {
 	}
 }
 
-func TestRASPeek(t *testing.T) {
-	r := NewRAS(4)
-	if _, ok := r.Peek(); ok {
-		t.Fatal("peek on empty")
-	}
-	r.Push(7)
-	if a, ok := r.Peek(); !ok || a != 7 {
-		t.Fatal("peek wrong")
-	}
-	if r.Depth() != 1 {
-		t.Fatal("peek changed depth")
-	}
-}
-
 // TestRASMatchesReferenceStack checks the RAS against a plain bounded
 // stack model under random push/pop sequences (wraparound drops the
 // oldest entries).

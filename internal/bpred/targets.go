@@ -123,15 +123,6 @@ func (r *RAS) Pop() (a isa.Addr, ok bool) {
 	return r.slots[r.top], true
 }
 
-// Peek returns the would-be Pop result without removing it.
-func (r *RAS) Peek() (a isa.Addr, ok bool) {
-	if r.depth == 0 {
-		return 0, false
-	}
-	i := (r.top - 1 + len(r.slots)) % len(r.slots)
-	return r.slots[i], true
-}
-
 // Depth reports the number of live entries.
 func (r *RAS) Depth() int { return r.depth }
 

@@ -201,37 +201,6 @@ func Mean(xs []float64) float64 {
 	return s / float64(len(xs))
 }
 
-// HarmonicMean returns the harmonic mean of xs; entries <= 0 make the
-// result 0 (the conventional degenerate answer for rates).
-func HarmonicMean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	var s float64
-	for _, x := range xs {
-		if x <= 0 {
-			return 0
-		}
-		s += 1 / x
-	}
-	return float64(len(xs)) / s
-}
-
-// GeoMean returns the geometric mean of xs (0 if any entry is <= 0).
-func GeoMean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	var s float64
-	for _, x := range xs {
-		if x <= 0 {
-			return 0
-		}
-		s += math.Log(x)
-	}
-	return math.Exp(s / float64(len(xs)))
-}
-
 // Ratio returns num/den, or 0 when den is 0, so callers can divide counters
 // without guarding.
 func Ratio(num, den float64) float64 {

@@ -25,11 +25,11 @@ func (s *Store) needsCompactLocked() bool {
 	return payload > compactMinBytes && payload > compactGarbageFactor*s.liveBytes
 }
 
-// Compact rewrites the live records into a fresh segment and atomically
+// compact rewrites the live records into a fresh segment and atomically
 // swaps it in. Safe to call any time; a crash at any point leaves a
 // recoverable store (the swap is a single rename, and a stale temporary
 // file is discarded on open).
-func (s *Store) Compact() error {
+func (s *Store) compact() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {

@@ -156,8 +156,8 @@ func TestCrashDuringCompaction(t *testing.T) {
 			s, want := seedStore(t, dir, arm, 8)
 			arm.arm(point, hookAction{Tear: -1, Crash: true})
 			runToCrash(t, func() {
-				//xbc:ignore errdrop the injected crash panics out of Compact
-				s.Compact()
+				//xbc:ignore errdrop the injected crash panics out of compact
+				s.compact()
 			})
 			st := verifyRecovered(t, dir, want, "", nil)
 			if st.Records != len(want) {
@@ -313,8 +313,8 @@ func TestDiskFullMidCompaction(t *testing.T) {
 	arm := &faultArm{}
 	s, want := seedStore(t, dir, arm, 8)
 	arm.arm("compact.write", hookAction{Tear: 0, Err: errDiskFull})
-	if err := s.Compact(); err == nil {
-		t.Fatal("Compact with injected disk-full succeeded")
+	if err := s.compact(); err == nil {
+		t.Fatal("compact with injected disk-full succeeded")
 	}
 	if s.Degraded() == nil {
 		t.Fatal("store not degraded after compaction failure")
@@ -353,8 +353,8 @@ func TestAckedNeverLostProperty(t *testing.T) {
 			for i := 0; i < ops; i++ {
 				switch rng.Intn(10) {
 				case 0:
-					if err := s.Compact(); err != nil {
-						t.Fatalf("Compact: %v", err)
+					if err := s.compact(); err != nil {
+						t.Fatalf("compact: %v", err)
 					}
 				default:
 					key := fmt.Sprintf("p%d", rng.Intn(12))

@@ -150,8 +150,8 @@ func TestCompactionDropsDeadVersions(t *testing.T) {
 	}
 	mustPut(t, s, "other", []byte("y"))
 	before := s.Stats().SegmentBytes
-	if err := s.Compact(); err != nil {
-		t.Fatalf("Compact: %v", err)
+	if err := s.compact(); err != nil {
+		t.Fatalf("compact: %v", err)
 	}
 	st := s.Stats()
 	if st.SegmentBytes >= before {
