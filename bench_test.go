@@ -219,8 +219,8 @@ func TestFrontendAllocs(t *testing.T) {
 		{"Decoded", newDecoded, 2899},
 		{"TC", newTC, 2004},
 		{"BBTC", newBBTC, 3804},
-		{"XBC", newXBC, 61},
-		{"XBCNextXB", newXBCNextXB, 66},
+		{"XBC", newXBC, 58},
+		{"XBCNextXB", newXBCNextXB, 63},
 	} {
 		got := testing.AllocsPerRun(5, func() { xbc.Run(tc.mk(), s) })
 		if got != tc.want {

@@ -131,6 +131,31 @@ func TestSweepSimCells(t *testing.T) {
 	}
 }
 
+// TestSweepAllocs holds BENCH_PR7's allocs/op ledger in tier-1, as
+// TestFrontendAllocs holds BENCH_PR4's: neither sweep may allocate more
+// than the ledger records (4692 naive, 633 planned). The counts are not
+// pinned exactly, because the worker goroutines and sync.Pool move them
+// by a few allocations from run to run (4597-4601 naive and 619 planned
+// on Go 1.24).
+func TestSweepAllocs(t *testing.T) {
+	if raceDetector {
+		t.Skip("the race detector adds allocations of its own")
+	}
+	cells := benchGrid(t)
+	for _, c := range []struct {
+		name  string
+		sweep func(testing.TB, []grid.Cell) int64
+		max   float64
+	}{
+		{"SweepNaive", sweepNaive, 4692},
+		{"SweepPlanned", sweepPlanned, 633},
+	} {
+		if got := testing.AllocsPerRun(3, func() { c.sweep(t, cells) }); got > c.max {
+			t.Errorf("%s: %v allocs per sweep, over the ledger's %v", c.name, got, c.max)
+		}
+	}
+}
+
 // The benchmark file doubles as a correctness check that both paths
 // compute identical metrics; `go test` runs it for free.
 func TestBenchPathsAgree(t *testing.T) {
