@@ -4,22 +4,23 @@
 #   bash scripts/benchpair.sh BASE WORKLOAD PAIRS [xbcbench flags...]
 #   bash scripts/benchpair.sh HEAD~1 cold 10 --seed 7 --seconds 20 --trace 0
 #
-# Run it from the repository root. It checks BASE out into a git worktree
-# under .bench_build/benchpair/ (offline: BASE must be in the local
-# repository), then runs the unmodified `bash xbcbench/run.sh --workload
+# Run it from the repository root. It extracts BASE's committed files with
+# git archive into .bench_build/benchpair/ (offline: BASE must be in the
+# local repository), then runs the unmodified `bash xbcbench/run.sh --workload
 # WORKLOAD [flags]` in the base worktree and in the working tree in
 # alternation, switching which side goes first on every pair. Each run's
 # output is kept under .bench_build/benchpair/<workload>-<time>/. At the end
 # it prints, for every metric, each side's median and quartiles, the ratio
-# of the medians, and how many pairs the working tree won (ties count for
-# neither side). The verdict column reads "gain" when at least 10 pairs
+# of the medians, the median and quartiles of the per-pair ratios (change
+# over base, within each pair), and how many pairs the working tree won
+# (ties count for neither side). The verdict column reads "gain" when at least 10 pairs
 # ran, the working tree won at least 9 in 10 of them and the medians differ
 # by more than the base's interquartile spread, and "worse" when an
 # end-to-end metric's median is worse than the base's by more than its
 # bound in BENCHMARK.json. It reads "wide" when the working tree's
 # interquartile spread of an end-to-end metric is larger than that bound
 # taken as a share of the base's median: such runs spread too widely to
-# tell whether the metric got worse. The worktree is removed on exit.
+# tell whether the metric got worse. The base tree is removed on exit.
 set -euo pipefail
 
 if [ $# -lt 3 ]; then
@@ -41,9 +42,10 @@ out="$root/.bench_build/benchpair/$workload-$(date +%Y%m%d-%H%M%S)"
 tree="$root/.bench_build/benchpair/base-$base_sha"
 mkdir -p "$out"
 
-git worktree remove --force "$tree" >/dev/null 2>&1 || true
-git worktree add --detach "$tree" "$base_sha" >/dev/null
-trap 'git -C "$root" worktree remove --force "$tree" >/dev/null 2>&1 || true' EXIT
+rm -rf "$tree"
+mkdir -p "$tree"
+trap 'rm -rf "$tree"' EXIT
+git archive "$base_sha" | tar -x -C "$tree"
 
 # run SIDE DIR PAIR [flags...]: one benchmark run; the last line of its
 # output is the JSON report.
@@ -111,18 +113,20 @@ awk -v pairs="$pairs" '
 		return v[lo] + (h - lo) * (v[lo + 1] - v[lo])
 	}
 	END {
-		printf "%-26s %12s %12s %12s   %12s %12s %12s %7s %5s  %s\n", "metric", "base p50", "q1", "q3", "change p50", "q1", "q3", "ratio", "won", "verdict"
+		printf "%-26s %12s %12s %12s   %12s %12s %12s %7s   %7s %7s %7s %5s  %s\n", "metric", "base p50", "q1", "q3", "change p50", "q1", "q3", "ratio", "pair p50", "q1", "q3", "won", "verdict"
 		for (k = 1; k <= nk; k++) {
 			key = order[k]
 			if (n["base", key] == 0 || n["change", key] == 0) continue
 			bm = quant(list["base", key], 0.5); b1 = quant(list["base", key], 0.25); b3 = quant(list["base", key], 0.75)
 			cm = quant(list["change", key], 0.5); c1 = quant(list["change", key], 0.25); c3 = quant(list["change", key], 0.75)
 			dir = (key in better) ? better[key] : (key == "run.failed" ? "lower" : "")
-			won = 0
+			won = 0; ratios = ""
 			for (p = 1; p <= pairs; p++) {
 				b = val["base", key, p] + 0; c = val["change", key, p] + 0
 				if ((dir == "lower" && c < b) || (dir == "higher" && c > b)) won++
+				if (b != 0) ratios = ratios " " c / b
 			}
+			pr = (ratios != "") ? sprintf("%7.3f %7.3f %7.3f", quant(ratios, 0.5), quant(ratios, 0.25), quant(ratios, 0.75)) : sprintf("%7s %7s %7s", "-", "-", "-")
 			verdict = "-"
 			gain = (dir == "lower") ? bm - cm : cm - bm
 			if (dir != "" && pairs >= 10 && won * 10 >= pairs * 9 && gain > b3 - b1) verdict = "gain"
@@ -130,7 +134,7 @@ awk -v pairs="$pairs" '
 			if ((key in bound) && c3 - c1 > bound[key] * bm) verdict = (verdict == "-") ? "wide" : verdict "+wide"
 			ratio = (bm != 0) ? sprintf("%.3f", cm / bm) : "-"
 			wonS = (dir != "") ? won "/" pairs : "-"
-			printf "%-26s %12.4g %12.4g %12.4g   %12.4g %12.4g %12.4g %7s %5s  %s\n", key, bm, b1, b3, cm, c1, c3, ratio, wonS, verdict
+			printf "%-26s %12.4g %12.4g %12.4g   %12.4g %12.4g %12.4g %7s   %s %5s  %s\n", key, bm, b1, b3, cm, c1, c3, ratio, pr, wonS, verdict
 		}
 	}
 ' BENCHMARK.json "$out/values.txt"
