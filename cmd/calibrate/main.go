@@ -24,7 +24,6 @@ import (
 
 	"xbc"
 	"xbc/internal/planner"
-	"xbc/internal/runner"
 )
 
 func main() {
@@ -61,11 +60,10 @@ func main() {
 	cells := make([]planner.Cell, len(ws))
 	for i, w := range ws {
 		w := w
-		rc := runner.Cell{Figure: "calibrate", Workload: w.Name}
 		cells[i] = planner.Cell{
 			Key:      w.Name,
 			Locality: w.Name,
-			RCell:    rc,
+			Name:     "calibrate/" + w.Name,
 			Run: func(ctx context.Context) (any, error) {
 				s, err := xbc.Generate(w, *uops)
 				if err != nil {

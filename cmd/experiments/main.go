@@ -180,18 +180,14 @@ func main() {
 	}
 
 	// Epilogue: account for every cell, then pick the exit status. The
-	// plan line reports the sweep planner's reuse accounting whenever any
-	// cell was served without a fresh simulation.
-	report := opts.Report
-	_, failed, aborted := report.Counts()
-	if failed+aborted > 0 || ctx.Err() != nil {
-		fmt.Fprintln(os.Stderr, "experiments:", report.Summary())
-	}
-	if p := opts.Plan.Snapshot(); p.Planned > p.Simulated {
+	// plan line reports the sweep planner's accounting whenever any cell
+	// was reused, deduped, failed or aborted instead of simulated fresh.
+	p := opts.Plan.Snapshot()
+	if p.Planned > p.Simulated {
 		fmt.Fprintln(os.Stderr, "experiments: plan:", p.String())
 	}
-	for _, f := range report.Failures() {
-		fmt.Fprintf(os.Stderr, "experiments: failed %s: %v\n", f.Cell, f.Err.Err)
+	for _, f := range p.Failures {
+		fmt.Fprintf(os.Stderr, "experiments: failed %s: %v\n", f.Cell, f.Err)
 	}
 	switch {
 	case ctx.Err() != nil:
@@ -204,19 +200,18 @@ func main() {
 		fmt.Fprintln(os.Stderr, "experiments:", msg)
 		stopProf() // os.Exit skips deferred calls
 		os.Exit(130)
-	case failed > 0 || figErrs > 0:
+	case p.Failed > 0 || figErrs > 0:
 		stopProf()
 		os.Exit(1)
 	}
 }
 
-// options returns the options every run starts from. Its report
-// accounts for every cell, and its plan tally also carries the run's
-// memory, so a cell that several sections plan (Figure 8's cells recur
-// in Figure 9 and the later studies) runs once.
+// options returns the options every run starts from. Its plan tally
+// accounts for every cell and also carries the run's memory, so a cell
+// that several sections plan (Figure 8's cells recur in Figure 9 and the
+// later studies) runs once.
 func options() xbc.ExperimentOptions {
 	opts := xbc.DefaultExperimentOptions()
-	opts.Report = &xbc.RunReport{}
 	opts.Plan = &xbc.PlanTally{}
 	return opts
 }

@@ -50,11 +50,12 @@ import (
 	"net"
 	"net/http"
 	"os"
+	"os/signal"
 	"strings"
+	"syscall"
 	"time"
 
 	"xbc/internal/cluster"
-	"xbc/internal/runner"
 	"xbc/internal/service"
 	"xbc/internal/store"
 )
@@ -153,7 +154,7 @@ func main() {
 	}
 
 	httpSrv := &http.Server{Handler: handler}
-	ctx, stop := runner.NotifyContext(context.Background())
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- httpSrv.Serve(ln) }()

@@ -20,7 +20,8 @@
 //	enumexhaust — switches over enums exhaustive (or explicitly
 //	              defaulted); enum-indexed counter arrays have name
 //	              mappings
-//	errdrop     — no silently discarded errors in cmd/ and internal/runner
+//	errdrop     — no silently discarded errors in cmd/ and the serving
+//	              and sweep packages
 //	floatcmp    — no exact ==/!= on floats in stats and metric comparison
 //	lockorder   — consistent package-wide mutex acquisition order, no
 //	              re-acquisition, no lock held at return without defer

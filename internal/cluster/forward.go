@@ -47,7 +47,9 @@ func serveInner(inner http.Handler, w http.ResponseWriter, r *http.Request, body
 // handleSubmit is the ownership gate on POST /v1/jobs: the spec's
 // content key picks the owning node; a non-owner proxies, and an
 // unreachable owner degrades to executing locally (counted, never an
-// error — the result is bit-identical wherever it runs).
+// error — the result is bit-identical wherever it runs). A forward that
+// fails because the request was cancelled answers nothing: the client
+// has gone, and the owner is not at fault.
 func (c *Cluster) handleSubmit(inner http.Handler) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		if r.Header.Get(HopHeader) != "" {
@@ -76,8 +78,8 @@ func (c *Cluster) handleSubmit(inner http.Handler) http.HandlerFunc {
 			serveInner(inner, w, r, body)
 			return
 		}
-		if c.forward(w, r, owner, body, submitSkip) {
-			return
+		if c.forward(w, r, owner, body, submitSkip) || r.Context().Err() != nil {
+			return // relayed, or the client left: the owner did not fail
 		}
 		c.fallbacks.Add(1)
 		serveInner(inner, w, r, body)
@@ -100,8 +102,8 @@ func (c *Cluster) handleJob(inner http.Handler) http.HandlerFunc {
 			return
 		}
 		relayed, reachable := c.forwardStatus(w, r, owner, nil, jobSkip)
-		if relayed {
-			return
+		if relayed || r.Context().Err() != nil {
+			return // relayed, or the client left: the owner did not fail
 		}
 		if !reachable {
 			c.fallbacks.Add(1)

@@ -28,16 +28,17 @@ type cellOut struct {
 	status int            // HTTP status to surface when !ok
 }
 
-// handleSweep is the distributed sweep: the coordinator expands and
-// plans the grid exactly like a single node — duplicates collapse before
-// any network traffic — then scatters the unique cells to their owning
-// nodes as single-cell sub-sweeps (the hop header makes the owner
-// execute rather than re-scatter) and gathers the per-cell plan
-// accounting into one merged response. An unreachable owner's cells
-// fall back to local execution, counted, never an error. With
-// ?stream=ndjson the response is a JSON-lines stream: one line per
-// gathered cell as it lands, then a final line carrying the merged
-// SweepResponse.
+// handleSweep is the distributed sweep: the coordinator expands the grid
+// and scatters it through planner.Run exactly like a single node plans
+// one — duplicates collapse before any network traffic — so each unique
+// cell goes once to its owning node as a single-cell sub-sweep (the hop
+// header makes the owner execute rather than re-scatter), isolated like
+// any other cell. The per-cell plan accounting is gathered into one
+// merged response. An unreachable owner's cells fall back to local
+// execution, counted, never an error; a cell that panics, or that the
+// request's cancellation stops, is refused. With ?stream=ndjson the
+// response is a JSON-lines stream: one line per unique cell as it lands,
+// then a final line carrying the merged SweepResponse.
 func (c *Cluster) handleSweep(inner http.Handler) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		if r.Header.Get(HopHeader) != "" {
@@ -69,44 +70,54 @@ func (c *Cluster) handleSweep(inner http.Handler) http.HandlerFunc {
 			serveInner(inner, w, r, body)
 			return
 		}
-		pcells := make([]planner.Cell, len(cells))
-		for i, cell := range cells {
-			pcells[i] = planner.Cell{Key: cell.Key, Locality: cell.Locality}
-		}
-		plan := planner.NewPlan(pcells)
-		unique := plan.Unique()
 
 		var stream *ndjsonStream
 		if r.URL.Query().Get("stream") == "ndjson" {
 			stream = newNDJSONStream(w)
 		}
 
-		// Scatter: every unique cell goes to its owner concurrently,
-		// bounded; results land in outs indexed by cell position.
-		outs := make([]cellOut, len(cells))
-		sem := make(chan struct{}, scatterParallel)
-		var wg sync.WaitGroup
-		for _, ui := range unique {
-			wg.Add(1)
-			sem <- struct{}{}
-			go func(ui int) {
-				defer wg.Done()
-				defer func() { <-sem }()
-				outs[ui] = c.sweepCell(r.Context(), inner, cells[ui])
-				if stream != nil {
-					stream.cell(outs[ui])
-				}
-			}(ui)
+		// Scatter: every unique cell goes to its owner, on the planner's
+		// bounded pool; each emits its stream line as it lands.
+		pcells := make([]planner.Cell, len(cells))
+		for i, cell := range cells {
+			pcells[i] = planner.Cell{
+				Key:      cell.Key,
+				Locality: cell.Locality,
+				Name:     "sweep/" + cell.Spec.Label() + "/" + cell.Key,
+				Run: func(ctx context.Context) (any, error) {
+					out := c.sweepCell(ctx, inner, cell)
+					if stream != nil {
+						stream.cell(out)
+					}
+					return out, nil
+				},
+			}
 		}
-		wg.Wait()
+		results, plan := planner.Run(r.Context(), pcells, planner.Options{Parallel: scatterParallel})
 
 		// Gather: merge the per-cell accounting under the coordinator's
 		// dedup numbers, so the distributed report reads exactly like a
-		// single-node one.
-		report := api.PlanReport{Planned: len(cells), Deduped: plan.Deduped()}
+		// single-node one. A cell the pool refused (a panic, or the drain
+		// of a cancelled request) emits its one stream line here.
+		report := api.PlanReport{Planned: plan.Planned, Deduped: plan.Deduped}
 		firstErr, failStatus := "", 0
-		for _, ui := range unique {
-			o := outs[ui]
+		jobs := make([]api.SubmitResponse, 0, len(cells))
+		gathered := make(map[string]bool, len(cells)-plan.Deduped)
+		for i, res := range results {
+			o, ran := res.Value.(cellOut)
+			if !ran {
+				o = c.refused(res)
+			}
+			if o.ok {
+				jobs = append(jobs, o.sub)
+			}
+			if gathered[cells[i].Key] {
+				continue
+			}
+			gathered[cells[i].Key] = true
+			if !ran && stream != nil {
+				stream.cell(o)
+			}
 			if !o.ok {
 				report.Unsubmitted++
 				if firstErr == "" {
@@ -118,12 +129,6 @@ func (c *Cluster) handleSweep(inner http.Handler) http.HandlerFunc {
 			report.StoreHits += o.plan.StoreHits
 			report.Coalesced += o.plan.Coalesced
 			report.Simulated += o.plan.Simulated
-		}
-		jobs := make([]api.SubmitResponse, 0, len(cells))
-		for i := range cells {
-			if o := outs[plan.Primary(i)]; o.ok {
-				jobs = append(jobs, o.sub)
-			}
 		}
 		resp := api.SweepResponse{Jobs: jobs, Plan: &report, Error: firstErr}
 		if stream != nil {
@@ -142,9 +147,26 @@ func (c *Cluster) handleSweep(inner http.Handler) http.HandlerFunc {
 	}
 }
 
+// refused is the gathered form of a cell that produced no outcome: it
+// panicked, or the request was cancelled before it started.
+func (c *Cluster) refused(res planner.Result) cellOut {
+	if res.Err != nil {
+		return cellOut{errMsg: res.Err.Error(), status: http.StatusInternalServerError, node: c.self}
+	}
+	return c.cancelled()
+}
+
+// cancelled refuses a cell because the client has gone: nothing runs on
+// behalf of a cancelled request.
+func (c *Cluster) cancelled() cellOut {
+	return cellOut{errMsg: "sweep cancelled", status: http.StatusServiceUnavailable, node: c.self}
+}
+
 // sweepCell routes one unique cell: remote owners get a single-cell
 // sub-sweep; this node's cells (and any cell whose owner is
-// unreachable) run through the local service handler in-process.
+// unreachable) run through the local service handler in-process. A
+// remote cell that fails because the request was cancelled is refused:
+// the owner did not fail, the client left.
 func (c *Cluster) sweepCell(ctx context.Context, inner http.Handler, cell grid.Cell) cellOut {
 	body, err := json.Marshal(cellRequest(cell.Spec))
 	if err != nil {
@@ -154,6 +176,9 @@ func (c *Cluster) sweepCell(ctx context.Context, inner http.Handler, cell grid.C
 	if !local {
 		if out, reachable := c.sweepCellRemote(ctx, owner, body); reachable {
 			return out
+		}
+		if ctx.Err() != nil {
+			return c.cancelled()
 		}
 		c.fallbacks.Add(1)
 	}

@@ -8,7 +8,7 @@ import (
 	"xbc/internal/decoded"
 	"xbc/internal/frontend"
 	"xbc/internal/icfe"
-	"xbc/internal/runner"
+	"xbc/internal/planner"
 	"xbc/internal/sampling"
 	"xbc/internal/service/jobspec"
 	"xbc/internal/snapshot"
@@ -274,8 +274,8 @@ func TestUnknownFidelityIsAnError(t *testing.T) {
 	o := smallOpts()
 	o.UopsPerTrace = 20_000
 	o.Fidelity = "bogus"
-	rep := &runner.Report{}
-	o.Report = rep
+	tally := &planner.Tally{}
+	o.Plan = tally
 	if _, err := Figure8(o); err == nil {
 		t.Error("Figure 8 accepted fidelity \"bogus\"")
 	}
@@ -285,7 +285,7 @@ func TestUnknownFidelityIsAnError(t *testing.T) {
 	if _, err := Figure10(o); err == nil {
 		t.Error("Figure 10 accepted fidelity \"bogus\"")
 	}
-	if n := len(rep.Cells()); n != 0 {
-		t.Errorf("%d cells ran under an unknown fidelity, want 0", n)
+	if n := tally.Snapshot().Planned; n != 0 {
+		t.Errorf("%d cells planned under an unknown fidelity, want 0", n)
 	}
 }

@@ -3,8 +3,8 @@
 // function per figure, each returning both raw per-workload values and a
 // formatted table printing the same rows/series the paper reports.
 //
-// Every simulation runs as one cell of the sweep planner over the
-// fault-tolerant runner (internal/runner): a panicking or failing cell
+// Every simulation runs as one isolated cell of the sweep planner
+// (internal/planner): a panicking or failing cell
 // degrades to a missing table row instead of killing the sweep,
 // cancelling Options.Ctx drains the run gracefully, and with
 // Options.Store an interrupted sweep resumes without recomputing
@@ -28,7 +28,6 @@ import (
 	"xbc/internal/frontend"
 	"xbc/internal/planner"
 	"xbc/internal/program"
-	"xbc/internal/runner"
 	"xbc/internal/service/jobspec"
 	"xbc/internal/stats"
 	"xbc/internal/store"
@@ -65,7 +64,7 @@ type Options struct {
 
 	// Ctx cancels the sweep: in-flight cells finish, queued cells abort,
 	// and the figure functions return whatever completed (nil = run to
-	// completion). Wire runner.NotifyContext here for SIGINT draining.
+	// completion). Wire xbc.NotifyContext here for SIGINT draining.
 	Ctx context.Context
 	// CellTimeout bounds each per-workload simulation (0 = unbounded).
 	CellTimeout time.Duration
@@ -73,13 +72,11 @@ type Options struct {
 	// cell as it finishes, so a rerun computes only what is missing. It
 	// may be the directory xbcd persists to (see run.go for the layout).
 	Store *store.Store
-	// Report, when non-nil, accumulates every cell outcome across all
-	// figures of a run (for CLI summaries and exit codes).
-	Report *runner.Report
-	// Plan, when non-nil, accumulates the planner's reuse accounting
-	// (planned / deduped / reused / simulated) across all figures of a run
-	// for CLI epilogues. Without a Store, its Memo is the run's memory: a
-	// cell that several figures of the run plan is simulated once.
+	// Plan, when non-nil, accumulates the planner's accounting (planned /
+	// deduped / reused / simulated / failed / aborted, and each failure)
+	// across all figures of a run, for CLI epilogues and exit codes.
+	// Without a Store, its Memo is the run's memory: a cell that several
+	// figures of the run plan is simulated once.
 	Plan *planner.Tally
 }
 

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"xbc/internal/planner"
-	"xbc/internal/runner"
 )
 
 // sweepFigures are the sweep figures whose tables must be identical
@@ -61,21 +60,17 @@ func TestPlannerBitIdenticalToNaive(t *testing.T) {
 
 // TestDuplicateWorkloadsAreNotResumed: a workload listed twice is
 // deduped, not served from a store — with no store the plan reuses
-// nothing and the runner report has one row per unique cell.
+// nothing and simulates each unique cell once.
 func TestDuplicateWorkloadsAreNotResumed(t *testing.T) {
 	o := smallOpts()
 	o.UopsPerTrace = 20_000
 	o.Workloads = append(o.Workloads[:1:1], o.Workloads[0])
-	o.Report = &runner.Report{}
 	tally := &planner.Tally{}
 	o.Plan = tally
 	if _, err := Figure8(o); err != nil {
 		t.Fatal(err)
 	}
 	// Figure 8 plans two cells per workload: the XBC and the TC.
-	if done, _, _ := o.Report.Counts(); done != 2 || len(o.Report.Cells()) != 2 {
-		t.Errorf("report %q, want 2 done", o.Report.Summary())
-	}
 	if p := tally.Snapshot(); p.Planned != 4 || p.Deduped != 2 || p.Reused != 0 || p.Simulated != 2 {
 		t.Errorf("plan %s, want 4 planned, 2 deduped, 0 reused, 2 simulated", p.String())
 	}

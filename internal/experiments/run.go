@@ -10,7 +10,6 @@ import (
 	"xbc/internal/corpus"
 	"xbc/internal/frontend"
 	"xbc/internal/planner"
-	"xbc/internal/runner"
 	"xbc/internal/service/jobspec"
 	"xbc/internal/store"
 	"xbc/internal/workload"
@@ -21,7 +20,8 @@ import (
 // isolation, cancellation with graceful drain, per-cell deadlines and,
 // with Options.Store, resume. Figures degrade cell-wise — a failed or
 // aborted cell drops out of the tables instead of killing the sweep — and
-// the per-cell outcomes land in Options.Report when one is supplied.
+// the plan accounting, failures included, lands in Options.Plan when one
+// is supplied.
 //
 // A cell lives in the store in one of two namespaces. A cell a
 // jobspec.Spec describes is that job: its key is the job key, and its
@@ -75,7 +75,7 @@ func runModels(o Options, figure string, ws []workload.Workload, models []jobspe
 		cells[i] = cell{
 			key:      key,
 			locality: stream.String(),
-			rc:       runner.Cell{Figure: figure, Workload: s.Workload, Config: config},
+			name:     cellName(figure, s.Workload, config),
 		}
 	}
 	res, done, err := runPlanned(o, cells, o.planStore(specStore{o.Store}), func(ctx context.Context, i int) (jobspec.Result, error) {
@@ -132,7 +132,7 @@ func (o Options) planStore(durable planner.Store) planner.Store {
 type cell struct {
 	key      string // job key (spec cells) or x: key
 	locality string // trace-stream identity, for the planner's ordering
-	rc       runner.Cell
+	name     string // figure/workload/config, for failure reports
 }
 
 // xCell builds the cell named name that replays the streams of ws. Its
@@ -151,8 +151,16 @@ func (o Options) xCell(figure, name string, ws []workload.Workload, params []str
 	return cell{
 		key:      strings.Join(append(parts, params...), "/"),
 		locality: parts[1],
-		rc:       runner.Cell{Figure: figure, Workload: name, Config: strings.Join(params, "-")},
+		name:     cellName(figure, name, strings.Join(params, "-")),
 	}, nil
+}
+
+// cellName names a cell in failure reports: figure/workload/config.
+func cellName(figure, workload, config string) string {
+	if config == "" {
+		return figure + "/" + workload
+	}
+	return figure + "/" + workload + "/" + config
 }
 
 // fidelityName names a rung, with "" read as full.
@@ -165,13 +173,13 @@ func fidelityName(f string) string {
 
 // runPlanned runs cells through the sweep planner: cells are deduped by
 // key, served from st when it holds them, grouped by trace locality so
-// the corpus cache stays hot, and otherwise executed once each on the
-// planner's bounded pool through runner.RunOne. It returns the values
-// index-aligned with cells, a mask of which cells produced one, and an
-// error only when nothing succeeded and at least one cell genuinely
-// failed — cancellation alone yields an empty result, not an error, so a
-// drained run can still render its partial tables. An unknown
-// Options.Fidelity fails the figure before any cell runs.
+// the corpus cache stays hot, and otherwise executed once each, isolated,
+// on the planner's bounded pool. It returns the values index-aligned
+// with cells, a mask of which cells produced one, and an error only when
+// nothing succeeded and at least one cell genuinely failed —
+// cancellation alone yields an empty result, not an error, so a drained
+// run can still render its partial tables. An unknown Options.Fidelity
+// fails the figure before any cell runs.
 func runPlanned[T any](o Options, cells []cell, st planner.Store, fn func(ctx context.Context, i int) (T, error)) ([]T, []bool, error) {
 	vals := make([]T, len(cells))
 	ok := make([]bool, len(cells))
@@ -185,7 +193,7 @@ func runPlanned[T any](o Options, cells []cell, st planner.Store, fn func(ctx co
 		pcells[i] = planner.Cell{
 			Key:      c.key,
 			Locality: c.locality,
-			RCell:    c.rc,
+			Name:     c.name,
 			Run:      func(ctx context.Context) (any, error) { return fn(ctx, i) },
 		}
 	}
@@ -195,7 +203,7 @@ func runPlanned[T any](o Options, cells []cell, st planner.Store, fn func(ctx co
 	}
 	results, rep := planner.Run(ctx, pcells, planner.Options{
 		Parallel: o.Parallel,
-		Runner:   runner.Options{CellTimeout: o.CellTimeout, Report: o.Report},
+		Timeout:  o.CellTimeout,
 		Store:    st,
 	})
 	if o.Plan != nil {

@@ -6,13 +6,12 @@ import (
 	"testing"
 
 	"xbc/internal/planner"
-	"xbc/internal/runner"
 	"xbc/internal/store"
 	"xbc/internal/workload"
 )
 
 // These tests cover the experiment layer's integration with the
-// fault-tolerant runner and the store: cancellation drains a figure
+// planner's cell isolation and the store: cancellation drains a figure
 // gracefully, and a store lets a second run serve every finished cell
 // without recomputation.
 
@@ -21,7 +20,7 @@ func TestFigureAbortsOnCancelledContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel() // already cancelled: nothing may start
 	o.Ctx = ctx
-	o.Report = &runner.Report{}
+	o.Plan = &planner.Tally{}
 	r, err := Figure8(o)
 	if err != nil {
 		t.Fatalf("cancelled figure errored instead of degrading: %v", err)
@@ -29,13 +28,13 @@ func TestFigureAbortsOnCancelledContext(t *testing.T) {
 	if len(r.Rows) != 0 {
 		t.Fatalf("cancelled figure produced %d rows", len(r.Rows))
 	}
-	done, failed, aborted := o.Report.Counts()
-	if done != 0 || failed != 0 {
-		t.Fatalf("counts = %d done, %d failed; want all aborted", done, failed)
+	p := o.Plan.Snapshot()
+	if p.Simulated != 0 || p.Failed != 0 {
+		t.Fatalf("plan %s; want all aborted", p.String())
 	}
 	// Figure 8 plans one cell per spec: the XBC and the TC of each workload.
-	if aborted != 2*len(o.Workloads) {
-		t.Fatalf("aborted %d cells, want %d", aborted, 2*len(o.Workloads))
+	if p.Aborted != 2*len(o.Workloads) {
+		t.Fatalf("aborted %d cells, want %d", p.Aborted, 2*len(o.Workloads))
 	}
 }
 
@@ -57,12 +56,12 @@ func openStoreT(t *testing.T, dir string) *store.Store {
 func TestFigureResumesFromStore(t *testing.T) {
 	o := smallOpts()
 	o.Store = openStoreT(t, t.TempDir())
-	o.Report = &runner.Report{}
+	o.Plan = &planner.Tally{}
 	first, err := Figure8(o)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d, _, _ := o.Report.Counts(); d != 2*len(o.Workloads) {
+	if d := o.Plan.Snapshot().Simulated; d != 2*len(o.Workloads) {
 		t.Fatalf("first run completed %d cells, want %d", d, 2*len(o.Workloads))
 	}
 
@@ -70,16 +69,14 @@ func TestFigureResumesFromStore(t *testing.T) {
 	// served figure matches the computed one.
 	o2 := smallOpts()
 	o2.Store = o.Store
-	o2.Report = &runner.Report{}
 	tally := &planner.Tally{}
 	o2.Plan = tally
 	second, err := Figure8(o2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	done, _, _ := o2.Report.Counts()
-	if p := tally.Snapshot(); done != 0 || p.Reused != 2*len(o2.Workloads) {
-		t.Fatalf("resume ran %d cells and reused %d; want all %d reused", done, p.Reused, 2*len(o2.Workloads))
+	if p := tally.Snapshot(); p.Simulated != 0 || p.Reused != 2*len(o2.Workloads) {
+		t.Fatalf("resume ran %d cells and reused %d; want all %d reused", p.Simulated, p.Reused, 2*len(o2.Workloads))
 	}
 	if len(first.Rows) != len(second.Rows) {
 		t.Fatalf("row count changed across resume: %d vs %d", len(first.Rows), len(second.Rows))
@@ -103,15 +100,14 @@ func TestFigure1ResumesHistogramsFromStore(t *testing.T) {
 
 	o2 := smallOpts()
 	o2.Store = o.Store
-	o2.Report = &runner.Report{}
 	tally := &planner.Tally{}
 	o2.Plan = tally
 	second, err := Figure1(o2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d, _, _ := o2.Report.Counts(); d != 0 || tally.Snapshot().Reused == 0 {
-		t.Fatalf("resume recomputed %d cells (reused %d)", d, tally.Snapshot().Reused)
+	if p := tally.Snapshot(); p.Simulated != 0 || p.Reused == 0 {
+		t.Fatalf("resume recomputed %d cells (reused %d)", p.Simulated, p.Reused)
 	}
 	for k, h := range first.Hist {
 		h2 := second.Hist[k]
@@ -170,7 +166,7 @@ func TestCancelledRunResumesRemainingCells(t *testing.T) {
 func TestRunCellsPanicIsolation(t *testing.T) {
 	// A cell whose function panics must cost only its own row.
 	o := smallOpts()
-	o.Report = &runner.Report{}
+	o.Plan = &planner.Tally{}
 	vals, ok, err := runCells(o, "test-panic", nil, o.Workloads,
 		func(ctx context.Context, w workload.Workload) (int, error) {
 			if w.Name == o.Workloads[0].Name {
@@ -189,11 +185,11 @@ func TestRunCellsPanicIsolation(t *testing.T) {
 			t.Fatalf("healthy cell %d degraded: ok=%v val=%d", i, ok[i], vals[i])
 		}
 	}
-	if _, failed, _ := o.Report.Counts(); failed != 1 {
-		t.Fatalf("report counts %d failures, want 1", failed)
+	p := o.Plan.Snapshot()
+	if p.Failed != 1 {
+		t.Fatalf("plan counts %d failures, want 1", p.Failed)
 	}
-	failures := o.Report.Failures()
-	if len(failures) != 1 || failures[0].Err == nil || failures[0].Err.Stack == "" {
-		t.Fatalf("failure missing stack: %+v", failures)
+	if len(p.Failures) != 1 || p.Failures[0].Stack == "" || p.Failures[0].Cell != "test-panic/"+o.Workloads[0].Name {
+		t.Fatalf("failure missing its cell or stack: %+v", p.Failures)
 	}
 }

@@ -1,5 +1,5 @@
 // Package errdrop rejects silently discarded errors in the command-line
-// tools and the experiment runner — the bug class PR 1 fixed by hand
+// tools and the serving and sweep packages — the bug class PR 1 fixed by hand
 // (swallowed workload.ByName errors, unexamined Close results on journal
 // files). A call whose error result is dropped on the floor, whether as a
 // bare statement, a deferred call, or an assignment to _, is a finding.
@@ -22,14 +22,13 @@ import (
 // Analyzer is the errdrop check.
 var Analyzer = &lint.Analyzer{
 	Name: "errdrop",
-	Doc:  "rejects discarded error results in cmd/, internal/runner, internal/planner, internal/cluster, internal/service, and internal/store",
+	Doc:  "rejects discarded error results in cmd/, internal/planner, internal/cluster, internal/service, and internal/store",
 	Match: func(path string) bool {
 		return strings.HasPrefix(path, "xbc/cmd/") ||
 			strings.HasPrefix(path, "xbc/internal/service") ||
 			strings.HasPrefix(path, "xbc/internal/store") ||
 			strings.HasPrefix(path, "xbc/internal/planner") ||
-			strings.HasPrefix(path, "xbc/internal/cluster") ||
-			path == "xbc/internal/runner"
+			strings.HasPrefix(path, "xbc/internal/cluster")
 	},
 	Run: run,
 }

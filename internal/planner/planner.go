@@ -1,8 +1,9 @@
 // Package planner turns a sweep grid into the minimum set of simulations
-// it actually requires. A naive sweep simulates every cell independently,
-// yet sweep grids repeat themselves: neighboring cells normalize to the
-// same content key, or share a trace stream with the cell before them.
-// The planner makes that redundancy explicit as a three-stage pipeline:
+// it actually requires, and is the one place a cell runs isolated. A
+// naive sweep simulates every cell independently, yet sweep grids repeat
+// themselves: neighboring cells normalize to the same content key, or
+// share a trace stream with the cell before them. The planner makes that
+// redundancy explicit as a three-stage pipeline:
 //
 //  1. dedup — cells are collapsed by content key; duplicates within one
 //     grid alias the first occurrence and cost nothing;
@@ -10,9 +11,14 @@
 //     content-addressed corpus cache stays hot instead of thrashing when
 //     a grid's natural order interleaves workloads;
 //  3. execute — each unique cell is looked up once in the plan's Store,
-//     when one is set; the rest run on a bounded worker pool, each once
-//     through runner.RunOne (panic isolation, per-cell deadline), and
-//     are saved to the Store as they finish.
+//     when one is set; the rest run once each on a bounded worker pool,
+//     through Isolate, and are saved to the Store as they finish.
+//
+// Isolate is the panic-isolation boundary for every sweep cell and every
+// job the service runs: a panicking cell becomes a CellError carrying its
+// name and stack, so one bad configuration costs that cell, not the
+// process. Cancelling a plan drains it: in-flight cells finish, and
+// unstarted cells report aborted instead of silently vanishing.
 //
 // Reuse is semantically invisible by the determinism contract: a
 // duplicate or a store hit is bit-identical to a fresh run of the same
@@ -21,10 +27,11 @@ package planner
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"runtime/debug"
 	"sync"
-
-	"xbc/internal/runner"
+	"time"
 )
 
 // Cell is one plannable unit of sweep work.
@@ -38,8 +45,8 @@ type Cell struct {
 	// the executor keeps a group's cells adjacent so the corpus cache
 	// serves them from one generation.
 	Locality string
-	// RCell is the runner identity for panic reports and report rows.
-	RCell runner.Cell
+	// Name identifies the cell in failure reports.
+	Name string
 	// Run computes the value when the Store does not hold it. It may be
 	// nil for planning-only use (NewPlan).
 	Run func(ctx context.Context) (any, error)
@@ -125,9 +132,23 @@ func (s Status) String() string {
 // primary's result.
 type Result struct {
 	Status Status
-	Value  any   // the payload, fresh or as the Store decoded it
-	Err    error // set when Status is StatusFailed
+	Value  any        // the payload, fresh or as the Store decoded it
+	Err    *CellError // set when Status is StatusFailed
 }
+
+// CellError is the structured failure of one cell: which cell, what went
+// wrong, and — when the failure was a panic — the goroutine stack.
+type CellError struct {
+	Cell  string // the cell's Name
+	Err   error  // underlying error (for panics: one naming the panic value)
+	Stack string // non-empty only for recovered panics
+}
+
+// Error renders the failure with the cell's name.
+func (e *CellError) Error() string { return fmt.Sprintf("cell %s: %v", e.Cell, e.Err) }
+
+// Unwrap exposes the underlying error to errors.Is/As.
+func (e *CellError) Unwrap() error { return e.Err }
 
 // Report accounts for how a plan's cells were served.
 type Report struct {
@@ -137,6 +158,8 @@ type Report struct {
 	Simulated int // unique cells that ran fresh
 	Failed    int
 	Aborted   int
+	// Failures holds the failed unique cells' errors, in plan order.
+	Failures []*CellError
 }
 
 // String renders the report as a one-line plan summary for CLI epilogues.
@@ -152,9 +175,9 @@ func (r Report) String() string {
 	return s
 }
 
-// Tally accumulates plan reports across the Run calls of one run (all
-// figures of one CLI invocation) and keeps the run's memory, Memo. It is
-// safe for concurrent use.
+// Tally accumulates plan reports, failures included, across the Run
+// calls of one run (all figures of one CLI invocation) and keeps the
+// run's memory, Memo. It is safe for concurrent use.
 type Tally struct {
 	mu   sync.Mutex
 	sum  Report
@@ -195,13 +218,16 @@ func (t *Tally) Add(r Report) {
 	t.sum.Simulated += r.Simulated
 	t.sum.Failed += r.Failed
 	t.sum.Aborted += r.Aborted
+	t.sum.Failures = append(t.sum.Failures, r.Failures...)
 }
 
 // Snapshot returns the accumulated totals.
 func (t *Tally) Snapshot() Report {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.sum
+	r := t.sum
+	r.Failures = append([]*CellError(nil), r.Failures...)
+	return r
 }
 
 // Store is the durable result log under a plan. Load is consulted once
@@ -217,9 +243,8 @@ type Store interface {
 type Options struct {
 	// Parallel bounds the worker pool over unique cells (default 4).
 	Parallel int
-	// Runner carries the per-cell isolation machinery (timeout, report)
-	// for every unique cell that runs.
-	Runner runner.Options
+	// Timeout bounds each cell that runs (0 = unbounded); see Isolate.
+	Timeout time.Duration
 	// Store, when non-nil, serves finished cells and records fresh ones,
 	// so a rerun of an interrupted plan simulates only what is missing.
 	Store Store
@@ -227,11 +252,9 @@ type Options struct {
 
 // Run executes cells under the plan pipeline and returns one result per
 // input cell (duplicates aliasing their primary) plus the accounting
-// report. The runner report, when set, gets one row per unique cell that
-// was not served from the Store; duplicates are counted only as Deduped
-// and store hits only as Reused. Cancelling ctx drains
-// gracefully: in-flight cells finish, unstarted cells report
-// StatusAborted.
+// report: duplicates count only as Deduped, store hits only as Reused.
+// Cancelling ctx drains gracefully: in-flight cells finish, unstarted
+// cells report StatusAborted.
 func Run(ctx context.Context, cells []Cell, opt Options) ([]Result, Report) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -243,27 +266,19 @@ func Run(ctx context.Context, cells []Cell, opt Options) ([]Result, Report) {
 	results := make([]Result, len(cells))
 	rep := Report{Planned: len(cells), Deduped: plan.Deduped()}
 
-	// A cell the drain stops before it reaches the runner still needs its
-	// report row, so CLI summaries account for every unique cell.
-	abort := func(ui int) {
-		results[ui] = Result{Status: StatusAborted}
-		if opt.Runner.Report != nil {
-			opt.Runner.Report.Add(runner.CellResult{Cell: cells[ui].RCell, Status: runner.StatusAborted})
-		}
-	}
 	sem := make(chan struct{}, opt.Parallel)
 	var wg sync.WaitGroup
 	for _, ui := range plan.unique {
 		select {
 		case <-ctx.Done():
-			abort(ui)
+			results[ui] = Result{Status: StatusAborted}
 			continue
 		case sem <- struct{}{}:
 			// A cancellation that raced the semaphore acquire still wins:
 			// the drain must not start new cells.
 			if ctx.Err() != nil {
 				<-sem
-				abort(ui)
+				results[ui] = Result{Status: StatusAborted}
 				continue
 			}
 		}
@@ -285,6 +300,7 @@ func Run(ctx context.Context, cells []Cell, opt Options) ([]Result, Report) {
 			rep.Reused++
 		case StatusFailed:
 			rep.Failed++
+			rep.Failures = append(rep.Failures, results[ui].Err)
 		case StatusAborted:
 			rep.Aborted++
 		}
@@ -295,24 +311,75 @@ func Run(ctx context.Context, cells []Cell, opt Options) ([]Result, Report) {
 	return results, rep
 }
 
-// run serves one unique cell from the Store, or executes it through the
-// runner (which adds its own row to Options.Runner.Report) and saves it.
+// run serves one unique cell from the Store, or runs it through Isolate
+// and saves it. Cells are deterministic functions of their key, so a
+// failure is final: running the cell again fails the same way.
 func (o Options) run(ctx context.Context, c Cell) Result {
 	if o.Store != nil {
 		if v, ok := o.Store.Load(c.Key); ok {
 			return Result{Status: StatusReused, Value: v}
 		}
 	}
-	cr := runner.RunOne(ctx, o.Runner, runner.Task{Cell: c.RCell, Run: c.Run})
-	switch cr.Status {
-	case runner.StatusDone:
+	v, err := Isolate(ctx, c.Name, o.Timeout, c.Run)
+	switch {
+	case err == nil:
 		if o.Store != nil {
-			o.Store.Save(c.Key, cr.Payload)
+			o.Store.Save(c.Key, v)
 		}
-		return Result{Status: StatusSimulated, Value: cr.Payload}
-	case runner.StatusFailed:
-		return Result{Status: StatusFailed, Err: cr.Err}
-	default:
+		return Result{Status: StatusSimulated, Value: v}
+	case ctx.Err() != nil && errors.Is(err, context.Canceled):
+		// A cancellation surfacing through the cell means the plan is
+		// draining: the cell did not complete.
 		return Result{Status: StatusAborted}
+	default:
+		return Result{Status: StatusFailed, Err: err}
 	}
+}
+
+// Isolate runs fn once as the cell named name and returns its value. A
+// panic in fn comes back as a *CellError carrying the stack, and so does
+// every error fn returns. With timeout > 0, fn's context carries that
+// deadline, and a cell that ignores it and overruns is abandoned: its
+// goroutine is leaked and Isolate fails with context.DeadlineExceeded.
+// Cancelling ctx instead waits for the cell, the drain contract. With no
+// timeout, fn runs inline on the caller's goroutine.
+func Isolate(ctx context.Context, name string, timeout time.Duration, fn func(context.Context) (any, error)) (any, *CellError) {
+	if timeout <= 0 {
+		return isolate(ctx, name, fn)
+	}
+	tctx, cancel := context.WithTimeout(ctx, timeout)
+	defer cancel()
+	type outcome struct {
+		v   any
+		err *CellError
+	}
+	ch := make(chan outcome, 1)
+	go func() {
+		v, err := isolate(tctx, name, fn)
+		ch <- outcome{v, err}
+	}()
+	select {
+	case out := <-ch:
+		return out.v, out.err
+	case <-tctx.Done():
+		if ctx.Err() != nil {
+			out := <-ch
+			return out.v, out.err
+		}
+		return nil, &CellError{Cell: name, Err: fmt.Errorf("cell exceeded %v: %w", timeout, context.DeadlineExceeded)}
+	}
+}
+
+// isolate calls fn on this goroutine, turning a panic into a *CellError.
+func isolate(ctx context.Context, name string, fn func(context.Context) (any, error)) (v any, cerr *CellError) {
+	defer func() {
+		if r := recover(); r != nil {
+			v, cerr = nil, &CellError{Cell: name, Err: fmt.Errorf("panic: %v", r), Stack: string(debug.Stack())}
+		}
+	}()
+	v, err := fn(ctx)
+	if err != nil {
+		return nil, &CellError{Cell: name, Err: err}
+	}
+	return v, nil
 }

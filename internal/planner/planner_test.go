@@ -5,11 +5,11 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
-
-	"xbc/internal/runner"
+	"time"
 )
 
 // cell builds a test cell whose Run returns "val:<key>" and bumps calls.
@@ -17,7 +17,7 @@ func cell(key, loc string, calls *atomic.Int64) Cell {
 	return Cell{
 		Key:      key,
 		Locality: loc,
-		RCell:    runner.Cell{Figure: "test", Workload: key, Config: loc},
+		Name:     "test/" + key + "/" + loc,
 		Run: func(ctx context.Context) (any, error) {
 			if calls != nil {
 				calls.Add(1)
@@ -84,41 +84,46 @@ func TestRunExecutesUniqueOnceAndAliasesDuplicates(t *testing.T) {
 	}
 }
 
+// TestRunAbortsUnstartedCellsOnCancel: a plan whose context is cancelled
+// before it starts runs nothing, with or without a per-cell deadline, and
+// accounts every cell as aborted.
 func TestRunAbortsUnstartedCellsOnCancel(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	var calls atomic.Int64
-	rep := &runner.Report{}
-	cells := []Cell{cell("a", "w1", &calls), cell("b", "w1", &calls)}
-	results, prep := Run(ctx, cells, Options{Runner: runner.Options{Report: rep}})
-	if got := calls.Load(); got != 0 {
-		t.Fatalf("Run invocations = %d, want 0 after cancel", got)
-	}
-	for i, r := range results {
-		if r.Status != StatusAborted {
-			t.Fatalf("cell %d = %+v, want aborted", i, r)
+	for _, timeout := range []time.Duration{0, time.Minute} {
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel()
+		var calls atomic.Int64
+		cells := []Cell{cell("a", "w1", &calls), cell("b", "w1", &calls)}
+		results, prep := Run(ctx, cells, Options{Timeout: timeout})
+		if got := calls.Load(); got != 0 {
+			t.Fatalf("timeout %v: Run invocations = %d, want 0 after cancel", timeout, got)
 		}
-	}
-	if prep.Aborted != 2 {
-		t.Fatalf("report aborted = %d, want 2", prep.Aborted)
-	}
-	_, _, aborted := rep.Counts()
-	if aborted != 2 {
-		t.Fatalf("runner report aborted = %d, want 2", aborted)
+		for i, r := range results {
+			if r.Status != StatusAborted {
+				t.Fatalf("timeout %v: cell %d = %+v, want aborted", timeout, i, r)
+			}
+		}
+		if prep.Aborted != 2 || prep.Simulated != 0 || len(prep.Failures) != 0 {
+			t.Fatalf("timeout %v: report = %+v, want 2 aborted", timeout, prep)
+		}
 	}
 }
 
+// TestRunFailurePropagatesPerCell: a failing cell fails alone, runs once
+// (a cell is a deterministic function of its key, so a failure is
+// final), and its duplicates alias the failure.
 func TestRunFailurePropagatesPerCell(t *testing.T) {
 	boom := errors.New("boom")
+	var calls atomic.Int64
+	bad := func(ctx context.Context) (any, error) {
+		calls.Add(1)
+		return nil, boom
+	}
 	cells := []Cell{
 		cell("ok", "w1", nil),
-		{Key: "bad", Locality: "w1", RCell: runner.Cell{Figure: "test", Workload: "bad"},
-			Run: func(ctx context.Context) (any, error) { return nil, boom }},
-		{Key: "bad", Locality: "w1", RCell: runner.Cell{Figure: "test", Workload: "bad2"},
-			Run: func(ctx context.Context) (any, error) { return nil, boom }},
+		{Key: "bad", Locality: "w1", Name: "test/bad", Run: bad},
+		{Key: "bad", Locality: "w1", Name: "test/bad2", Run: bad},
 	}
-	rep := &runner.Report{}
-	results, prep := Run(context.Background(), cells, Options{Runner: runner.Options{Report: rep}})
+	results, prep := Run(context.Background(), cells, Options{})
 	if results[0].Status != StatusSimulated {
 		t.Fatalf("ok cell = %+v", results[0])
 	}
@@ -128,11 +133,14 @@ func TestRunFailurePropagatesPerCell(t *testing.T) {
 	if results[2].Status != StatusFailed {
 		t.Fatalf("duplicate of failed cell = %+v, want failed alias", results[2])
 	}
+	if got := calls.Load(); got != 1 {
+		t.Fatalf("failing cell ran %d times, want once", got)
+	}
 	if prep.Failed != 1 || prep.Simulated != 1 || prep.Deduped != 1 {
 		t.Fatalf("report = %+v", prep)
 	}
-	if rep.Err() == nil {
-		t.Fatal("runner report should surface the failure")
+	if len(prep.Failures) != 1 || prep.Failures[0].Cell != "test/bad" || !errors.Is(prep.Failures[0], boom) {
+		t.Fatalf("report failures = %v, want the one failure of test/bad", prep.Failures)
 	}
 }
 
@@ -169,37 +177,38 @@ func (s *jsonStore[T]) Save(key string, v any) {
 	s.m[key] = raw
 }
 
-// TestRunReportAccountsEveryCell: the runner report holds one row per
-// unique cell that ran, and the plan report accounts for every cell —
-// fresh cells as Simulated, store hits as Reused (with no runner row),
-// duplicates as Deduped.
+// TestRunReportAccountsEveryCell: the plan report and a tally over
+// several plans account for every cell — fresh cells as Simulated, store
+// hits as Reused (with no run), duplicates as Deduped.
 func TestRunReportAccountsEveryCell(t *testing.T) {
 	st := newJSONStore[string]()
+	var calls atomic.Int64
 	cells := []Cell{
-		cell("a", "w1", nil),
-		cell("a", "w1", nil), // dup
-		cell("b", "w2", nil),
+		cell("a", "w1", &calls),
+		cell("a", "w1", &calls), // dup
+		cell("b", "w2", &calls),
 	}
-	run := func() (Report, *runner.Report, []Result) {
-		rep := &runner.Report{}
-		results, prep := Run(context.Background(), cells, Options{Runner: runner.Options{Report: rep}, Store: st})
-		return prep, rep, results
-	}
-
-	prep, rep, _ := run()
-	if done, _, _ := rep.Counts(); done != 2 || len(rep.Cells()) != 2 {
-		t.Fatalf("first run rows: done=%d of %d, want 2 of 2", done, len(rep.Cells()))
-	}
-	if prep.Simulated != 2 || prep.Deduped != 1 || prep.Reused != 0 {
-		t.Fatalf("first plan report = %+v", prep)
+	var tally Tally
+	run := func() (Report, []Result) {
+		results, prep := Run(context.Background(), cells, Options{Store: st})
+		tally.Add(prep)
+		return prep, results
 	}
 
-	prep, rep, results := run()
-	if n := len(rep.Cells()); n != 0 {
-		t.Fatalf("resumed run added %d runner rows, want 0", n)
+	prep, _ := run()
+	if prep.Simulated != 2 || prep.Deduped != 1 || prep.Reused != 0 || calls.Load() != 2 {
+		t.Fatalf("first plan report = %+v after %d runs", prep, calls.Load())
+	}
+
+	prep, results := run()
+	if got := calls.Load(); got != 2 {
+		t.Fatalf("resumed run ran %d more cells, want 0", got-2)
 	}
 	if prep.Simulated != 0 || prep.Deduped != 1 || prep.Reused != 2 {
 		t.Fatalf("resumed plan report = %+v", prep)
+	}
+	if sum := tally.Snapshot(); sum.Planned != 6 || sum.Deduped != 2 || sum.Simulated != 2 || sum.Reused != 2 {
+		t.Fatalf("tally = %+v, want 6 planned, 2 deduped, 2 simulated, 2 reused", sum)
 	}
 	for i, r := range results {
 		if r.Status != StatusReused || r.Value != "val:"+cells[i].Key {
@@ -295,7 +304,7 @@ func TestRunLocalityOrderExecution(t *testing.T) {
 	var mu sync.Mutex
 	var order []string
 	mk := func(key, loc string) Cell {
-		return Cell{Key: key, Locality: loc, RCell: runner.Cell{Figure: "test", Workload: key},
+		return Cell{Key: key, Locality: loc, Name: "test/" + key,
 			Run: func(ctx context.Context) (any, error) {
 				mu.Lock()
 				order = append(order, key)
@@ -325,5 +334,132 @@ func TestStatusString(t *testing.T) {
 		if s.String() != name {
 			t.Fatalf("Status(%d).String() = %q, want %q", int(s), s.String(), name)
 		}
+	}
+}
+
+// TestIsolate: the service's path runs a job once through Isolate, with
+// and without a deadline. A value comes back as is; an error or a panic
+// comes back as a CellError naming the cell, a panic with its stack; and
+// a failing cell runs once.
+func TestIsolate(t *testing.T) {
+	for _, timeout := range []time.Duration{0, time.Minute} {
+		v, err := Isolate(context.Background(), "job/w", timeout, func(context.Context) (any, error) { return 42, nil })
+		if err != nil || v != 42 {
+			t.Errorf("timeout %v: success = (%v, %v), want (42, nil)", timeout, v, err)
+		}
+
+		calls := 0
+		_, err = Isolate(context.Background(), "job/bad", timeout, func(context.Context) (any, error) {
+			calls++
+			return nil, errors.New("invalid spec")
+		})
+		if err == nil || calls != 1 || err.Cell != "job/bad" || err.Stack != "" || !strings.Contains(err.Error(), "invalid spec") {
+			t.Errorf("timeout %v: failure = %v after %d calls, want the cell's error after one", timeout, err, calls)
+		}
+
+		_, err = Isolate(context.Background(), "job/boom", timeout, func(context.Context) (any, error) { panic("hostile") })
+		if err == nil || err.Cell != "job/boom" || !strings.Contains(err.Error(), "panic: hostile") || !strings.Contains(err.Stack, "planner_test.go") {
+			t.Errorf("timeout %v: panic = %+v, want a CellError with the panic value and its stack", timeout, err)
+		}
+	}
+}
+
+// TestPanicToCellError: a panicking cell in a plan degrades into a
+// CellError with the cell's name and the stack of the panic site, its
+// siblings are unaffected, and the report keeps the failure.
+func TestPanicToCellError(t *testing.T) {
+	cells := []Cell{
+		cell("a", "w", nil),
+		{Key: "b", Locality: "w", Name: "test/b", Run: func(context.Context) (any, error) { panic("bad configuration") }},
+		cell("c", "w", nil),
+	}
+	results, rep := Run(context.Background(), cells, Options{Parallel: 2})
+	if results[0].Status != StatusSimulated || results[2].Status != StatusSimulated {
+		t.Fatalf("sibling cells degraded: %v / %v", results[0].Status, results[2].Status)
+	}
+	ce := results[1].Err
+	if results[1].Status != StatusFailed || ce == nil {
+		t.Fatalf("panicking cell: %+v", results[1])
+	}
+	if ce.Cell != "test/b" {
+		t.Errorf("CellError names %q, want test/b", ce.Cell)
+	}
+	if !strings.Contains(ce.Error(), "bad configuration") {
+		t.Errorf("error text %q lacks the panic value", ce.Error())
+	}
+	if !strings.Contains(ce.Stack, "planner_test.go") {
+		t.Errorf("stack does not point at the panic site:\n%s", ce.Stack)
+	}
+	if rep.Simulated != 2 || rep.Failed != 1 || len(rep.Failures) != 1 || rep.Failures[0] != ce {
+		t.Errorf("report = %+v, want 2 simulated and the one failure", rep)
+	}
+}
+
+// TestCellTimeout: under a per-cell deadline, a cell that honors its
+// context fails with DeadlineExceeded, and one that ignores it is
+// abandoned rather than hanging the sweep.
+func TestCellTimeout(t *testing.T) {
+	hang := make(chan struct{})
+	defer close(hang)
+	cells := []Cell{
+		{Key: "coop", Name: "test/coop", Run: func(ctx context.Context) (any, error) {
+			<-ctx.Done() // cooperative simulation checking its context
+			return nil, ctx.Err()
+		}},
+		{Key: "stuck", Name: "test/stuck", Run: func(context.Context) (any, error) {
+			<-hang // pathological cell that never checks its context
+			return nil, nil
+		}},
+	}
+	start := time.Now()
+	results, rep := Run(context.Background(), cells, Options{Parallel: 1, Timeout: 30 * time.Millisecond})
+	if elapsed := time.Since(start); elapsed > 5*time.Second {
+		t.Fatalf("sweep hung for %v on a non-cooperative cell", elapsed)
+	}
+	for i, r := range results {
+		if r.Status != StatusFailed || !errors.Is(r.Err, context.DeadlineExceeded) {
+			t.Errorf("cell %d: %+v, want failed with DeadlineExceeded", i, r)
+		}
+	}
+	if rep.Failed != 2 {
+		t.Errorf("report = %+v, want 2 failed", rep)
+	}
+}
+
+// TestCancellationMidSweep cancels the context from inside the first cell
+// of a sweep: that cell still completes (graceful drain), every queued
+// cell is marked aborted, and no cell vanishes from the report.
+func TestCancellationMidSweep(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var ran atomic.Int32
+	cells := make([]Cell, 6)
+	for i := range cells {
+		i := i
+		cells[i] = Cell{Key: fmt.Sprintf("w%d", i), Name: fmt.Sprintf("test/w%d", i), Run: func(context.Context) (any, error) {
+			ran.Add(1)
+			if i == 0 {
+				cancel() // SIGINT arrives while cell 0 is in flight
+			}
+			return i, nil
+		}}
+	}
+	results, rep := Run(ctx, cells, Options{Parallel: 1})
+	if len(results) != len(cells) {
+		t.Fatalf("got %d results for %d cells", len(results), len(cells))
+	}
+	if results[0].Status != StatusSimulated {
+		t.Errorf("in-flight cell: status %v, want simulated (graceful drain)", results[0].Status)
+	}
+	for i, r := range results[1:] {
+		if r.Status != StatusAborted {
+			t.Errorf("queued cell %d: status %v, want aborted", i+1, r.Status)
+		}
+	}
+	if got := ran.Load(); got != 1 {
+		t.Errorf("%d cells ran after cancellation, want 1", got)
+	}
+	if rep.Simulated != 1 || rep.Aborted != len(cells)-1 {
+		t.Errorf("report = %+v, want 1 simulated and %d aborted", rep, len(cells)-1)
 	}
 }

@@ -276,8 +276,8 @@ func (s Spec) NewFrontend() (frontend.Frontend, error) {
 // estimate is attached when the spec carries a core config. This is the
 // one execution path behind the service worker, xbcctl selfcheck, and a
 // direct CLI run of the same spec — bit-identical by construction.
-// Execute recovers no panic: the service runs it inside runner.RunOne,
-// which is the panic-isolation boundary.
+// Execute recovers no panic: the service and the figure sweeps run it
+// inside planner.Isolate, which is the panic-isolation boundary.
 //
 // The spec's Fidelity routes the run: full runs simulate every uop (and,
 // when a snapshot manager is attached, skip the warmup prefix via a

@@ -8,8 +8,8 @@
 //	   key already terminal?   -> answered from the result cache ("cached")
 //	   key queued or running?  -> attached to that job ("coalesced")
 //	   otherwise               -> enqueued on key-hash shard ("queued")
-//	worker: queued -> running -> done | failed   (runner: one execution,
-//	        panic isolation, per-job timeout)
+//	worker: queued -> running -> done | failed   (planner.Isolate: one
+//	        execution, panic isolation, per-job timeout)
 //	drain:  queued -> aborted ("drained"; resubmitting is idempotent)
 //
 // Determinism: simulations are bit-reproducible, so the result cache is
@@ -28,7 +28,7 @@ import (
 
 	"xbc/internal/corpus"
 	"xbc/internal/lru"
-	"xbc/internal/runner"
+	"xbc/internal/planner"
 	"xbc/internal/service/api"
 	"xbc/internal/service/jobspec"
 	"xbc/internal/snapshot"
@@ -63,7 +63,7 @@ type Options struct {
 	// (default 256).
 	CacheJobs int
 	// JobTimeout bounds each execution (0 = unbounded); it maps directly
-	// onto the runner's per-cell deadline.
+	// onto planner.Isolate's deadline.
 	JobTimeout time.Duration
 	// MaxUops caps the per-job stream length a submission may request
 	// (default 50M) — the one resource limit validation alone cannot set.
@@ -371,35 +371,20 @@ func (s *Server) worker(shard int) {
 	}
 }
 
-// run executes one job through the runner's isolation machinery.
+// run executes one job once through planner.Isolate: panic isolation and
+// the per-job deadline.
 func (s *Server) run(j *Job) {
 	s.reg.inflightAdd(1)
 	defer s.reg.inflightAdd(-1)
 	j.transition(JobRunning, s.opts.Clock.now(), "")
-	res := runner.RunOne(context.Background(), runner.Options{
-		CellTimeout: s.opts.JobTimeout,
-	}, runner.Task{
-		Cell: runner.Cell{Figure: "job", Workload: j.Spec.Label(), Config: j.ID},
-		Run: func(context.Context) (any, error) {
-			r, err := s.opts.Exec(j.Spec)
-			if err != nil {
-				return nil, err
-			}
-			return r, nil
-		},
+	name := "job/" + j.Spec.Label() + "/" + j.ID
+	v, err := planner.Isolate(context.Background(), name, s.opts.JobTimeout, func(context.Context) (any, error) {
+		return s.opts.Exec(j.Spec)
 	})
-	switch res.Status {
-	case runner.StatusDone:
-		r, ok := res.Payload.(jobspec.Result)
-		if !ok {
-			j.fail(fmt.Sprintf("internal: unexpected payload %T", res.Payload), s.opts.Clock.now())
-			break
-		}
-		j.complete(r, s.opts.Clock.now())
-	case runner.StatusFailed:
-		j.fail(res.Err.Error(), s.opts.Clock.now())
-	case runner.StatusAborted:
-		j.transition(JobAborted, s.opts.Clock.now(), "execution aborted")
+	if err != nil {
+		j.fail(err.Error(), s.opts.Clock.now())
+	} else {
+		j.complete(v.(jobspec.Result), s.opts.Clock.now())
 	}
 	s.finish(j)
 }

@@ -23,6 +23,9 @@ package xbc
 import (
 	"context"
 	"io"
+	"os"
+	"os/signal"
+	"syscall"
 
 	"xbc/internal/bbtc"
 	"xbc/internal/decoded"
@@ -32,7 +35,6 @@ import (
 	"xbc/internal/interval"
 	"xbc/internal/planner"
 	"xbc/internal/program"
-	"xbc/internal/runner"
 	"xbc/internal/stats"
 	"xbc/internal/store"
 	"xbc/internal/tcache"
@@ -331,21 +333,17 @@ type Store = store.Store
 // OpenStore opens (or creates) the store in dir, fsyncing every write.
 func OpenStore(dir string) (*Store, error) { return store.Open(store.Options{Dir: dir}) }
 
-// RunReport accumulates per-cell outcomes (done / failed / aborted)
-// across experiment calls. Wire it into
-// ExperimentOptions.Report.
-type RunReport = runner.Report
-
-// PlanTally accumulates sweep-planner reuse accounting (planned /
-// deduped / reused / simulated) across experiment calls. Wire it into
-// ExperimentOptions.Plan.
+// PlanTally accumulates sweep-planner accounting (planned / deduped /
+// reused / simulated / failed / aborted, and each failed cell) across
+// experiment calls. Wire it into ExperimentOptions.Plan.
 type PlanTally = planner.Tally
 
 // NotifyContext returns a context cancelled on SIGINT/SIGTERM: wire it
 // into ExperimentOptions.Ctx for graceful mid-sweep cancellation (cells
-// in flight finish and are reported; queued cells abort).
+// in flight finish and are reported; queued cells abort). Calling the
+// returned stop function restores the default signal behaviour.
 func NotifyContext(parent context.Context) (context.Context, context.CancelFunc) {
-	return runner.NotifyContext(parent)
+	return signal.NotifyContext(parent, os.Interrupt, syscall.SIGTERM)
 }
 
 // TruncateStream returns a copy of s cut to its first n records —
