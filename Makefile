@@ -24,10 +24,11 @@ all: check
 
 # The verification gate: build, vet, the project linters, the full suite
 # under the race detector, a one-iteration pass over every benchmark (so a
-# broken bench cannot rot unnoticed), and a short fuzz pass over the .xtr
-# parser.
+# broken bench cannot rot unnoticed), and short fuzz passes over the .xtr
+# parser, the snapshot codec and the store's recovery.
 check: build vet lint race bench-smoke
 	$(GO) test ./internal/trace -fuzz FuzzRead -fuzztime 10s
+	$(GO) test ./internal/snapshot -fuzz FuzzReader -fuzztime 10s
 	$(GO) test ./internal/store -fuzz FuzzScanRecords -fuzztime 10s
 	$(GO) test ./internal/store -fuzz FuzzOpen -fuzztime 10s
 
@@ -117,6 +118,7 @@ calibrate:
 
 fuzz:
 	$(GO) test ./internal/trace -fuzz FuzzRead -fuzztime 30s
+	$(GO) test ./internal/snapshot -fuzz FuzzReader -fuzztime 30s
 	$(GO) test ./internal/store -fuzz FuzzScanRecords -fuzztime 30s
 	$(GO) test ./internal/store -fuzz FuzzReadExport -fuzztime 30s
 	$(GO) test ./internal/store -fuzz FuzzOpen -fuzztime 30s

@@ -216,9 +216,9 @@ func TestFrontendAllocs(t *testing.T) {
 		want float64
 	}{
 		{"IC", xbc.NewICFrontend, 19},
-		{"Decoded", newDecoded, 2899},
-		{"TC", newTC, 2004},
-		{"BBTC", newBBTC, 3804},
+		{"Decoded", newDecoded, 2896},
+		{"TC", newTC, 1982},
+		{"BBTC", newBBTC, 3776},
 		{"XBC", newXBC, 58},
 		{"XBCNextXB", newXBCNextXB, 63},
 	} {

@@ -179,7 +179,7 @@ func (s *session) LoadState(r *snapshot.Reader) error {
 	for k := range s.st.blocks {
 		b := &s.st.blocks[k]
 		b.valid = r.Bool()
-		b.startIP = isa.Addr(r.U64())
+		b.startIP = r.Addr()
 		b.uops = r.Int()
 		b.stamp = r.U64()
 		n := r.Len(10)
@@ -192,7 +192,7 @@ func (s *session) LoadState(r *snapshot.Reader) error {
 		b.insts = b.insts[:0]
 		for j := 0; j < n; j++ {
 			b.insts = append(b.insts, blockInst{
-				ip:      isa.Addr(r.U64()),
+				ip:      r.Addr(),
 				numUops: r.U8(),
 				class:   isa.Class(r.U8()),
 			})
@@ -202,7 +202,7 @@ func (s *session) LoadState(r *snapshot.Reader) error {
 	for k := range s.st.traces {
 		t := &s.st.traces[k]
 		t.valid = r.Bool()
-		t.startIP = isa.Addr(r.U64())
+		t.startIP = r.Addr()
 		t.stamp = r.U64()
 		n := r.Len(8)
 		if err := r.Err(); err != nil {
@@ -213,7 +213,7 @@ func (s *session) LoadState(r *snapshot.Reader) error {
 		}
 		t.blocks = t.blocks[:0]
 		for j := 0; j < n; j++ {
-			t.blocks = append(t.blocks, isa.Addr(r.U64()))
+			t.blocks = append(t.blocks, r.Addr())
 		}
 	}
 	return r.Err()

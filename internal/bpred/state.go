@@ -135,8 +135,8 @@ func (b *BTB) LoadState(r *snapshot.Reader) error {
 	r.LenExact(len(b.data))
 	for i := range b.data {
 		b.data[i] = BTBEntry{
-			Tag:    isa.Addr(r.U64()),
-			Target: isa.Addr(r.U64()),
+			Tag:    r.Addr(),
+			Target: r.Addr(),
 			Class:  isa.Class(r.U8()),
 			Valid:  r.Bool(),
 		}
@@ -160,7 +160,7 @@ func (s *RAS) SaveState(w *snapshot.Writer) {
 func (s *RAS) LoadState(r *snapshot.Reader) error {
 	r.LenExact(len(s.slots))
 	for i := range s.slots {
-		s.slots[i] = isa.Addr(r.U64())
+		s.slots[i] = r.Addr()
 	}
 	s.top = r.Int()
 	s.depth = r.Int()
@@ -191,8 +191,8 @@ func (p *IndirectPredictor) LoadState(r *snapshot.Reader) error {
 	r.LenExact(len(p.entries))
 	for i := range p.entries {
 		e := &p.entries[i]
-		e.tag = isa.Addr(r.U64())
-		e.target = isa.Addr(r.U64())
+		e.tag = r.Addr()
+		e.target = r.Addr()
 		e.valid = r.Bool()
 	}
 	return r.Err()

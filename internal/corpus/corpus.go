@@ -18,6 +18,7 @@ import (
 	"strconv"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"xbc/internal/keyhash"
 	"xbc/internal/lru"
@@ -25,14 +26,21 @@ import (
 	"xbc/internal/trace"
 )
 
-// defaultStreams bounds the shared corpus. 64 entries hold the full
-// 21-workload suite at three different stream lengths; at the default 1M
-// uops each entry is roughly 17 MB, keeping the worst case near 1 GB.
-const defaultStreams = 64
+// The shared corpus is bounded twice: in entries and in bytes. 64 entries
+// hold the full 21-workload suite at three different stream lengths. A
+// stream runs 0.63 to 0.83 records of 12 bytes per uop, so a 1M-uop entry
+// takes 8 to 11 MB. The 1 GiB byte bound is the worst case that 64 such
+// entries used to reach at 24 bytes a record; it keeps a handful of very
+// long streams (xbcd admits jobs up to -maxuops) from holding tens of
+// gigabytes, and typical runs stay far below it.
+const (
+	defaultStreams = 64
+	defaultBytes   = 1 << 30
+)
 
 // shared is the process-wide corpus used by Stream; tests build private
 // instances with newCorpus.
-var shared = newCorpus(defaultStreams)
+var shared = newCorpus(defaultStreams, defaultBytes)
 
 // Stream returns the process-wide corpus's stream for (spec, minUops):
 // the simulation service and the experiment harness draw from one
@@ -82,8 +90,16 @@ type corpus struct {
 	generates atomic.Uint64 // trace.Generate invocations (test observability)
 }
 
-func newCorpus(max int) *corpus {
-	return &corpus{streams: lru.New[Key, *trace.Stream](max)}
+// newCorpus returns a corpus holding at most maxStreams streams whose
+// records take at most maxBytes together.
+func newCorpus(maxStreams int, maxBytes int64) *corpus {
+	return &corpus{streams: lru.NewWeighted[Key, *trace.Stream](maxStreams, maxBytes, streamBytes)}
+}
+
+// streamBytes is what a stream's records hold on the heap: the capacity
+// of the slice, which counts the slack its growth left as well.
+func streamBytes(s *trace.Stream) int64 {
+	return int64(cap(s.Recs)) * int64(unsafe.Sizeof(trace.Rec{}))
 }
 
 // stream returns the cached Stream for (spec, minUops), loading or

@@ -1,6 +1,7 @@
 package corpus
 
 import (
+	"math/rand"
 	"sync"
 	"testing"
 
@@ -18,7 +19,7 @@ func TestCorpusSingleflight(t *testing.T) {
 	if !ok {
 		t.Fatal("gcc workload missing")
 	}
-	c := newCorpus(8)
+	c := newCorpus(8, defaultBytes)
 	const callers = 16
 	const uops = 30_000
 	var wg sync.WaitGroup
@@ -58,7 +59,7 @@ func TestCorpusDistinctKeysNeverAlias(t *testing.T) {
 	if !ok {
 		t.Fatal("doom workload missing")
 	}
-	c := newCorpus(8)
+	c := newCorpus(8, defaultBytes)
 	a, err := c.stream(gcc.Spec, 20_000)
 	if err != nil {
 		t.Fatal(err)
@@ -105,7 +106,7 @@ func TestCorpusDistinctKeysNeverAlias(t *testing.T) {
 // coldest key, and re-requesting it regenerates.
 func TestCorpusEviction(t *testing.T) {
 	gcc, _ := workload.ByName("gcc")
-	c := newCorpus(2)
+	c := newCorpus(2, defaultBytes)
 	for _, uops := range []uint64{10_000, 11_000, 12_000} {
 		if _, err := c.stream(gcc.Spec, uops); err != nil {
 			t.Fatal(err)
@@ -129,6 +130,62 @@ func TestCorpusEviction(t *testing.T) {
 		t.Fatalf("resident key regenerated (%d generations)", n)
 	}
 }
+
+// TestCorpusBytesBound drives a corpus with a small byte budget through
+// random stream lengths, some of them longer than the whole budget. A
+// stream that fits is kept, one that does not is served but not kept, and
+// the streams resident after every step, found by probing every length
+// asked for so far, never hold more record bytes than the budget.
+func TestCorpusBytesBound(t *testing.T) {
+	w, ok := workload.MicroByName("loopnest")
+	if !ok {
+		t.Fatal("loopnest workload missing")
+	}
+	const budget = 256 << 10
+	rng := rand.New(rand.NewSource(1))
+	c := newCorpus(defaultStreams, budget)
+	var asked []uint64
+	var oversize int
+	for i := 0; i < 40; i++ {
+		uops := uint64(1_000 + rng.Intn(40_000))
+		asked = append(asked, uops)
+		s, err := c.stream(w.Spec, uops)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fits := heapBytes(s) <= budget
+		if !fits {
+			oversize++
+		}
+		before := c.generates.Load()
+		if _, err := c.stream(w.Spec, uops); err != nil {
+			t.Fatal(err)
+		}
+		if kept := c.generates.Load() == before; kept != fits {
+			t.Fatalf("step %d: a stream of %d bytes was kept=%v under a %d-byte bound", i, heapBytes(s), kept, budget)
+		}
+		var resident int64
+		for _, n := range asked {
+			key, err := KeyFor(w.Spec, n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if s, ok := c.streams.Get(key); ok {
+				resident += heapBytes(s)
+			}
+		}
+		if resident > budget {
+			t.Fatalf("step %d (%d uops): %d resident bytes, past the %d-byte bound", i, uops, resident, budget)
+		}
+	}
+	if oversize == 0 || oversize == 40 {
+		t.Fatalf("%d of 40 streams were longer than the budget; the lengths miss a case", oversize)
+	}
+}
+
+// heapBytes is what a stream's record array takes on the heap, counted
+// here rather than by the corpus's own weight function.
+func heapBytes(s *trace.Stream) int64 { return int64(cap(s.Recs)) * 12 }
 
 // mapCorpusStore is an in-memory lru.Backing for the persistence tests.
 type mapCorpusStore struct {
@@ -169,7 +226,7 @@ func TestCorpusStoreRoundTrip(t *testing.T) {
 	const uops = 30_000
 	st := newMapCorpusStore()
 
-	c1 := newCorpus(8)
+	c1 := newCorpus(8, defaultBytes)
 	c1.setStore(st)
 	s1, err := c1.stream(w.Spec, uops)
 	if err != nil {
@@ -182,7 +239,7 @@ func TestCorpusStoreRoundTrip(t *testing.T) {
 		t.Fatalf("store saw %d saves, want 1", st.saves)
 	}
 
-	c2 := newCorpus(8)
+	c2 := newCorpus(8, defaultBytes)
 	c2.setStore(st)
 	s2, err := c2.stream(w.Spec, uops)
 	if err != nil {
@@ -209,7 +266,7 @@ func TestCorpusStoreCorruptEntryRegenerates(t *testing.T) {
 	const uops = 30_000
 	st := newMapCorpusStore()
 
-	seed := newCorpus(8)
+	seed := newCorpus(8, defaultBytes)
 	seed.setStore(st)
 	if _, err := seed.stream(w.Spec, uops); err != nil {
 		t.Fatal(err)
@@ -226,7 +283,7 @@ func TestCorpusStoreCorruptEntryRegenerates(t *testing.T) {
 	}
 	st.mu.Unlock()
 
-	c := newCorpus(8)
+	c := newCorpus(8, defaultBytes)
 	c.setStore(st)
 	s, err := c.stream(w.Spec, uops)
 	if err != nil {
@@ -247,7 +304,7 @@ func TestCorpusStoreCorruptEntryRegenerates(t *testing.T) {
 // the attached one must leave the attachment alone.
 func TestCorpusClearStoreOnlyDetachesSelf(t *testing.T) {
 	a, b := newMapCorpusStore(), newMapCorpusStore()
-	c := newCorpus(2)
+	c := newCorpus(2, defaultBytes)
 	c.setStore(a)
 	c.clearStore(b) // not attached; no-op
 	c.mu.Lock()

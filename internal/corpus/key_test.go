@@ -43,7 +43,7 @@ func TestKeySoundness(t *testing.T) {
 		t.Fatalf("walked %d leaves, fewer than the %d fields", len(muts), reflect.TypeOf(program.Spec{}).NumField())
 	}
 	seen := map[Key]string{base: "base"}
-	c := newCorpus(2)
+	c := newCorpus(2, defaultBytes)
 	for _, m := range muts {
 		k, err := KeyFor(m.Spec, uops)
 		if err != nil {

@@ -245,7 +245,7 @@ func (s *session) LoadState(r *snapshot.Reader) error {
 	for k := range s.lines {
 		ln := &s.lines[k]
 		ln.valid = r.Bool()
-		ln.startIP = isa.Addr(r.U64())
+		ln.startIP = r.Addr()
 		ln.uops = r.Int()
 		ln.stamp = r.U64()
 		n := r.Len(10) // 8-byte ip + numUops + class per element
@@ -258,7 +258,7 @@ func (s *session) LoadState(r *snapshot.Reader) error {
 		ln.insts = ln.insts[:0]
 		for j := 0; j < n; j++ {
 			ln.insts = append(ln.insts, lineInst{
-				ip:      isa.Addr(r.U64()),
+				ip:      r.Addr(),
 				numUops: r.U8(),
 				class:   isa.Class(r.U8()),
 			})

@@ -12,8 +12,11 @@ package isa
 import "fmt"
 
 // Addr is a virtual instruction address. The XBC uses virtual tags, so no
-// translation layer is modelled.
-type Addr uint64
+// translation layer is modelled. The paper's traces are 32-bit IA-32 code,
+// and 32 bits keep every trace record at 12 bytes: program.Spec.Validate
+// rejects programs whose code could pass 4 GiB, and every decoder (.xtr
+// files, snapshots) refuses an address that does not fit.
+type Addr uint32
 
 // MaxUopsPerInst bounds how many uops a single instruction decodes into.
 // Typical IA-32 integer code decodes to 1-4 uops per instruction.

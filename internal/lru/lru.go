@@ -3,7 +3,8 @@
 // memo, warm-state snapshots and stream analyses): a fixed-capacity map
 // that evicts its least recently used entry, with O(1) Get, Put and
 // Remove, and a built-in singleflight so concurrent misses on one key
-// compute its value once.
+// compute its value once. A weighted cache (NewWeighted) also bounds the
+// summed weight of its entries, such as their size in bytes.
 package lru
 
 import (
@@ -41,6 +42,9 @@ var errPanicked = errors.New("lru: the call computing this key panicked")
 type Cache[K comparable, V any] struct {
 	mu     sync.Mutex
 	max    int
+	weigh  func(V) int64 // nil for an unweighted cache, whose entries weigh 0
+	budget int64         // the most the entries may weigh together
+	weight int64         // what the cached entries weigh together
 	items  map[K]*entry[K, V]
 	root   entry[K, V] // list sentinel: root.next is the MRU entry, root.prev the LRU one
 	flight map[K]*call[V]
@@ -50,6 +54,7 @@ type entry[K comparable, V any] struct {
 	prev, next *entry[K, V]
 	key        K
 	val        V
+	weight     int64
 }
 
 // call is one running Do whose result other callers of the key wait on.
@@ -71,6 +76,19 @@ func New[K comparable, V any](max int) *Cache[K, V] {
 	return c
 }
 
+// NewWeighted returns a cache holding at most max entries that together
+// weigh at most budget, where an entry weighs weigh(val) (which must not
+// be negative). An entry that alone weighs more than budget is not kept,
+// and evicts nothing; a negative budget counts as zero.
+func NewWeighted[K comparable, V any](max int, budget int64, weigh func(V) int64) *Cache[K, V] {
+	if budget < 0 {
+		budget = 0
+	}
+	c := New[K, V](max)
+	c.weigh, c.budget = weigh, budget
+	return c
+}
+
 // Get returns the value cached under key and marks it most recently used.
 func (c *Cache[K, V]) Get(key K) (V, bool) {
 	c.mu.Lock()
@@ -80,7 +98,9 @@ func (c *Cache[K, V]) Get(key K) (V, bool) {
 
 // Put caches val under key as the most recently used entry. When that
 // takes the cache past its capacity, the least recently used entry is
-// dropped and its key returned with evicted set.
+// dropped and its key returned with evicted set. A weighted cache may
+// drop further entries to get back under its budget; Put reports the
+// first.
 func (c *Cache[K, V]) Put(key K, val V) (old K, evicted bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -93,8 +113,7 @@ func (c *Cache[K, V]) Remove(key K) bool {
 	defer c.mu.Unlock()
 	e, ok := c.items[key]
 	if ok {
-		e.unlink()
-		delete(c.items, key)
+		c.drop(e)
 	}
 	return ok
 }
@@ -160,22 +179,45 @@ func (c *Cache[K, V]) get(key K) (V, bool) {
 }
 
 func (c *Cache[K, V]) put(key K, val V) (old K, evicted bool) {
-	if e, ok := c.items[key]; ok {
+	var w int64
+	if c.weigh != nil {
+		w = c.weigh(val)
+	}
+	e, ok := c.items[key]
+	if w > c.budget {
+		// Too heavy to keep at all: evicting everything else would not
+		// make room, so nothing else goes.
+		if ok {
+			c.drop(e)
+			return key, true
+		}
+		return old, false
+	}
+	if ok {
+		c.weight -= e.weight
 		e.val = val
 		e.unlink()
-		c.pushFront(e)
-		return old, false
+	} else {
+		e = &entry[K, V]{key: key, val: val}
+		c.items[key] = e
 	}
-	e := &entry[K, V]{key: key, val: val}
-	c.items[key] = e
+	e.weight = w
+	c.weight += w
 	c.pushFront(e)
-	if len(c.items) <= c.max {
-		return old, false
+	for len(c.items) > c.max || c.weight > c.budget {
+		victim := c.root.prev
+		c.drop(victim)
+		if !evicted {
+			old, evicted = victim.key, true
+		}
 	}
-	victim := c.root.prev
-	victim.unlink()
-	delete(c.items, victim.key)
-	return victim.key, true
+	return old, evicted
+}
+
+func (c *Cache[K, V]) drop(e *entry[K, V]) {
+	e.unlink()
+	delete(c.items, e.key)
+	c.weight -= e.weight
 }
 
 func (c *Cache[K, V]) pushFront(e *entry[K, V]) {

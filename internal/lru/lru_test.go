@@ -24,11 +24,24 @@ func (c *Cache[K, V]) order() []K {
 }
 
 // model is the reference: a map of values plus a recency list, least
-// recently used first.
+// recently used first. A weighted model also bounds the summed weight of
+// its values.
 type model struct {
-	max  int
-	vals map[int]int
-	lru  []int
+	max    int
+	weigh  func(int) int64 // nil: unweighted
+	budget int64
+	vals   map[int]int
+	lru    []int
+}
+
+func (m *model) weight() int64 {
+	var w int64
+	for _, v := range m.vals {
+		if m.weigh != nil {
+			w += m.weigh(v)
+		}
+	}
+	return w
 }
 
 func (m *model) touch(k int) {
@@ -46,16 +59,25 @@ func (m *model) get(k int) (int, bool) {
 	return v, ok
 }
 
-func (m *model) put(k, v int) (int, bool) {
-	m.vals[k] = v
-	m.touch(k)
-	if len(m.lru) <= m.max {
+func (m *model) put(k, v int) (first int, evicted bool) {
+	if m.weigh != nil && m.weigh(v) > m.budget {
+		if _, ok := m.vals[k]; ok {
+			m.remove(k)
+			return k, true
+		}
 		return 0, false
 	}
-	old := m.lru[0]
-	m.lru = m.lru[1:]
-	delete(m.vals, old)
-	return old, true
+	m.vals[k] = v
+	m.touch(k)
+	for len(m.lru) > m.max || m.weight() > m.budget {
+		old := m.lru[0]
+		m.lru = m.lru[1:]
+		delete(m.vals, old)
+		if !evicted {
+			first, evicted = old, true
+		}
+	}
+	return first, evicted
 }
 
 func (m *model) remove(k int) bool {
@@ -68,15 +90,22 @@ func (m *model) remove(k int) bool {
 }
 
 // TestModel drives seeded random Get/Put/Remove/Do sequences against the
-// reference model and checks every result, the contents and the eviction
-// order after each step.
+// reference model and checks every result, the contents, the weight and
+// the eviction order after each step. Odd seeds drive an unweighted
+// cache, even seeds a weighted one whose values weigh 0 to 7, some of
+// them more than the whole budget.
 func TestModel(t *testing.T) {
 	boom := errors.New("boom")
-	for seed := int64(1); seed <= 20; seed++ {
+	weigh := func(v int) int64 { return int64(v % 8) }
+	for seed := int64(1); seed <= 40; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		max := 1 + rng.Intn(6)
 		c := New[int, int](max)
 		m := &model{max: max, vals: map[int]int{}}
+		if seed%2 == 0 {
+			m.weigh, m.budget = weigh, int64(rng.Intn(20))
+			c = NewWeighted[int, int](max, m.budget, weigh)
+		}
 		for step := 0; step < 500; step++ {
 			k, v := rng.Intn(2*max+2), rng.Int()
 			where := fmt.Sprintf("seed %d step %d", seed, step)
@@ -132,6 +161,9 @@ func TestModel(t *testing.T) {
 			}
 			if c.Len() != len(m.vals) {
 				t.Fatalf("%s: Len = %d, want %d", where, c.Len(), len(m.vals))
+			}
+			if w := c.weight; w != m.weight() || w > m.budget {
+				t.Fatalf("%s: Weight = %d, want %d within the budget %d", where, w, m.weight(), m.budget)
 			}
 			for key, want := range m.vals {
 				if got := c.items[key].val; got != want {
@@ -189,6 +221,28 @@ func TestOrder(t *testing.T) {
 				t.Fatalf("order %v, want %v", got, tc.order)
 			}
 		})
+	}
+}
+
+// TestWeightedOversize: an entry heavier than the whole budget is not
+// kept and evicts nothing else; re-putting a cached key with such a value
+// drops the key. A negative budget counts as zero.
+func TestWeightedOversize(t *testing.T) {
+	weigh := func(v int) int64 { return int64(v) }
+	c := NewWeighted[string, int](4, 5, weigh)
+	c.Put("a", 2)
+	c.Put("b", 3)
+	if _, ev := c.Put("big", 6); ev || !slices.Equal(c.order(), []string{"a", "b"}) || c.weight != 5 {
+		t.Fatalf("oversize put: evicted %v; holds %v weighing %d, want [a b] weighing 5", ev, c.order(), c.weight)
+	}
+	if old, ev := c.Put("a", 6); !ev || old != "a" || !slices.Equal(c.order(), []string{"b"}) || c.weight != 3 {
+		t.Fatalf("oversize re-put: evicted %q,%v; holds %v weighing %d, want [b] weighing 3", old, ev, c.order(), c.weight)
+	}
+	neg := NewWeighted[string, int](4, -5, weigh)
+	neg.Put("heavy", 1)
+	neg.Put("free", 0)
+	if got := neg.order(); !slices.Equal(got, []string{"free"}) {
+		t.Fatalf("negative budget holds %v, want [free]", got)
 	}
 }
 

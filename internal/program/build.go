@@ -6,6 +6,16 @@ import (
 	"xbc/internal/isa"
 )
 
+// The layout Build produces, named so that Spec.Validate can bound it.
+const (
+	codeBase       = 0x1000 // address of the first instruction
+	funcAlign      = 16     // every function starts on this boundary
+	maxInstSize    = 8      // largest instruction pickSize draws, in bytes
+	minDriverCalls = 28     // call blocks of a phase driver, at least...
+	maxDriverCalls = 71     // ...and at most; two more blocks loop and return
+	maxDriverBody  = 3      // most non-terminator instructions in a driver block
+)
+
 // Build synthesizes a Program from the spec. Identical specs produce
 // identical programs. The construction maintains three termination
 // invariants the Walker relies on:
@@ -86,10 +96,11 @@ func Build(spec Spec) (*Program, error) {
 	}
 
 	// Pass 3: assign addresses. Functions are laid out back to back,
-	// 16-byte aligned, in ID order; blocks in layout order.
-	var cursor isa.Addr = 0x1000
+	// funcAlign-aligned, in ID order; blocks in layout order. Spec.Validate
+	// has checked that even the largest layout fits below 4 GiB.
+	var cursor isa.Addr = codeBase
 	for _, f := range p.Funcs {
-		cursor = (cursor + 15) &^ 15
+		cursor = (cursor + funcAlign - 1) &^ (funcAlign - 1)
 		for _, b := range f.Blocks {
 			for j := range b.Insts {
 				b.Insts[j].IP = cursor
@@ -141,10 +152,10 @@ func MustBuild(spec Spec) *Program {
 // a run of small call-site blocks, one loop back edge repeating the whole
 // sequence a few times, and a final return.
 func rebuildAsDriver(rng *rand.Rand, spec Spec, f *Func) {
-	nCalls := 28 + rng.Intn(44)
+	nCalls := minDriverCalls + rng.Intn(maxDriverCalls-minDriverCalls+1)
 	f.Blocks = make([]*Block, 0, nCalls+2)
 	for bi := 0; bi < nCalls+2; bi++ {
-		body := 1 + rng.Intn(3)
+		body := 1 + rng.Intn(maxDriverBody)
 		b := &Block{Fn: f, Index: bi, Insts: make([]isa.Inst, 0, body+1)}
 		for j := 0; j < body; j++ {
 			b.Insts = append(b.Insts, isa.Inst{
@@ -415,7 +426,7 @@ func pickSize(rng *rand.Rand) uint8 {
 	case x < 0.97:
 		return 7
 	default:
-		return 8
+		return maxInstSize
 	}
 }
 

@@ -1,6 +1,7 @@
 package program
 
 import (
+	"math"
 	"testing"
 
 	"xbc/internal/isa"
@@ -36,6 +37,59 @@ func TestSpecValidate(t *testing.T) {
 		mut(&s)
 		if err := s.Validate(); err == nil {
 			t.Errorf("mutation %d accepted", i)
+		}
+	}
+}
+
+// TestSpecValidateCodeLimit pins the 4 GiB limit on the worst-case code
+// layout at its edge: one function of B one-instruction blocks ends at
+// codeBase + 8B + 15 at worst, which is 2³²-1 for the largest B accepted.
+func TestSpecValidateCodeLimit(t *testing.T) {
+	const edge = (codeLimit - 1 - codeBase - (funcAlign - 1)) / maxInstSize
+	spec := func(fns, blocks, insts int) Spec {
+		s := DefaultSpec("huge", 1)
+		s.Functions, s.BlocksPerFunc, s.InstsPerBlock = fns, [2]int{1, blocks}, [2]int{0, insts}
+		return s
+	}
+	if err := spec(1, edge, 0).Validate(); err != nil {
+		t.Fatalf("code ending at 2^32-1 rejected: %v", err)
+	}
+	for _, s := range []Spec{
+		spec(1, edge+1, 0),                    // just over
+		spec(2, edge/2+1, 0),                  // over through the function count
+		spec(1, edge/2+1, 1),                  // over through the block length
+		spec(math.MaxInt, math.MaxInt, 0),     // products that would overflow
+		spec(1<<20, math.MaxInt, math.MaxInt), // an int64 of instructions per block
+	} {
+		if err := s.Validate(); err == nil {
+			t.Errorf("functions %d, blocks %v, insts %v: accepted, worst end %#x", s.Functions, s.BlocksPerFunc, s.InstsPerBlock, s.worstCodeEnd())
+		}
+	}
+}
+
+// TestWorstCodeEndBounds checks the bound Validate relies on against real
+// layouts, including ones in which phase drivers are the largest
+// functions.
+func TestWorstCodeEndBounds(t *testing.T) {
+	tiny := DefaultSpec("tiny", 4)
+	tiny.Functions, tiny.BlocksPerFunc, tiny.InstsPerBlock, tiny.Interleave = 12, [2]int{1, 1}, [2]int{0, 0}, 6
+	specs := []Spec{tiny, DefaultSpec("default", 1)}
+	for seed := int64(1); seed <= 4; seed++ {
+		s := testSpec(seed)
+		s.Interleave = int(seed)
+		specs = append(specs, s)
+	}
+	for _, s := range specs {
+		p := MustBuild(s)
+		var end uint64
+		for _, f := range p.Funcs {
+			for _, b := range f.Blocks {
+				last := b.Insts[len(b.Insts)-1]
+				end = max(end, uint64(last.IP)+uint64(last.Size))
+			}
+		}
+		if bound := s.worstCodeEnd(); end > bound {
+			t.Errorf("%s (seed %d): code ends at %#x, past its bound %#x", s.Name, s.Seed, end, bound)
 		}
 	}
 }

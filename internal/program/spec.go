@@ -149,5 +149,31 @@ func (s Spec) Validate() error {
 	if s.MonotonicFrac+s.PatternFrac > 1 {
 		return fmt.Errorf("program: spec %q: MonotonicFrac+PatternFrac > 1", s.Name)
 	}
+	if end := s.worstCodeEnd(); end >= codeLimit {
+		return fmt.Errorf("program: spec %q: worst-case code layout reaches %#x, past the 32-bit address space", s.Name, end)
+	}
 	return nil
+}
+
+// codeLimit is the size of the 32-bit address space (isa.Addr): every
+// instruction, and the fallthrough of the last one, must lie below it.
+const codeLimit = 1 << 32
+
+// worstCodeEnd bounds from above where Build's layout can end: every
+// function as large as a phase driver or a regular function can be,
+// every instruction at its largest size, plus alignment, from codeBase.
+// It saturates at codeLimit, so no product can overflow.
+func (s Spec) worstCodeEnd() uint64 {
+	regular := satMul(uint64(s.BlocksPerFunc[1]), uint64(s.InstsPerBlock[1])+1)
+	perFunc := max(regular, (maxDriverCalls+2)*(maxDriverBody+1))
+	perFunc = satMul(perFunc, maxInstSize) + funcAlign - 1
+	return min(codeBase+satMul(uint64(s.Functions), perFunc), codeLimit)
+}
+
+// satMul is a*b, saturated at codeLimit.
+func satMul(a, b uint64) uint64 {
+	if a != 0 && b > codeLimit/a {
+		return codeLimit
+	}
+	return min(a*b, codeLimit)
 }

@@ -196,6 +196,11 @@ func (s Spec) Validate() error {
 		return fmt.Errorf("jobspec: unknown workload %q (known: %s; micro: %s)",
 			s.Workload, strings.Join(workload.Names(), ", "), strings.Join(microNames(), ", "))
 	}
+	if s.Program != nil {
+		if err := s.Program.Validate(); err != nil {
+			return fmt.Errorf("jobspec: %w", err)
+		}
+	}
 	if s.Uops == 0 {
 		return fmt.Errorf("jobspec: uops must be positive")
 	}

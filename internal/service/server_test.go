@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"xbc/internal/interval"
+	"xbc/internal/program"
 	"xbc/internal/service/api"
 	"xbc/internal/service/jobspec"
 )
@@ -287,6 +288,20 @@ func TestGeometryBoundsRejected(t *testing.T) {
 	}
 	if job := waitJob(t, ts.URL, sub.ID); job.State != "done" {
 		t.Fatalf("geometry job: %s (%s)", job.State, job.Error)
+	}
+}
+
+// TestProgramPastAddressSpaceRejected: an inline program whose code
+// could pass 4 GiB fails validation with 400, instead of running on
+// addresses that wrapped around.
+func TestProgramPastAddressSpaceRejected(t *testing.T) {
+	_, ts := newTestServer(t, Options{})
+	huge := program.DefaultSpec("huge", 1)
+	huge.Functions = 1 << 22
+	bad := jobspec.Spec{Frontend: jobspec.KindXBC, Program: &huge, Uops: 20_000, Budget: 4096}
+	resp := postJSON(t, ts.URL+"/v1/jobs", bad)
+	if e := decodeBody[api.Error](t, resp); resp.StatusCode != http.StatusBadRequest || !strings.Contains(e.Error, "address space") {
+		t.Fatalf("status %d, error %q; want 400 naming the address space", resp.StatusCode, e.Error)
 	}
 }
 

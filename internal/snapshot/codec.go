@@ -15,6 +15,8 @@ import (
 	"fmt"
 	"math"
 	"sort"
+
+	"xbc/internal/isa"
 )
 
 // Writer serializes state into a growing byte buffer. The zero value is
@@ -147,6 +149,18 @@ func (r *Reader) U64() uint64 {
 		return 0
 	}
 	return binary.LittleEndian.Uint64(b)
+}
+
+// Addr reads an instruction address, which the format stores as a uint64.
+// A value that does not fit isa.Addr is a decode error, not a truncated
+// address that would restore a different state.
+func (r *Reader) Addr() isa.Addr {
+	v := r.U64()
+	if v > math.MaxUint32 {
+		r.fail("address %#x at offset %d outside the 32-bit address space", v, r.off-8)
+		return 0
+	}
+	return isa.Addr(v)
 }
 
 // U32 reads a little-endian uint32.

@@ -54,6 +54,7 @@ func FuzzReader(f *testing.F) {
 	w.Int(12)
 	w.Bool(true)
 	w.F64(3.5)
+	w.U64(0x1000) // an address
 	w.U64s([]uint64{4, 5})
 	w.U8s([]uint8{6})
 	w.Bools([]bool{true, false})
@@ -72,6 +73,7 @@ func FuzzReader(f *testing.F) {
 		_ = r.Int()
 		_ = r.Bool()
 		_ = r.F64()
+		_ = r.Addr()
 		_ = r.U64s()
 		_ = r.U8s()
 		var bools [2]bool

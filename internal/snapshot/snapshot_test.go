@@ -106,6 +106,23 @@ func TestReaderImplausibleLength(t *testing.T) {
 	}
 }
 
+func TestReaderAddrRange(t *testing.T) {
+	var w Writer
+	w.U64(0xffffffff)
+	w.U64(1 << 32)
+	w.U64(7)
+	r := NewReader(w.Bytes())
+	if a := r.Addr(); a != 0xffffffff || r.Err() != nil {
+		t.Fatalf("highest address: got %#x, err %v", a, r.Err())
+	}
+	if a := r.Addr(); a != 0 || r.Err() == nil {
+		t.Fatalf("2^32 read as %#x, err %v; want a decode error", a, r.Err())
+	}
+	if a := r.Addr(); a != 0 {
+		t.Fatalf("read %#x after a failed Addr; want the latched zero", a)
+	}
+}
+
 func TestReaderLatchesFirstError(t *testing.T) {
 	r := NewReader(nil)
 	_ = r.U64()

@@ -152,7 +152,7 @@ func (s *session) LoadState(r *snapshot.Reader) error {
 		return err
 	}
 	if s.rf != nil {
-		s.rf.startIP = isa.Addr(r.U64())
+		s.rf.startIP = r.Addr()
 		s.rf.uops = r.Int()
 		s.rf.branches = r.Int()
 		n := r.Len(11)
@@ -179,7 +179,7 @@ func saveTraceInst(w *snapshot.Writer, ti traceInst) {
 
 func loadTraceInst(r *snapshot.Reader) traceInst {
 	return traceInst{
-		ip:      isa.Addr(r.U64()),
+		ip:      r.Addr(),
 		numUops: r.U8(),
 		class:   isa.Class(r.U8()),
 		taken:   r.Bool(),
@@ -222,7 +222,7 @@ func (c *Cache) LoadState(r *snapshot.Reader) error {
 	for k := range c.lines {
 		ln := &c.lines[k]
 		ln.valid = r.Bool()
-		ln.startIP = isa.Addr(r.U64())
+		ln.startIP = r.Addr()
 		ln.path = r.U32()
 		ln.nbr = r.U8()
 		ln.uops = r.Int()

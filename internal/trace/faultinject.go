@@ -2,6 +2,7 @@ package trace
 
 import (
 	"math/rand"
+	"unsafe"
 
 	"xbc/internal/isa"
 )
@@ -29,6 +30,10 @@ func Truncate(s *Stream, n int) *Stream {
 	}
 }
 
+// addrBits is the width of isa.Addr. An address flip draws its bit below
+// it: a shift past the width would leave the address as it was.
+const addrBits = int(unsafe.Sizeof(isa.Addr(0))) * 8
+
 // BitFlip returns a copy of s in which roughly rate*len(Recs) records have
 // one field corrupted by a single bit flip, modelling storage or transport
 // corruption that slipped past the format layer. Flips hit every field a
@@ -45,9 +50,9 @@ func BitFlip(s *Stream, seed int64, rate float64) *Stream {
 		r := &out.Recs[i]
 		switch rng.Intn(6) {
 		case 0:
-			r.IP ^= isa.Addr(1) << rng.Intn(48)
+			r.IP ^= isa.Addr(1) << rng.Intn(addrBits)
 		case 1:
-			r.Next ^= isa.Addr(1) << rng.Intn(48)
+			r.Next ^= isa.Addr(1) << rng.Intn(addrBits)
 		case 2:
 			r.Class ^= isa.Class(1) << rng.Intn(8)
 		case 3:

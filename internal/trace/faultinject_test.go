@@ -55,6 +55,15 @@ func TestBitFlipDeterministicAndCorrupting(t *testing.T) {
 	if changed > s.Len()/5 {
 		t.Fatalf("BitFlip(rate=0.05) corrupted %d of %d records", changed, s.Len())
 	}
+	// At rate 1 every record takes one flip, and every flip must land:
+	// a flipped record equal to its source is a corruption that did not
+	// happen.
+	all := BitFlip(s, 7, 1)
+	for i := range all.Recs {
+		if all.Recs[i] == s.Recs[i] {
+			t.Fatalf("BitFlip(rate=1) left record %d equal to its source: %+v", i, s.Recs[i])
+		}
+	}
 	// A corrupted stream must fail validation (that is the point).
 	if err := a.Validate(); err == nil {
 		t.Error("bit-flipped stream still validates")

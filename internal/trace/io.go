@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 
 	"xbc/internal/isa"
 )
@@ -117,7 +118,10 @@ func Read(r io.Reader) (*Stream, error) {
 		if err != nil {
 			return nil, fmt.Errorf("trace: rec %d ip: %w", i, err)
 		}
-		ip := isa.Addr(int64(prevIP) + ipDelta)
+		ip, err := addrOf(int64(prevIP) + ipDelta)
+		if err != nil {
+			return nil, fmt.Errorf("trace: rec %d ip: %w", i, err)
+		}
 		prevIP = ip
 		nextDelta, err := binary.ReadVarint(br)
 		if err != nil {
@@ -138,8 +142,21 @@ func Read(r io.Reader) (*Stream, error) {
 			NumUops: packed&3 + 1,
 			Size:    size,
 		}
-		rec.Next = isa.Addr(int64(rec.FallThrough()) + nextDelta)
+		if rec.Next, err = addrOf(int64(rec.FallThrough()) + nextDelta); err != nil {
+			return nil, fmt.Errorf("trace: rec %d next: %w", i, err)
+		}
 		s.Recs = append(s.Recs, rec)
 	}
 	return s, nil
+}
+
+// addrOf narrows a decoded address to isa.Addr. A value outside
+// [0, 2³²) is refused rather than truncated: it comes from a foreign or
+// corrupt file, and truncating it would yield a different, valid-looking
+// stream.
+func addrOf(v int64) (isa.Addr, error) {
+	if v < 0 || v > math.MaxUint32 {
+		return 0, fmt.Errorf("address %#x outside the 32-bit address space", v)
+	}
+	return isa.Addr(v), nil
 }

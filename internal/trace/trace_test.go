@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"xbc/internal/isa"
 	"xbc/internal/program"
@@ -155,5 +156,14 @@ func TestGenerateAllocs(t *testing.T) {
 	})
 	if got != 28738 {
 		t.Fatalf("Generate(gcc, 150k): %v allocs, want exactly %v", got, 28738)
+	}
+}
+
+// TestRecSize pins the record at 12 bytes: two 32-bit addresses and four
+// bytes of flags. The corpus holds millions of records, so a wider
+// address or a field that adds padding shows up directly in its heap.
+func TestRecSize(t *testing.T) {
+	if got := unsafe.Sizeof(Rec{}); got != 12 {
+		t.Fatalf("trace.Rec is %d bytes, want 12", got)
 	}
 }

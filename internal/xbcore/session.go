@@ -275,11 +275,11 @@ func (s *session) LoadState(r *snapshot.Reader) error {
 		st.prevEntry = e
 	}
 	st.prevClass = isa.Class(r.U8())
-	st.prevIP = isa.Addr(r.U64())
+	st.prevIP = r.Addr()
 	st.prevTaken = r.Bool()
 	st.prevViolated = r.Bool()
 	st.prevPromoted = r.Bool()
-	st.pendingCall = isa.Addr(r.U64())
+	st.pendingCall = r.Addr()
 	st.pendingCallValid = r.Bool()
 	st.retPtr = loadPtr(r)
 	st.retPtrValid = r.Bool()

@@ -33,7 +33,7 @@ func savePtr(w *snapshot.Writer, p Ptr) {
 // loadPtr reads a pointer written by savePtr.
 func loadPtr(r *snapshot.Reader) Ptr {
 	return Ptr{
-		EndIP:   isa.Addr(r.U64()),
+		EndIP:   r.Addr(),
 		Variant: r.U32(),
 		vref:    int32(r.U32()),
 		Offset:  int32(r.U32()),
@@ -101,7 +101,7 @@ func (c *Cache) LoadState(r *snapshot.Reader) error {
 	r.LenExact(len(c.lineHdrs))
 	for i := range c.lineHdrs {
 		h := &c.lineHdrs[i]
-		h.tag = isa.Addr(r.U64())
+		h.tag = r.Addr()
 		h.stamp = r.U64()
 		h.meta = r.U32()
 	}
@@ -115,7 +115,7 @@ func (c *Cache) LoadState(r *snapshot.Reader) error {
 	c.entries = c.entries[:0]
 	for i := 0; i < ne; i++ {
 		c.entries = append(c.entries, entryRec{
-			endIP:  isa.Addr(r.U64()),
+			endIP:  r.Addr(),
 			head:   int32(r.Int()),
 			tail:   int32(r.Int()),
 			nextID: r.U32(),
@@ -259,7 +259,7 @@ func (t *XBTB) LoadState(r *snapshot.Reader) error {
 	for i := range t.entries {
 		e := &t.entries[i]
 		e.valid = r.Bool()
-		e.xbIP = isa.Addr(r.U64())
+		e.xbIP = r.Addr()
 		e.stamp = r.U64()
 		e.Class = isa.Class(r.U8())
 		e.Taken = loadPtr(r)
@@ -294,11 +294,11 @@ func (x *XiBTB) LoadState(r *snapshot.Reader) error {
 	x.hist = r.U64()
 	r.LenExact(len(x.histTags))
 	for i := range x.histTags {
-		x.histTags[i] = isa.Addr(r.U64())
+		x.histTags[i] = r.Addr()
 		x.histPtrs[i] = loadPtr(r)
 	}
 	for i := range x.baseTags {
-		x.baseTags[i] = isa.Addr(r.U64())
+		x.baseTags[i] = r.Addr()
 		x.basePtrs[i] = loadPtr(r)
 	}
 	return r.Err()
@@ -319,7 +319,7 @@ func (x *XRSB) SaveState(w *snapshot.Writer) {
 func (x *XRSB) LoadState(r *snapshot.Reader) error {
 	r.LenExact(len(x.slots))
 	for i := range x.slots {
-		x.slots[i] = isa.Addr(r.U64())
+		x.slots[i] = r.Addr()
 	}
 	r.BoolsInto(x.live)
 	x.top = r.Int()
