@@ -1,18 +1,46 @@
 package corpus
 
 import (
+	"bytes"
 	"math/rand"
+	"reflect"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"xbc/internal/lru"
+	"xbc/internal/program"
+	"xbc/internal/store"
 	"xbc/internal/trace"
 	"xbc/internal/workload"
 )
 
+// specKey is the corpus's entry key for spec.
+func specKey(t testing.TB, spec program.Spec) string {
+	t.Helper()
+	k, err := KeyFor(spec, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return k.spec
+}
+
+// sameStream fails unless got is want record for record, with no spare
+// capacity a caller could append into.
+func sameStream(t testing.TB, what string, got, want *trace.Stream) {
+	t.Helper()
+	if got.Name != want.Name || !reflect.DeepEqual(got.Recs, want.Recs) {
+		t.Fatalf("%s: %q with %d records, want %q with %d records", what, got.Name, len(got.Recs), want.Name, len(want.Recs))
+	}
+	if cap(got.Recs) != len(got.Recs) {
+		t.Fatalf("%s: cap %d != len %d", what, cap(got.Recs), len(got.Recs))
+	}
+}
+
 // TestCorpusSingleflight races many goroutines — like parallel runner
-// cells — at the same (spec, uops) key and checks that exactly one
-// generation happens and every caller gets the one cached Stream. Run
+// cells — at one (spec, uops) and checks that exactly one generation
+// happens and every caller gets a view of the one kept backing array. Run
 // under -race this is also the data-race proof for the sharing scheme.
 func TestCorpusSingleflight(t *testing.T) {
 	w, ok := workload.ByName("gcc")
@@ -44,15 +72,16 @@ func TestCorpusSingleflight(t *testing.T) {
 		t.Fatalf("generated %d times for one key, want 1", n)
 	}
 	for i, s := range streams {
-		if s != streams[0] {
-			t.Fatalf("caller %d does not share the cached stream", i)
+		if len(s.Recs) != len(streams[0].Recs) || &s.Recs[0] != &streams[0].Recs[0] {
+			t.Fatalf("caller %d does not share the kept records", i)
 		}
 	}
 }
 
-// TestCorpusDistinctKeysNeverAlias checks the content addressing: the
-// same spec at different lengths, and different specs at the same length,
-// must occupy distinct entries and never hand out each other's records.
+// TestCorpusDistinctKeysNeverAlias checks the content addressing:
+// different specs never hand out each other's records, a longer length
+// of one spec generates once more, and a shorter one is a view of the
+// longest stream kept.
 func TestCorpusDistinctKeysNeverAlias(t *testing.T) {
 	gcc, _ := workload.ByName("gcc")
 	doom, ok := workload.ByName("doom")
@@ -73,24 +102,26 @@ func TestCorpusDistinctKeysNeverAlias(t *testing.T) {
 		t.Fatal(err)
 	}
 	if n := c.generates.Load(); n != 3 {
-		t.Fatalf("generated %d times for three distinct keys, want 3", n)
+		t.Fatalf("generated %d times for two specs and a longer length, want 3", n)
 	}
-	if &a.Recs[0] == &b.Recs[0] {
-		t.Fatal("same spec at different lengths aliased one stream")
-	}
-	if &a.Recs[0] == &d.Recs[0] {
+	if &a.Recs[0] == &d.Recs[0] || &b.Recs[0] == &d.Recs[0] {
 		t.Fatal("different specs aliased one stream")
 	}
 	if a.Uops() < 20_000 || b.Uops() < 40_000 {
 		t.Fatalf("stream lengths wrong: %d, %d", a.Uops(), b.Uops())
 	}
-	// A repeat request must hit, not regenerate.
-	if _, err := c.stream(gcc.Spec, 20_000); err != nil {
+	// A repeat of the shorter length is a view of the longer stream.
+	again, err := c.stream(gcc.Spec, 20_000)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if n := c.generates.Load(); n != 3 {
-		t.Fatalf("repeat request regenerated (%d generations)", n)
+		t.Fatalf("shorter length regenerated (%d generations)", n)
 	}
+	if &again.Recs[0] != &b.Recs[0] {
+		t.Fatal("shorter length is not a view of the longest stream kept")
+	}
+	sameStream(t, "gcc at 20k after 40k", again, a)
 	// A differing spec field — even just the seed — must miss.
 	seeded := gcc.Spec
 	seeded.Seed++
@@ -102,40 +133,52 @@ func TestCorpusDistinctKeysNeverAlias(t *testing.T) {
 	}
 }
 
-// TestCorpusEviction checks the LRU bound: pushing past max evicts the
-// coldest key, and re-requesting it regenerates.
+// TestCorpusEviction checks the LRU bound, which counts programs: pushing
+// past max evicts the coldest program, and re-requesting it regenerates,
+// while any length of a resident program does not.
 func TestCorpusEviction(t *testing.T) {
-	gcc, _ := workload.ByName("gcc")
+	var specs []program.Spec
+	for _, name := range []string{"gcc", "doom", "li"} {
+		w, ok := workload.ByName(name)
+		if !ok {
+			t.Fatalf("%s workload missing", name)
+		}
+		specs = append(specs, w.Spec)
+	}
 	c := newCorpus(2, defaultBytes)
-	for _, uops := range []uint64{10_000, 11_000, 12_000} {
-		if _, err := c.stream(gcc.Spec, uops); err != nil {
+	for _, s := range specs {
+		if _, err := c.stream(s, 10_000); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if n := c.streams.Len(); n != 2 {
+	if n := c.entries.Len(); n != 2 {
 		t.Fatalf("corpus holds %d entries, want max 2", n)
 	}
-	// 10k was the coldest; re-requesting it must regenerate.
-	if _, err := c.stream(gcc.Spec, 10_000); err != nil {
+	// gcc was the coldest; re-requesting it must regenerate.
+	if _, err := c.stream(specs[0], 10_000); err != nil {
 		t.Fatal(err)
 	}
 	if n := c.generates.Load(); n != 4 {
-		t.Fatalf("evicted key did not regenerate (%d generations)", n)
+		t.Fatalf("evicted program did not regenerate (%d generations)", n)
 	}
-	// 12k is still resident (11k was evicted by the 10k re-insert).
-	if _, err := c.stream(gcc.Spec, 12_000); err != nil {
-		t.Fatal(err)
+	// li is still resident (doom was evicted by the gcc re-insert), at
+	// this length and every shorter one.
+	for _, uops := range []uint64{10_000, 5_000} {
+		if _, err := c.stream(specs[2], uops); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if n := c.generates.Load(); n != 4 {
-		t.Fatalf("resident key regenerated (%d generations)", n)
+		t.Fatalf("resident program regenerated (%d generations)", n)
 	}
 }
 
 // TestCorpusBytesBound drives a corpus with a small byte budget through
-// random stream lengths, some of them longer than the whole budget. A
-// stream that fits is kept, one that does not is served but not kept, and
-// the streams resident after every step, found by probing every length
-// asked for so far, never hold more record bytes than the budget.
+// random lengths of one program, some of them longer than the whole
+// budget allows. A request the kept stream covers is a view and generates
+// nothing. A longer one generates; its stream is kept if it fits, and
+// otherwise served without displacing the shorter stream already kept.
+// The kept records never weigh more than the budget.
 func TestCorpusBytesBound(t *testing.T) {
 	w, ok := workload.MicroByName("loopnest")
 	if !ok {
@@ -144,42 +187,45 @@ func TestCorpusBytesBound(t *testing.T) {
 	const budget = 256 << 10
 	rng := rand.New(rand.NewSource(1))
 	c := newCorpus(defaultStreams, budget)
-	var asked []uint64
-	var oversize int
+	key := specKey(t, w.Spec)
+	var kept uint64 // uops of the stream the model says is kept; 0: none
+	var oversize, displaced int
 	for i := 0; i < 40; i++ {
 		uops := uint64(1_000 + rng.Intn(40_000))
-		asked = append(asked, uops)
+		before := c.generates.Load()
 		s, err := c.stream(w.Spec, uops)
 		if err != nil {
 			t.Fatal(err)
 		}
-		fits := heapBytes(s) <= budget
-		if !fits {
-			oversize++
+		generated := c.generates.Load() != before
+		if covered := kept >= uops; generated == covered {
+			t.Fatalf("step %d: %d uops with %d kept: generated=%v", i, uops, kept, generated)
 		}
-		before := c.generates.Load()
-		if _, err := c.stream(w.Spec, uops); err != nil {
-			t.Fatal(err)
-		}
-		if kept := c.generates.Load() == before; kept != fits {
-			t.Fatalf("step %d: a stream of %d bytes was kept=%v under a %d-byte bound", i, heapBytes(s), kept, budget)
-		}
-		var resident int64
-		for _, n := range asked {
-			key, err := KeyFor(w.Spec, n)
+		if generated {
+			// The view served has no spare capacity; the stream the
+			// corpus weighs is the one trace.Generate makes.
+			ref, err := trace.Generate(w.Spec, uops)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if s, ok := c.streams.Get(key); ok {
-				resident += heapBytes(s)
+			sameStream(t, "served", s, &trace.Stream{Name: ref.Name, Recs: ref.Recs[:len(ref.Recs):len(ref.Recs)]})
+			switch {
+			case heapBytes(ref) <= budget:
+				kept = ref.Uops()
+			case kept > 0:
+				displaced++
+				fallthrough
+			default:
+				oversize++
 			}
 		}
-		if resident > budget {
-			t.Fatalf("step %d (%d uops): %d resident bytes, past the %d-byte bound", i, uops, resident, budget)
+		e, ok := c.entries.Get(key)
+		if ok != (kept > 0) || ok && (e.uops != kept || heapBytes(&trace.Stream{Recs: e.recs}) > budget) {
+			t.Fatalf("step %d (%d uops): entry present=%v, want a %d-uop stream within %d bytes", i, uops, ok, kept, budget)
 		}
 	}
-	if oversize == 0 || oversize == 40 {
-		t.Fatalf("%d of 40 streams were longer than the budget; the lengths miss a case", oversize)
+	if oversize == 0 || displaced == 0 || oversize == 40 {
+		t.Fatalf("%d of 40 streams were longer than the budget, %d of them with a shorter one kept; the lengths miss a case", oversize, displaced)
 	}
 }
 
@@ -212,6 +258,22 @@ func (s *mapCorpusStore) Save(key string, val []byte) {
 	defer s.mu.Unlock()
 	s.saves++
 	s.m[key] = append([]byte(nil), val...)
+}
+
+// stored decodes the stream persisted under key.
+func (s *mapCorpusStore) stored(t testing.TB, key string) *trace.Stream {
+	t.Helper()
+	s.mu.Lock()
+	data, ok := s.m[key]
+	s.mu.Unlock()
+	if !ok {
+		t.Fatalf("nothing persisted under %s", key)
+	}
+	st, err := trace.Read(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st
 }
 
 // TestCorpusStoreRoundTrip is the warm-start proof for generated streams:
@@ -248,15 +310,7 @@ func TestCorpusStoreRoundTrip(t *testing.T) {
 	if n := c2.generates.Load(); n != 0 {
 		t.Fatalf("warm corpus generated %d times, want 0 (store hit)", n)
 	}
-	if s2.Name != s1.Name || len(s2.Recs) != len(s1.Recs) {
-		t.Fatalf("reloaded stream shape differs: %q/%d vs %q/%d",
-			s2.Name, len(s2.Recs), s1.Name, len(s1.Recs))
-	}
-	for i := range s1.Recs {
-		if s1.Recs[i] != s2.Recs[i] {
-			t.Fatalf("rec %d differs after store round trip:\n%+v\nvs\n%+v", i, s1.Recs[i], s2.Recs[i])
-		}
-	}
+	sameStream(t, "reloaded stream", s2, s1)
 }
 
 // TestCorpusStoreCorruptEntryRegenerates: an unreadable persisted stream
@@ -300,6 +354,42 @@ func TestCorpusStoreCorruptEntryRegenerates(t *testing.T) {
 	}
 }
 
+// TestCorpusStoreTooShortRegenerates: a persisted stream shorter than a
+// request is regenerated at the requested length and saved over, and the
+// next process serves both lengths from the longer copy.
+func TestCorpusStoreTooShortRegenerates(t *testing.T) {
+	w, _ := workload.ByName("li")
+	key := specKey(t, w.Spec)
+	st := newMapCorpusStore()
+	first := newCorpus(8, defaultBytes)
+	first.setStore(st)
+	if _, err := first.stream(w.Spec, 10_000); err != nil {
+		t.Fatal(err)
+	}
+
+	c := newCorpus(8, defaultBytes)
+	c.setStore(st)
+	long, err := c.stream(w.Spec, 25_000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := c.generates.Load(); n != 1 {
+		t.Fatalf("generated %d times over a too short stored stream, want 1", n)
+	}
+	sameStream(t, "persisted after the longer request", st.stored(t, key), long)
+
+	again := newCorpus(8, defaultBytes)
+	again.setStore(st)
+	for _, uops := range []uint64{10_000, 25_000} {
+		if _, err := again.stream(w.Spec, uops); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := again.generates.Load(); n != 0 {
+		t.Fatalf("restarted corpus generated %d times, want 0", n)
+	}
+}
+
 // TestCorpusClearStoreOnlyDetachesSelf: clearing with a store that is not
 // the attached one must leave the attachment alone.
 func TestCorpusClearStoreOnlyDetachesSelf(t *testing.T) {
@@ -320,4 +410,267 @@ func TestCorpusClearStoreOnlyDetachesSelf(t *testing.T) {
 	if got != nil {
 		t.Fatal("clearStore with the attached store did not detach it")
 	}
+}
+
+// storeBacking persists the corpus in a real store.Store.
+type storeBacking struct {
+	t  testing.TB
+	st *store.Store
+}
+
+func (b storeBacking) Load(key string) ([]byte, bool) { return b.st.Get(key) }
+
+func (b storeBacking) Save(key string, val []byte) {
+	if err := b.st.Put(key, val); err != nil {
+		b.t.Error(err)
+	}
+}
+
+func openStore(t *testing.T, dir string) storeBacking {
+	t.Helper()
+	st, err := store.Open(store.Options{Dir: dir, Fsync: store.FsyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return storeBacking{t: t, st: st}
+}
+
+// TestPrefixViews is the prefix-view property: for random workload and
+// micro specs and lengths n < m, asked for short then long and long then
+// short, of a live corpus and of one re-attached to the reopened store,
+// the stream served for each length is trace.Generate's record for
+// record, with no spare capacity.
+func TestPrefixViews(t *testing.T) {
+	var specs []program.Spec
+	for _, name := range []string{"gcc", "doom", "word", "li"} {
+		w, ok := workload.ByName(name)
+		if !ok {
+			t.Fatalf("%s workload missing", name)
+		}
+		specs = append(specs, w.Spec)
+	}
+	for _, w := range workload.Micro() {
+		specs = append(specs, w.Spec)
+	}
+	rng := rand.New(rand.NewSource(30))
+	draws := 8
+	if testing.Short() {
+		draws = 3
+	}
+	for i := 0; i < draws; i++ {
+		spec := specs[rng.Intn(len(specs))]
+		n := uint64(rng.Intn(25_000))
+		m := n + 1 + uint64(rng.Intn(25_000))
+		want := map[uint64]*trace.Stream{}
+		for _, uops := range []uint64{n, m} {
+			s, err := trace.Generate(spec, uops)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want[uops] = s
+		}
+		for _, order := range [][2]uint64{{n, m}, {m, n}} {
+			dir := t.TempDir()
+			ask := func(c *corpus, life string) {
+				for _, uops := range order {
+					got, err := c.stream(spec, uops)
+					if err != nil {
+						t.Fatal(err)
+					}
+					sameStream(t, spec.Name+" "+life, got, want[uops])
+				}
+			}
+			st := openStore(t, dir)
+			live := newCorpus(8, defaultBytes)
+			live.setStore(st)
+			ask(live, "live")
+			if err := st.st.Close(); err != nil {
+				t.Fatal(err)
+			}
+			st = openStore(t, dir)
+			back := newCorpus(8, defaultBytes)
+			back.setStore(st)
+			ask(back, "reopened")
+			if g := back.generates.Load(); g != 0 {
+				t.Fatalf("%s %v: the reopened store's corpus generated %d times", spec.Name, order, g)
+			}
+			if err := st.st.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+}
+
+// TestPrefixViewEdges cuts views at the edges of the uop index, where
+// the binary search and the scan meet, and at both ends of the stream.
+func TestPrefixViewEdges(t *testing.T) {
+	w, _ := workload.MicroByName("callheavy")
+	c := newCorpus(8, defaultBytes)
+	if _, err := c.stream(w.Spec, 5_000); err != nil {
+		t.Fatal(err)
+	}
+	e, _ := c.entries.Get(specKey(t, w.Spec))
+	if len(e.marks) < 3 {
+		t.Fatalf("%d marks; the stream is too short to reach the edges", len(e.marks))
+	}
+	for _, n := range []uint64{0, 1, e.marks[1] - 1, e.marks[1], e.marks[1] + 1, e.marks[2], e.uops - 1, e.uops} {
+		want, err := trace.Generate(w.Spec, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := c.stream(w.Spec, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameStream(t, "view", got, want)
+	}
+	if n := c.generates.Load(); n != 1 {
+		t.Fatalf("%d generations, want 1", n)
+	}
+}
+
+// gatedStore holds the first Save after hold until release closes, which
+// keeps the generation that saves open while other callers arrive.
+type gatedStore struct {
+	*mapCorpusStore
+	mu      sync.Mutex
+	entered chan struct{}
+	release chan struct{}
+}
+
+func (s *gatedStore) hold() (entered, release chan struct{}) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.entered, s.release = make(chan struct{}), make(chan struct{})
+	return s.entered, s.release
+}
+
+func (s *gatedStore) Save(key string, val []byte) {
+	s.mu.Lock()
+	entered, release := s.entered, s.release
+	s.entered = nil
+	s.mu.Unlock()
+	if entered != nil {
+		close(entered)
+		<-release
+	}
+	s.mapCorpusStore.Save(key, val)
+}
+
+// TestCorpusMixedLengths has goroutines ask one spec for mixed lengths at
+// once. In each round a first caller asks a length longer than any before
+// and its generation is held open until every other caller of the round
+// has arrived, in a known order; then all race. Every caller must get its
+// exact prefix; the stream kept in memory and the one persisted must be
+// the longest asked for; and the corpus may generate no more often than
+// the number of lengths longer than every one asked before them.
+func TestCorpusMixedLengths(t *testing.T) {
+	w, _ := workload.MicroByName("switchheavy")
+	key := specKey(t, w.Spec)
+	st := &gatedStore{mapCorpusStore: newMapCorpusStore()}
+	c := newCorpus(8, defaultBytes)
+	c.setStore(st)
+	rng := rand.New(rand.NewSource(5))
+	ref := map[uint64]*trace.Stream{}
+	var longest uint64
+	records := 0
+	for round := 0; round < 4; round++ {
+		lengths := []uint64{longest + 1_000 + uint64(rng.Intn(4_000))}
+		for i := 0; i < 9; i++ {
+			lengths = append(lengths, 500+uint64(rng.Intn(int(lengths[0]+6_000))))
+		}
+		for _, n := range lengths {
+			if n > longest {
+				longest = n
+				records++
+			}
+			if ref[n] == nil {
+				s, err := trace.Generate(w.Spec, n)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ref[n] = s
+			}
+		}
+
+		entered, release := st.hold()
+		var wg sync.WaitGroup
+		var returned atomic.Uint64
+		waits := c.waits.Load()
+		got := make([]*trace.Stream, len(lengths))
+		for i, n := range lengths {
+			wg.Add(1)
+			go func(i int, n uint64) {
+				defer wg.Done()
+				defer returned.Add(1)
+				s, err := c.stream(w.Spec, n)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				got[i] = s
+			}(i, n)
+			if i == 0 {
+				<-entered
+				continue
+			}
+			// Caller i has arrived once it waits on the held generation
+			// or has been served by the stream kept before this round.
+			for c.waits.Load()-waits+returned.Load() < uint64(i) {
+				runtime.Gosched()
+			}
+		}
+		close(release)
+		wg.Wait()
+		if t.Failed() {
+			t.FailNow()
+		}
+		for i, n := range lengths {
+			sameStream(t, "mixed lengths", got[i], ref[n])
+		}
+	}
+	if g := c.generates.Load(); g > uint64(records) {
+		t.Fatalf("%d generations, more than the %d lengths longer than all before them", g, records)
+	}
+	e, ok := c.entries.Get(key)
+	if !ok {
+		t.Fatal("nothing kept")
+	}
+	kept := &trace.Stream{Name: e.name, Recs: e.recs}
+	if !reflect.DeepEqual(kept.Recs, ref[longest].Recs) {
+		t.Fatalf("kept %d records, want the %d of the longest length asked", len(kept.Recs), len(ref[longest].Recs))
+	}
+	if s := st.stored(t, key); !reflect.DeepEqual(s.Recs, ref[longest].Recs) {
+		t.Fatalf("persisted %d records, want the %d of the longest length asked", len(s.Recs), len(ref[longest].Recs))
+	}
+}
+
+// BenchmarkCorpusView cuts a 200k-uop view of a 300k-uop stream.
+func BenchmarkCorpusView(b *testing.B) {
+	e := viewBench(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		viewSink = e.view(200_000)
+	}
+}
+
+// TestCorpusViewAllocs pins BenchmarkCorpusView at one allocation, the
+// Stream header: the cut itself allocates nothing.
+func TestCorpusViewAllocs(t *testing.T) {
+	e := viewBench(t)
+	if got := testing.AllocsPerRun(10, func() { viewSink = e.view(200_000) }); got != 1 {
+		t.Fatalf("a view allocates %v times, want 1", got)
+	}
+}
+
+var viewSink *trace.Stream
+
+func viewBench(tb testing.TB) *entry {
+	w, _ := workload.ByName("gcc")
+	s, err := trace.Generate(w.Spec, 300_000)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return newEntry(s)
 }

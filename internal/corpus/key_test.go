@@ -1,6 +1,7 @@
 package corpus
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -74,8 +75,8 @@ func TestKeySoundness(t *testing.T) {
 func validProgram(s program.Spec) bool { return s.Validate() == nil }
 
 // TestStoreKeyFormat pins the persisted key format, hex(SHA-256 of the
-// spec's JSON):uops, rebuilt here independently: a store written by an
-// earlier build must keep serving corpus hits.
+// spec's JSON), rebuilt here independently: the corpus saves one stream
+// per program under it, whatever length was asked.
 func TestStoreKeyFormat(t *testing.T) {
 	w, _ := workload.ByName("doom")
 	b, err := json.Marshal(w.Spec)
@@ -83,12 +84,59 @@ func TestStoreKeyFormat(t *testing.T) {
 		t.Fatal(err)
 	}
 	sum := sha256.Sum256(b)
-	want := hex.EncodeToString(sum[:]) + ":40000"
-	k, err := KeyFor(w.Spec, 40_000)
+	want := hex.EncodeToString(sum[:])
+	st := newMapCorpusStore()
+	c := newCorpus(2, defaultBytes)
+	c.setStore(st)
+	for _, uops := range []uint64{20_000, 40_000} {
+		if _, err := c.stream(w.Spec, uops); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(st.m) != 1 || st.m[want] == nil {
+		keys := make([]string, 0, len(st.m))
+		for k := range st.m {
+			keys = append(keys, k)
+		}
+		t.Fatalf("store keys %q, want only %q", keys, want)
+	}
+}
+
+// TestStoreOldKeyIgnored: a store holding only a stream under the
+// hex(spec hash):uops key of earlier builds regenerates, and never serves
+// that blob. The blob here is another program's stream, so serving it
+// would show.
+func TestStoreOldKeyIgnored(t *testing.T) {
+	gcc, _ := workload.ByName("gcc")
+	doom, _ := workload.ByName("doom")
+	const uops = 20_000
+	foreign, err := trace.Generate(doom.Spec, uops)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := storeKeyFor(k); got != want {
-		t.Fatalf("store key %q, want %q", got, want)
+	var buf bytes.Buffer
+	if err := trace.Write(&buf, foreign); err != nil {
+		t.Fatal(err)
+	}
+	old, err := KeyFor(gcc.Spec, uops)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := newMapCorpusStore()
+	st.m[old.String()] = buf.Bytes()
+
+	c := newCorpus(2, defaultBytes)
+	c.setStore(st)
+	got, err := c.stream(gcc.Spec, uops)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := trace.Generate(gcc.Spec, uops)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameStream(t, "gcc over an old-format blob", got, want)
+	if n := c.generates.Load(); n != 1 {
+		t.Fatalf("generated %d times, want 1", n)
 	}
 }

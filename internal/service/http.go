@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"strings"
 
+	"xbc/internal/corpus"
 	"xbc/internal/planner"
 	"xbc/internal/planner/grid"
 	"xbc/internal/service/api"
@@ -235,6 +236,9 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
 	var b strings.Builder
 	b.WriteString(s.reg.render(s.QueueDepth(), s.cache.Len()))
+	const gens = "xbcd_corpus_generations_total"
+	fmt.Fprintf(&b, "# HELP %s trace streams the process-wide corpus generated rather than cut from a kept stream or loaded from the store\n# TYPE %s counter\n%s %d\n",
+		gens, gens, gens, corpus.Generations())
 	if s.snap != nil {
 		renderSnapshotMetrics(&b, s.snap.Stats())
 	}

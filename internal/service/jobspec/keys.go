@@ -45,9 +45,10 @@ func (s Spec) SnapshotKey() (string, error) {
 	}{n, warmup, snapshot.Version})
 }
 
-// StreamKey names the generated trace (the corpus and its c: store
-// namespace): the resolved Program and Uops, the only fields that make
-// the trace. It drops the rest, which only consume it.
+// StreamKey names the generated trace: the resolved Program and Uops, the
+// only fields that make the trace. It drops the rest, which only consume
+// it. The corpus keeps one stream per Program and cuts each length from
+// it, so its c: store namespace is keyed by the program hash alone.
 func (s Spec) StreamKey() (corpus.Key, error) {
 	n := s.Normalize()
 	if err := n.Validate(); err != nil {

@@ -22,7 +22,7 @@ import (
 // Key namespaces inside the one store:
 //
 //	r:<job content key>      persisted job result (jobspec.EncodeResult)
-//	c:<corpus content key>   generated trace stream (.xtr bytes)
+//	c:<hex(program hash)>    longest generated trace stream of a program (.xtr bytes)
 //	s:<snapshot key>         warm-state snapshot (sealed snapshot blob)
 //	x:<figure cell key>      figure cell no spec describes (cmd/experiments)
 

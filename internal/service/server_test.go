@@ -446,3 +446,38 @@ func TestResultCacheEvictionForgetsJobs(t *testing.T) {
 	}
 	waitJob(t, ts.URL, re.ID)
 }
+
+// TestShorterJobCutsTheKeptStream: a job on a program the corpus already
+// holds at a greater length is served a cut of that stream, so
+// xbcd_corpus_generations_total does not move. The program is inline and
+// seeded apart from every other test's, so the first job must generate.
+func TestShorterJobCutsTheKeptStream(t *testing.T) {
+	_, ts := newTestServer(t, Options{})
+	p := program.DefaultSpec("corpus-cut", 30)
+	p.Functions = 12
+	gens := func() uint64 {
+		t.Helper()
+		var n uint64
+		if _, err := fmt.Sscan(metricValue(t, scrapeMetrics(t, ts.URL), "xbcd_corpus_generations_total"), &n); err != nil {
+			t.Fatal(err)
+		}
+		return n
+	}
+	run := func(uops uint64) uint64 {
+		t.Helper()
+		spec := jobspec.Spec{Frontend: jobspec.KindXBC, Program: &p, Uops: uops, Budget: 4096}
+		sub := decodeBody[api.SubmitResponse](t, postJSON(t, ts.URL+"/v1/jobs", spec))
+		if job := waitJob(t, ts.URL, sub.ID); job.State != "done" {
+			t.Fatalf("%d-uop job: %s (%s)", uops, job.State, job.Error)
+		}
+		return gens()
+	}
+	before := gens()
+	long := run(40_000)
+	if long == before {
+		t.Fatal("the first job on a new program generated nothing")
+	}
+	if short := run(25_000); short != long {
+		t.Fatalf("a shorter job on the same program moved generations from %d to %d", long, short)
+	}
+}
