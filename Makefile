@@ -25,10 +25,13 @@ all: check
 # The verification gate: build, vet, the project linters, the full suite
 # under the race detector, a one-iteration pass over every benchmark (so a
 # broken bench cannot rot unnoticed), and short fuzz passes over the .xtr
-# parser, the snapshot codec and the store's recovery.
+# parser, the snapshot codec, every session's snapshot restore and the
+# store's recovery. The session seeds are real snapshots of 0.15-1.6 MB:
+# minimizing one such input would eat the whole pass, so it is capped.
 check: build vet lint race bench-smoke
 	$(GO) test ./internal/trace -fuzz FuzzRead -fuzztime 10s
 	$(GO) test ./internal/snapshot -fuzz FuzzReader -fuzztime 10s
+	$(GO) test . -run '^$$' -fuzz FuzzSessionLoadState -fuzztime 10s -fuzzminimizetime 5x
 	$(GO) test ./internal/store -fuzz FuzzScanRecords -fuzztime 10s
 	$(GO) test ./internal/store -fuzz FuzzOpen -fuzztime 10s
 
@@ -119,6 +122,7 @@ calibrate:
 fuzz:
 	$(GO) test ./internal/trace -fuzz FuzzRead -fuzztime 30s
 	$(GO) test ./internal/snapshot -fuzz FuzzReader -fuzztime 30s
+	$(GO) test . -run '^$$' -fuzz FuzzSessionLoadState -fuzztime 30s -fuzzminimizetime 5x
 	$(GO) test ./internal/store -fuzz FuzzScanRecords -fuzztime 30s
 	$(GO) test ./internal/store -fuzz FuzzReadExport -fuzztime 30s
 	$(GO) test ./internal/store -fuzz FuzzOpen -fuzztime 30s

@@ -215,12 +215,12 @@ func TestFrontendAllocs(t *testing.T) {
 		mk   func() xbc.Frontend
 		want float64
 	}{
-		{"IC", xbc.NewICFrontend, 19},
-		{"Decoded", newDecoded, 2896},
-		{"TC", newTC, 1982},
-		{"BBTC", newBBTC, 3776},
-		{"XBC", newXBC, 58},
-		{"XBCNextXB", newXBCNextXB, 63},
+		{"IC", xbc.NewICFrontend, 17},
+		{"Decoded", newDecoded, 2895},
+		{"TC", newTC, 1980},
+		{"BBTC", newBBTC, 3774},
+		{"XBC", newXBC, 56},
+		{"XBCNextXB", newXBCNextXB, 61},
 	} {
 		got := testing.AllocsPerRun(5, func() { xbc.Run(tc.mk(), s) })
 		if got != tc.want {

@@ -76,20 +76,24 @@ func metricsToGolden(m xbc.Metrics) goldenMetrics {
 // goldenModels returns the frontends covered by the equivalence test; the
 // set spans every optimized loop (IC, decoded, TC, TC+path-assoc, BBTC,
 // XBC, XBC+next-XB prediction).
-func goldenModels() map[string]func() xbc.Frontend {
+func goldenModels() map[string]func() xbc.Frontend { return modelsAt(32 * 1024) }
+
+// modelsAt returns goldenModels' frontends with every structure sized to
+// a uop budget (the IC frontend has none).
+func modelsAt(budget int) map[string]func() xbc.Frontend {
 	return map[string]func() xbc.Frontend{
 		"ic":      xbc.NewICFrontend,
-		"decoded": func() xbc.Frontend { return xbc.NewDecodedFrontend(32 * 1024) },
-		"tc":      func() xbc.Frontend { return xbc.NewTraceCacheFrontend(32 * 1024) },
+		"decoded": func() xbc.Frontend { return xbc.NewDecodedFrontend(budget) },
+		"tc":      func() xbc.Frontend { return xbc.NewTraceCacheFrontend(budget) },
 		"tc-path": func() xbc.Frontend {
-			cfg := xbc.DefaultTCConfig(32 * 1024)
+			cfg := xbc.DefaultTCConfig(budget)
 			cfg.PathAssoc = true
 			return xbc.NewTraceCacheFrontendWith(cfg, xbc.DefaultFrontendConfig())
 		},
-		"bbtc": func() xbc.Frontend { return xbc.NewBBTCFrontend(32 * 1024) },
-		"xbc":  func() xbc.Frontend { return xbc.NewXBCFrontend(32 * 1024) },
+		"bbtc": func() xbc.Frontend { return xbc.NewBBTCFrontend(budget) },
+		"xbc":  func() xbc.Frontend { return xbc.NewXBCFrontend(budget) },
 		"xbc-nxb": func() xbc.Frontend {
-			cfg := xbc.DefaultXBCConfig(32 * 1024)
+			cfg := xbc.DefaultXBCConfig(budget)
 			cfg.NextXB = true
 			return xbc.NewXBCFrontendWith(cfg, xbc.DefaultFrontendConfig())
 		},

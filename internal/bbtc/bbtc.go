@@ -83,19 +83,12 @@ type blockInst struct {
 	class   isa.Class
 }
 
+// block is the payload of one way of the block cache, tagged by the
+// block's start IP. A trace-table way's payload is its member blocks'
+// start IPs, tagged by the first one's.
 type block struct {
-	valid   bool
-	startIP isa.Addr
-	uops    int
-	insts   []blockInst
-	stamp   uint64
-}
-
-type ptrTrace struct {
-	valid   bool
-	startIP isa.Addr
-	blocks  []isa.Addr // starting addresses of the member blocks
-	stamp   uint64
+	uops  int
+	insts []blockInst
 }
 
 // Frontend is the block-based trace cache supply model.
@@ -115,99 +108,18 @@ func New(cfg Config, fecfg frontend.Config) *Frontend {
 // Name identifies the model.
 func (f *Frontend) Name() string { return "bbtc" }
 
-type state struct {
-	blocks []block
-	traces []ptrTrace
-	tick   uint64
-	cfg    Config
-}
-
-func (st *state) blockSet(ip isa.Addr) int { return int(uint64(ip>>1) & uint64(st.cfg.BlockSets-1)) }
-func (st *state) traceSet(ip isa.Addr) int { return int(uint64(ip>>1) & uint64(st.cfg.TraceSets-1)) }
-
-func (st *state) lookupBlock(ip isa.Addr) *block {
-	base := st.blockSet(ip) * st.cfg.BlockWays
-	for w := 0; w < st.cfg.BlockWays; w++ {
-		b := &st.blocks[base+w]
-		if b.valid && b.startIP == ip {
-			st.tick++
-			b.stamp = st.tick
-			return b
-		}
-	}
-	return nil
-}
-
-func (st *state) insertBlock(ip isa.Addr, insts []blockInst, uops int) {
-	base := st.blockSet(ip) * st.cfg.BlockWays
-	victim := base
-	for w := 0; w < st.cfg.BlockWays; w++ {
-		b := &st.blocks[base+w]
-		if b.valid && b.startIP == ip {
-			victim = base + w
-			break
-		}
-		if !b.valid {
-			victim = base + w
-			continue
-		}
-		if st.blocks[victim].valid && b.stamp < st.blocks[victim].stamp {
-			victim = base + w
-		}
-	}
-	st.tick++
-	// Reuse the victim line's storage; inserts stop allocating once every
-	// line has been filled at least once.
-	stored := append(st.blocks[victim].insts[:0], insts...)
-	st.blocks[victim] = block{valid: true, startIP: ip, uops: uops, insts: stored, stamp: st.tick}
-}
-
-func (st *state) lookupTrace(ip isa.Addr) *ptrTrace {
-	base := st.traceSet(ip) * st.cfg.TraceWays
-	for w := 0; w < st.cfg.TraceWays; w++ {
-		t := &st.traces[base+w]
-		if t.valid && t.startIP == ip {
-			st.tick++
-			t.stamp = st.tick
-			return t
-		}
-	}
-	return nil
-}
-
-func (st *state) insertTrace(ip isa.Addr, blocks []isa.Addr) {
-	base := st.traceSet(ip) * st.cfg.TraceWays
-	victim := base
-	for w := 0; w < st.cfg.TraceWays; w++ {
-		t := &st.traces[base+w]
-		if t.valid && t.startIP == ip {
-			victim = base + w
-			break
-		}
-		if !t.valid {
-			victim = base + w
-			continue
-		}
-		if st.traces[victim].valid && t.stamp < st.traces[victim].stamp {
-			victim = base + w
-		}
-	}
-	st.tick++
-	stored := append(st.traces[victim].blocks[:0], blocks...)
-	st.traces[victim] = ptrTrace{valid: true, startIP: ip, blocks: stored, stamp: st.tick}
-}
-
-// deliver supplies uops for the pointer trace t, reading member blocks
+// deliver supplies uops for the pointer trace ptrs, reading member blocks
 // from the block cache.
 //
 //xbc:hot
-func (f *Frontend) deliver(st *state, recs []trace.Rec, i int, t *ptrTrace, preds *frontend.PredictorSet, m *frontend.Metrics) int {
+func (s *session) deliver(recs []trace.Rec, i int, ptrs []isa.Addr) int {
+	m := &s.M
 	m.DeliveryFetches++
-	for _, bip := range t.blocks {
+	for _, bip := range ptrs {
 		if i >= len(recs) || recs[i].IP != bip {
 			return i // path divergence at block granularity
 		}
-		b := st.lookupBlock(bip)
+		b := s.blocks.Lookup(uint32(bip))
 		if b == nil {
 			return i // pointer to an evicted block: partial supply
 		}
@@ -223,10 +135,10 @@ func (f *Frontend) deliver(st *state, recs []trace.Rec, i int, t *ptrTrace, pred
 			if r.Class == isa.Seq {
 				continue
 			}
-			out := preds.Resolve(r, m)
+			out := s.Preds.Resolve(r, m)
 			if out.Mispredicted {
-				m.PenaltyCycles += uint64(f.fecfg.MispredictPenalty)
-				m.DeliveryPenalty += uint64(f.fecfg.MispredictPenalty)
+				m.PenaltyCycles += uint64(s.f.fecfg.MispredictPenalty)
+				m.DeliveryPenalty += uint64(s.f.fecfg.MispredictPenalty)
 				return i
 			}
 		}
@@ -234,27 +146,21 @@ func (f *Frontend) deliver(st *state, recs []trace.Rec, i int, t *ptrTrace, pred
 	return i
 }
 
-// buildScratch holds the per-run trace-assembly buffers build reuses
-// across episodes.
-type buildScratch struct {
-	ptrs []isa.Addr
-	fill []blockInst
-}
-
 // build decodes blocks through the IC path, filling the block cache and
 // recording one pointer trace.
 //
 //xbc:hot
-func (f *Frontend) build(st *state, recs []trace.Rec, i int, path *frontend.ICPath, preds *frontend.PredictorSet, sc *buildScratch, m *frontend.Metrics) int {
+func (s *session) build(recs []trace.Rec, i int) int {
+	f, m := s.f, &s.M
 	startIP := recs[i].IP
-	ptrs := sc.ptrs[:0]
+	ptrs := s.ptrs[:0]
 	for len(ptrs) < f.cfg.PtrsPerTrace && i < len(recs) {
 		blockStart := recs[i].IP
-		fill := sc.fill[:0]
+		fill := s.fill[:0]
 		uops := 0
 		endsTrace := false
 		for i < len(recs) {
-			g := path.FetchGroup(recs, i)
+			g := s.Path.FetchGroup(recs, i)
 			m.BuildCycles += uint64(1 + g.Stall)
 			done := false
 			for k := 0; k < g.N && !done; k++ {
@@ -269,7 +175,7 @@ func (f *Frontend) build(st *state, recs []trace.Rec, i int, path *frontend.ICPa
 				m.BuildUops += uint64(r.NumUops)
 				uops += int(r.NumUops)
 				fill = append(fill, blockInst{ip: r.IP, numUops: r.NumUops, class: r.Class})
-				if out := preds.Resolve(r, m); out.Mispredicted {
+				if out := s.Preds.Resolve(r, m); out.Mispredicted {
 					m.PenaltyCycles += uint64(f.fecfg.MispredictPenalty)
 				}
 				if r.Class.IsControlFlow() {
@@ -288,21 +194,26 @@ func (f *Frontend) build(st *state, recs []trace.Rec, i int, path *frontend.ICPa
 				break
 			}
 		}
-		sc.fill = fill // keep any growth for the next episode
+		s.fill = fill // keep any growth for the next episode
 		if len(fill) == 0 {
 			i++
 			break
 		}
-		st.insertBlock(blockStart, fill, uops)
+		// Inserts reuse the victim's storage, so they stop allocating
+		// once every way has been filled at least once.
+		b := s.blocks.Insert(uint32(blockStart))
+		b.uops = uops
+		b.insts = append(b.insts[:0], fill...)
 		ptrs = append(ptrs, blockStart)
 		if endsTrace {
 			break
 		}
 	}
 	if len(ptrs) > 0 {
-		st.insertTrace(startIP, ptrs)
+		t := s.traces.Insert(uint32(startIP))
+		*t = append((*t)[:0], ptrs...)
 	}
-	sc.ptrs = ptrs // keep any growth for the next episode
+	s.ptrs = ptrs // keep any growth for the next episode
 	return i
 }
 

@@ -37,9 +37,6 @@ func NewGshare(histBits uint) *Gshare {
 	return g
 }
 
-// HistoryBits returns the configured global history length.
-func (g *Gshare) HistoryBits() uint { return g.histBits }
-
 func (g *Gshare) index(pc isa.Addr) uint64 {
 	mask := uint64(1)<<g.histBits - 1
 	return (g.hist ^ uint64(pc>>1)) & mask

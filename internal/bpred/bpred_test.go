@@ -52,7 +52,7 @@ func TestGshareReset(t *testing.T) {
 	if g.Predict(0x10) {
 		t.Fatal("reset did not restore weakly-not-taken")
 	}
-	if g.HistoryBits() != 10 {
+	if g.histBits != 10 {
 		t.Fatal("history bits changed")
 	}
 }

@@ -1,12 +1,14 @@
-// Package cachesim provides a generic set-associative cache model with
-// true-LRU replacement. The instruction-cache and decoded-cache frontends
-// are built on it; the XBC and TC have bespoke structures (their placement
-// rules do not fit a plain cache) and implement their own arrays.
+// Package cachesim provides the one set-associative array with true-LRU
+// replacement that the instruction cache, the decoded cache and both BBTC
+// tables are built on. The trace cache (path-associative lookup, eviction
+// with redundancy accounting) and the XBC (banks, head-line preference)
+// have placement rules that do not fit a plain table and keep their own
+// arrays.
 package cachesim
 
 import "fmt"
 
-// Config describes a cache geometry.
+// Config describes an instruction-cache geometry.
 type Config struct {
 	Sets      int // power of two
 	Ways      int // >= 1
@@ -27,125 +29,88 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// TotalBytes returns the cache capacity.
-func (c Config) TotalBytes() int { return c.Sets * c.Ways * c.LineBytes }
-
-// Cache is a set-associative cache over 64-bit addresses with true LRU.
-// It tracks only presence (tags), which is all the frontend models need.
-type Cache struct {
-	cfg       Config
-	lineShift uint
-	setMask   uint64
-	tags      []uint64
-	valid     []bool
-	stamp     []uint64
-	tick      uint64
-
-	hits   uint64
-	misses uint64
+// way is one entry of a Table: the caller's payload, its LRU stamp and
+// its key tag.
+type way[P any] struct {
+	data  P
+	stamp uint64
+	tag   uint32
+	valid bool
 }
 
-// New builds a cache with the given geometry.
-func New(cfg Config) (*Cache, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	shift := uint(0)
-	for 1<<shift != cfg.LineBytes {
-		shift++
-	}
-	n := cfg.Sets * cfg.Ways
-	return &Cache{
-		cfg:       cfg,
-		lineShift: shift,
-		setMask:   uint64(cfg.Sets - 1),
-		tags:      make([]uint64, n),
-		valid:     make([]bool, n),
-		stamp:     make([]uint64, n),
-	}, nil
+// Table is a set-associative array of ways tagged by a 32-bit key (an
+// instruction address, or the line number of one) with true-LRU
+// replacement. A key's set is (key >> shift) mod sets.
+type Table[P any] struct {
+	ways  []way[P] // sets*assoc, set-major
+	assoc int
+	shift uint
+	mask  uint32
+	tick  uint64
 }
 
-// MustNew is New that panics on configuration errors.
-func MustNew(cfg Config) *Cache {
-	c, err := New(cfg)
-	if err != nil {
-		panic(err)
+// NewTable returns an empty table of sets*ways entries indexed by key >>
+// shift. It panics unless sets is a positive power of two and ways is
+// positive: callers validate their geometry first.
+func NewTable[P any](sets, ways int, shift uint) *Table[P] {
+	if sets <= 0 || sets&(sets-1) != 0 || ways <= 0 {
+		panic(fmt.Sprintf("cachesim: bad table geometry %d sets x %d ways", sets, ways))
 	}
-	return c
+	return &Table[P]{ways: make([]way[P], sets*ways), assoc: ways, shift: shift, mask: uint32(sets - 1)}
 }
 
-// Config returns the cache geometry.
-func (c *Cache) Config() Config { return c.cfg }
+func (t *Table[P]) set(key uint32) []way[P] {
+	base := int((key>>t.shift)&t.mask) * t.assoc
+	return t.ways[base : base+t.assoc]
+}
 
-// LineOf returns the line address (tag+index portion) containing addr.
-func (c *Cache) LineOf(addr uint64) uint64 { return addr >> c.lineShift }
-
-func (c *Cache) setOf(line uint64) int { return int(line & c.setMask) }
-
-// Contains reports whether the line holding addr is present, without
-// touching LRU or statistics.
-func (c *Cache) Contains(addr uint64) bool {
-	line := c.LineOf(addr)
-	base := c.setOf(line) * c.cfg.Ways
-	for w := 0; w < c.cfg.Ways; w++ {
-		if c.valid[base+w] && c.tags[base+w] == line {
-			return true
+// Lookup returns the payload of the valid way holding key, refreshing its
+// LRU stamp, or nil on a miss (which touches nothing).
+func (t *Table[P]) Lookup(key uint32) *P {
+	set := t.set(key)
+	for i := range set {
+		if w := &set[i]; w.valid && w.tag == key {
+			t.tick++
+			w.stamp = t.tick
+			return &w.data
 		}
 	}
-	return false
+	return nil
 }
 
-// Access touches the line containing addr: on a hit the LRU stamp is
-// refreshed; on a miss the line is filled, evicting the LRU way. Returns
-// whether it was a hit.
-func (c *Cache) Access(addr uint64) bool {
-	line := c.LineOf(addr)
-	base := c.setOf(line) * c.cfg.Ways
-	c.tick++
-	victim := base
-	for w := 0; w < c.cfg.Ways; w++ {
-		i := base + w
-		if c.valid[i] && c.tags[i] == line {
-			c.stamp[i] = c.tick
-			c.hits++
-			return true
-		}
-		if !c.valid[i] {
-			victim = i
+// Insert claims a way for key and returns its payload for the caller to
+// fill. The way is the valid one already holding key if there is one,
+// else the last invalid way of the set, else the least recently used.
+// The payload still holds what the way held before, so the caller can
+// reuse its storage.
+func (t *Table[P]) Insert(key uint32) *P {
+	set := t.set(key)
+	v := 0
+	for i := range set {
+		w := &set[i]
+		if !w.valid {
+			v = i
 			continue
 		}
-		if c.valid[victim] && c.stamp[i] < c.stamp[victim] {
-			victim = i
+		if w.tag == key {
+			v = i
+			break
+		}
+		if set[v].valid && w.stamp < set[v].stamp {
+			v = i
 		}
 	}
-	c.misses++
-	c.tags[victim] = line
-	c.valid[victim] = true
-	c.stamp[victim] = c.tick
-	return false
+	t.tick++
+	w := &set[v]
+	w.valid, w.tag, w.stamp = true, key, t.tick
+	return &w.data
 }
 
-// Hits returns the number of hitting accesses so far.
-func (c *Cache) Hits() uint64 { return c.hits }
-
-// Misses returns the number of missing accesses so far.
-func (c *Cache) Misses() uint64 { return c.misses }
-
-// MissRate returns misses/(hits+misses), or 0 before any access.
-func (c *Cache) MissRate() float64 {
-	t := c.hits + c.misses
-	if t == 0 {
-		return 0
+// Each calls fn with the payload of every valid way, in array order.
+func (t *Table[P]) Each(fn func(*P)) {
+	for i := range t.ways {
+		if t.ways[i].valid {
+			fn(&t.ways[i].data)
+		}
 	}
-	return float64(c.misses) / float64(t)
-}
-
-// Reset invalidates all lines and clears statistics.
-func (c *Cache) Reset() {
-	for i := range c.valid {
-		c.valid[i] = false
-		c.tags[i] = 0
-		c.stamp[i] = 0
-	}
-	c.tick, c.hits, c.misses = 0, 0, 0
 }

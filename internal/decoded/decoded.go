@@ -56,12 +56,10 @@ type lineInst struct {
 	class   isa.Class
 }
 
+// line is the payload of one way of the cache, tagged by its start IP.
 type line struct {
-	valid   bool
-	startIP isa.Addr
-	uops    int
-	insts   []lineInst
-	stamp   uint64
+	uops  int
+	insts []lineInst
 }
 
 // Frontend is the decoded-cache instruction-supply model.

@@ -3,6 +3,7 @@ package decoded
 import (
 	"fmt"
 
+	"xbc/internal/cachesim"
 	"xbc/internal/frontend"
 	"xbc/internal/isa"
 	"xbc/internal/snapshot"
@@ -10,89 +11,38 @@ import (
 )
 
 // session is one incremental run of the decoded-cache frontend: the Run
-// loop with its state (cache lines, LRU tick, fetch path, predictors,
-// counters, position) lifted into a struct so it can pause at an
-// outer-loop boundary (a delivery line or a build episode finishing).
+// loop with its state (cache lines, fetch path, predictors, counters,
+// position) lifted into a struct so it can pause at an outer-loop
+// boundary (a delivery line or a build episode finishing).
 type session struct {
+	frontend.Replay
 	f     *Frontend
-	m     frontend.Metrics
-	lines []line
-	tick  uint64
-	path  *frontend.ICPath
-	preds *frontend.PredictorSet
+	lines *cachesim.Table[line]
 	// scratch is the per-episode build buffer; its contents are dead
 	// between episodes (insert copies into line storage), so it is not
 	// part of the snapshot state.
-	scratch    []lineInst
-	pos        int
-	inDelivery bool
+	scratch []lineInst
 }
 
 // NewSession returns a cold-state incremental run.
 func (f *Frontend) NewSession() frontend.Session {
 	return &session{
+		Replay:  frontend.NewReplay(f.fecfg, frontend.DefaultICConfig()),
 		f:       f,
-		lines:   make([]line, f.cfg.Sets*f.cfg.Ways),
-		path:    frontend.NewICPath(f.fecfg, frontend.DefaultICConfig()),
-		preds:   frontend.NewPredictorSet(),
+		lines:   cachesim.NewTable[line](f.cfg.Sets, f.cfg.Ways, 1),
 		scratch: make([]lineInst, 0, f.cfg.LineUops),
 	}
 }
 
-func (s *session) setOf(ip isa.Addr) int { return int(uint64(ip>>1) & uint64(s.f.cfg.Sets-1)) }
-
-func (s *session) lookup(ip isa.Addr) *line {
-	base := s.setOf(ip) * s.f.cfg.Ways
-	for w := 0; w < s.f.cfg.Ways; w++ {
-		ln := &s.lines[base+w]
-		if ln.valid && ln.startIP == ip {
-			s.tick++
-			ln.stamp = s.tick
-			return ln
-		}
-	}
-	return nil
-}
-
-func (s *session) insert(startIP isa.Addr, insts []lineInst, uops int) {
-	base := s.setOf(startIP) * s.f.cfg.Ways
-	victim := base
-	for w := 0; w < s.f.cfg.Ways; w++ {
-		ln := &s.lines[base+w]
-		if ln.valid && ln.startIP == startIP {
-			victim = base + w
-			break
-		}
-		if !ln.valid {
-			victim = base + w
-			continue
-		}
-		if s.lines[victim].valid && ln.stamp < s.lines[victim].stamp {
-			victim = base + w
-		}
-	}
-	s.tick++
-	// Reuse the victim line's storage; inserts stop allocating once
-	// every line has been filled at least once.
-	stored := append(s.lines[victim].insts[:0], insts...)
-	s.lines[victim] = line{valid: true, startIP: startIP, uops: uops, insts: stored, stamp: s.tick}
-}
-
-// Pos returns the current record position.
-func (s *session) Pos() int { return s.pos }
-
-// Seek repositions without touching state.
-func (s *session) Seek(target int) { s.pos = target }
-
 // StepTo simulates delivery lines and build episodes until the position
 // reaches target, stopping only at episode boundaries.
 func (s *session) StepTo(recs []trace.Rec, target int) int {
-	f, m := s.f, &s.m
-	i := s.pos
+	f, m := s.f, &s.M
+	i := s.Pos()
 	//xbc:hot
 	for i < target && i < len(recs) {
-		if ln := s.lookup(recs[i].IP); ln != nil {
-			s.inDelivery = true
+		if ln := s.lines.Lookup(uint32(recs[i].IP)); ln != nil {
+			s.InDelivery = true
 			// Delivery: one line per cycle; stop on path divergence.
 			m.DeliveryFetches++
 			for _, e := range ln.insts {
@@ -107,7 +57,7 @@ func (s *session) StepTo(recs []trace.Rec, target int) int {
 				if r.Class == isa.Seq {
 					continue
 				}
-				out := s.preds.Resolve(r, m)
+				out := s.Preds.Resolve(r, m)
 				if out.Mispredicted {
 					m.PenaltyCycles += uint64(f.fecfg.MispredictPenalty)
 					m.DeliveryPenalty += uint64(f.fecfg.MispredictPenalty)
@@ -121,15 +71,15 @@ func (s *session) StepTo(recs []trace.Rec, target int) int {
 		}
 		// Build: decode a line's worth of consecutive uops.
 		m.StructMisses++
-		if s.inDelivery {
-			s.inDelivery = false
+		if s.InDelivery {
+			s.InDelivery = false
 			m.PenaltyCycles += uint64(f.fecfg.BuildEntryPenalty)
 		}
 		startIP := recs[i].IP
 		fill := s.scratch[:0]
 		uops := 0
 		for i < len(recs) {
-			g := s.path.FetchGroup(recs, i)
+			g := s.Path.FetchGroup(recs, i)
 			m.BuildCycles += uint64(1 + g.Stall)
 			done := false
 			for k := 0; k < g.N && !done; k++ {
@@ -144,7 +94,7 @@ func (s *session) StepTo(recs []trace.Rec, target int) int {
 				m.BuildUops += uint64(r.NumUops)
 				uops += int(r.NumUops)
 				fill = append(fill, lineInst{ip: r.IP, numUops: r.NumUops, class: r.Class})
-				if out := s.preds.Resolve(r, m); out.Mispredicted {
+				if out := s.Preds.Resolve(r, m); out.Mispredicted {
 					m.PenaltyCycles += uint64(f.fecfg.MispredictPenalty)
 				}
 				if r.Next != r.FallThrough() {
@@ -162,92 +112,55 @@ func (s *session) StepTo(recs []trace.Rec, target int) int {
 		}
 		s.scratch = fill // keep any growth for the next episode
 		if len(fill) > 0 {
-			s.insert(startIP, fill, uops)
+			// Reuse the victim line's storage; inserts stop allocating
+			// once every line has been filled at least once.
+			ln := s.lines.Insert(uint32(startIP))
+			ln.uops = uops
+			ln.insts = append(ln.insts[:0], fill...)
 		} else {
 			i++ // defensive progress
 		}
 	}
-	s.pos = i
+	s.Seek(i)
 	return i
 }
 
-// Warm functionally warms predictors and IC over [pos, target).
-func (s *session) Warm(recs []trace.Rec, target int) {
-	frontend.WarmPath(s.path, s.preds, recs, s.pos, target)
-	s.pos = target
-}
-
-// Metrics returns the raw counters accumulated so far.
-func (s *session) Metrics() frontend.Metrics { return s.m }
-
 // Finish attaches the extras and finalizes.
 func (s *session) Finish() (frontend.Metrics, error) {
+	validLines, usedUops := 0, 0
+	s.lines.Each(func(ln *line) {
+		validLines++
+		usedUops += ln.uops
+	})
 	frag := 0.0
-	validLines := 0
-	usedUops := 0
-	for k := range s.lines {
-		if s.lines[k].valid {
-			validLines++
-			usedUops += s.lines[k].uops
-		}
-	}
 	if validLines > 0 {
 		frag = 1 - float64(usedUops)/float64(validLines*s.f.cfg.LineUops)
 	}
-	s.m.AddExtra("fragmentation", frag)
-	s.m.AddExtra("ic_miss_rate", s.path.MissRate())
-	s.m.Finalize(s.f.fecfg)
-	return s.m, nil
+	s.M.AddExtra("fragmentation", frag)
+	return s.Replay.Finish()
 }
 
 // SaveState serializes the complete session state.
 func (s *session) SaveState(w *snapshot.Writer) {
-	w.Int(s.pos)
-	w.Bool(s.inDelivery)
-	w.U64(s.tick)
-	s.m.SaveState(w)
-	s.path.SaveState(w)
-	s.preds.SaveState(w)
-	w.Len(len(s.lines))
-	for k := range s.lines {
-		ln := &s.lines[k]
-		w.Bool(ln.valid)
-		w.U64(uint64(ln.startIP))
+	s.Replay.SaveState(w)
+	s.lines.SaveState(w, func(w *snapshot.Writer, ln *line) {
 		w.Int(ln.uops)
-		w.U64(ln.stamp)
 		w.Len(len(ln.insts))
 		for _, e := range ln.insts {
 			w.U64(uint64(e.ip))
 			w.U8(e.numUops)
 			w.U8(uint8(e.class))
 		}
-	}
+	})
 }
 
 // LoadState restores state saved by SaveState.
 func (s *session) LoadState(r *snapshot.Reader) error {
-	s.pos = r.Int()
-	if r.Err() == nil && s.pos < 0 {
-		return fmt.Errorf("decoded: negative position %d", s.pos)
-	}
-	s.inDelivery = r.Bool()
-	s.tick = r.U64()
-	if err := s.m.LoadState(r); err != nil {
+	if err := s.Replay.LoadState(r); err != nil {
 		return err
 	}
-	if err := s.path.LoadState(r); err != nil {
-		return err
-	}
-	if err := s.preds.LoadState(r); err != nil {
-		return err
-	}
-	r.LenExact(len(s.lines))
-	for k := range s.lines {
-		ln := &s.lines[k]
-		ln.valid = r.Bool()
-		ln.startIP = r.Addr()
+	return s.lines.LoadState(r, func(r *snapshot.Reader, ln *line) error {
 		ln.uops = r.Int()
-		ln.stamp = r.U64()
 		n := r.Len(10) // 8-byte ip + numUops + class per element
 		if err := r.Err(); err != nil {
 			return err
@@ -263,6 +176,6 @@ func (s *session) LoadState(r *snapshot.Reader) error {
 				class:   isa.Class(r.U8()),
 			})
 		}
-	}
-	return r.Err()
+		return nil
+	})
 }

@@ -115,8 +115,8 @@ func TestRedundancyStudy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tb.NumRows() < 3 { // 2 workloads + mean
-		t.Fatalf("rows = %d", tb.NumRows())
+	if dataRows(t, tb) < 3 { // 2 workloads + mean
+		t.Fatalf("rows = %d", dataRows(t, tb))
 	}
 }
 
@@ -125,8 +125,8 @@ func TestFrontendsStudy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tb.NumRows() != 2 {
-		t.Fatalf("rows = %d", tb.NumRows())
+	if dataRows(t, tb) != 2 {
+		t.Fatalf("rows = %d", dataRows(t, tb))
 	}
 }
 
@@ -137,8 +137,8 @@ func TestAblationStudy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tb.NumRows() != len(ablations) {
-		t.Fatalf("rows = %d, want %d", tb.NumRows(), len(ablations))
+	if dataRows(t, tb) != len(ablations) {
+		t.Fatalf("rows = %d, want %d", dataRows(t, tb), len(ablations))
 	}
 }
 

@@ -3,7 +3,19 @@ package experiments
 import (
 	"strings"
 	"testing"
+
+	"xbc/internal/stats"
 )
+
+// dataRows counts tb's data rows: the lines of its CSV after the header.
+func dataRows(t *testing.T, tb *stats.Table) int {
+	t.Helper()
+	var b strings.Builder
+	if err := tb.RenderCSV(&b); err != nil {
+		t.Fatal(err)
+	}
+	return strings.Count(b.String(), "\n") - 1
+}
 
 func TestXBTBSweep(t *testing.T) {
 	o := smallOpts()
@@ -12,8 +24,8 @@ func TestXBTBSweep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tb.NumRows() != 5 {
-		t.Fatalf("rows = %d", tb.NumRows())
+	if dataRows(t, tb) != 5 {
+		t.Fatalf("rows = %d", dataRows(t, tb))
 	}
 	if !strings.Contains(tb.String(), "8192") {
 		t.Error("paper's 8K point missing")
@@ -27,8 +39,8 @@ func TestRenamerSweep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tb.NumRows() != 4 {
-		t.Fatalf("rows = %d", tb.NumRows())
+	if dataRows(t, tb) != 4 {
+		t.Fatalf("rows = %d", dataRows(t, tb))
 	}
 }
 
@@ -39,8 +51,8 @@ func TestContextSwitch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tb.NumRows() != 9 { // 3 pairs x 3 quanta
-		t.Fatalf("rows = %d", tb.NumRows())
+	if dataRows(t, tb) != 9 { // 3 pairs x 3 quanta
+		t.Fatalf("rows = %d", dataRows(t, tb))
 	}
 }
 
@@ -51,7 +63,7 @@ func TestPathAssociativityStudy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tb.NumRows() != 3 { // 2 workloads + mean
-		t.Fatalf("rows = %d", tb.NumRows())
+	if dataRows(t, tb) != 3 { // 2 workloads + mean
+		t.Fatalf("rows = %d", dataRows(t, tb))
 	}
 }

@@ -91,7 +91,11 @@ type Metrics struct {
 	RetExec, RetMiss   uint64 // returns and return-target mispredictions
 
 	StructMisses uint64 // structure lookup misses (entries into build mode)
-	ModeSwitches uint64 // build<->delivery transitions
+	// ModeSwitches counts build<->delivery transitions. Only the TC and
+	// the XBC count them: the decoded cache and the BBTC charge
+	// BuildEntryPenalty on falling out of delivery but leave this at 0,
+	// and the IC frontend has no modes.
+	ModeSwitches uint64
 
 	Extra map[string]float64 // structure-specific measurements
 }

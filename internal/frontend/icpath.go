@@ -1,7 +1,10 @@
 package frontend
 
 import (
+	"math/bits"
+
 	"xbc/internal/cachesim"
+	"xbc/internal/isa"
 	"xbc/internal/trace"
 )
 
@@ -10,8 +13,9 @@ import (
 // whole supply; the TC, BBTC, decoded-cache and XBC frontends use it as
 // their build-mode path.
 type ICPath struct {
-	cfg Config
-	ic  *cachesim.Cache
+	cfg       Config
+	ic        *cachesim.Table[struct{}] // tags only: presence is all fetch needs
+	lineShift uint
 
 	Accesses uint64
 	Misses   uint64
@@ -24,9 +28,29 @@ func DefaultICConfig() cachesim.Config {
 }
 
 // NewICPath builds the fetch path with the given frontend timing and IC
-// geometry.
+// geometry. It panics on an invalid geometry.
 func NewICPath(cfg Config, icCfg cachesim.Config) *ICPath {
-	return &ICPath{cfg: cfg, ic: cachesim.MustNew(icCfg)}
+	if err := icCfg.Validate(); err != nil {
+		panic(err)
+	}
+	return &ICPath{
+		cfg:       cfg,
+		ic:        cachesim.NewTable[struct{}](icCfg.Sets, icCfg.Ways, 0),
+		lineShift: uint(bits.TrailingZeros(uint(icCfg.LineBytes))),
+	}
+}
+
+func (p *ICPath) lineOf(ip isa.Addr) uint32 { return uint32(ip) >> p.lineShift }
+
+// touch accesses the line holding ip: a hit refreshes its LRU stamp, a
+// miss fills it over the LRU way. It reports whether the line hit.
+func (p *ICPath) touch(ip isa.Addr) bool {
+	line := p.lineOf(ip)
+	if p.ic.Lookup(line) != nil {
+		return true
+	}
+	p.ic.Insert(line)
+	return false
 }
 
 // Group is one decode group: the instructions fetched and decoded in a
@@ -48,14 +72,14 @@ func (p *ICPath) FetchGroup(recs []trace.Rec, i int) Group {
 	}
 	first := recs[i]
 	p.Accesses++
-	if !p.ic.Access(uint64(first.IP)) {
+	if !p.touch(first.IP) {
 		p.Misses++
 		g.Stall += p.cfg.ICMissPenalty
 	}
-	line := p.ic.LineOf(uint64(first.IP))
+	line := p.lineOf(first.IP)
 	for i+g.N < len(recs) {
 		r := recs[i+g.N]
-		if g.N > 0 && p.ic.LineOf(uint64(r.IP)) != line {
+		if g.N > 0 && p.lineOf(r.IP) != line {
 			break // next instruction is on another line
 		}
 		if g.N >= p.cfg.BuildInstsPerCycle || g.Uops+int(r.NumUops) > p.cfg.BuildUopsPerCycle {

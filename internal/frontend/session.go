@@ -1,7 +1,10 @@
 package frontend
 
 import (
+	"fmt"
+
 	"xbc/internal/bpred"
+	"xbc/internal/cachesim"
 	"xbc/internal/isa"
 	"xbc/internal/snapshot"
 	"xbc/internal/trace"
@@ -44,43 +47,109 @@ type Session interface {
 	LoadState(r *snapshot.Reader) error
 }
 
-// WarmPath is the shared functional-warming loop: it trains the full
+// Replay is the skeleton the IC-path sessions (icfe, decoded, tcache,
+// bbtc) embed: the position, the delivery flag, the counters, the
+// build-mode fetch path and the predictors, with the Session methods that
+// touch nothing else. An embedding session adds StepTo, and a session
+// with a structure of its own wraps Finish, SaveState and LoadState
+// around the ones here.
+type Replay struct {
+	M          Metrics
+	Path       *ICPath
+	Preds      *PredictorSet
+	InDelivery bool // supplying from the structure; the IC frontend never sets it
+	cfg        Config
+	pos        int
+}
+
+// NewReplay returns a cold skeleton: an empty instruction cache of the
+// given geometry, fresh predictors, no counts, position 0.
+func NewReplay(cfg Config, icCfg cachesim.Config) Replay {
+	return Replay{Path: NewICPath(cfg, icCfg), Preds: NewPredictorSet(), cfg: cfg}
+}
+
+// Pos returns the current record position.
+func (s *Replay) Pos() int { return s.pos }
+
+// Seek sets the position without touching any state.
+func (s *Replay) Seek(target int) { s.pos = target }
+
+// Metrics returns the raw counters accumulated so far.
+func (s *Replay) Metrics() Metrics { return s.M }
+
+// Warm is the shared functional-warming loop: it trains the full
 // predictor set with each control-flow record and touches the
-// instruction cache line of every record, but charges no cycles and
-// moves no metric counters. This is what makes fast-forwarding an order
-// of magnitude cheaper than detailed simulation while keeping the
-// microarchitectural state warm enough for the error bounds to hold.
+// instruction cache line of every record over recs[pos:target], but
+// charges no cycles and moves no metric counters. This is what makes
+// fast-forwarding an order of magnitude cheaper than detailed simulation
+// while keeping the microarchitectural state warm enough for the error
+// bounds to hold.
 //
 //xbc:hot
-func WarmPath(path *ICPath, ps *PredictorSet, recs []trace.Rec, pos, target int) {
+func (s *Replay) Warm(recs []trace.Rec, target int) {
 	var scratch Metrics // counters discarded; Resolve needs somewhere to count
-	prevLine := uint64(0)
+	prevLine := uint32(0)
 	havePrev := false
-	for i := pos; i < target && i < len(recs); i++ {
+	for i := s.pos; i < target && i < len(recs); i++ {
 		r := recs[i]
-		if line := path.ic.LineOf(uint64(r.IP)); !havePrev || line != prevLine {
-			path.ic.Access(uint64(r.IP))
+		if line := s.Path.lineOf(r.IP); !havePrev || line != prevLine {
+			s.Path.touch(r.IP)
 			prevLine, havePrev = line, true
 		}
 		if r.Class != isa.Seq {
-			ps.Resolve(r, &scratch)
+			s.Preds.Resolve(r, &scratch)
 		}
 	}
+	s.pos = target
 }
 
-// WarmIC is the IC-only half of WarmPath, for frontends that keep their
-// own direction/target predictors (the XBC core) and warm those
+// Finish attaches the instruction-cache miss rate and finalizes the
+// counters; a session with a structure attaches its own extras first.
+func (s *Replay) Finish() (Metrics, error) {
+	s.M.AddExtra("ic_miss_rate", s.Path.MissRate())
+	s.M.Finalize(s.cfg)
+	return s.M, nil
+}
+
+// SaveState appends the skeleton's state, the prefix of every IC-path
+// session's snapshot.
+func (s *Replay) SaveState(w *snapshot.Writer) {
+	w.Int(s.pos)
+	w.Bool(s.InDelivery)
+	s.M.SaveState(w)
+	s.Path.SaveState(w)
+	s.Preds.SaveState(w)
+}
+
+// LoadState restores state saved by SaveState.
+func (s *Replay) LoadState(r *snapshot.Reader) error {
+	s.pos = r.Int()
+	if r.Err() == nil && s.pos < 0 {
+		return fmt.Errorf("frontend: negative position %d", s.pos)
+	}
+	s.InDelivery = r.Bool()
+	if err := s.M.LoadState(r); err != nil {
+		return err
+	}
+	if err := s.Path.LoadState(r); err != nil {
+		return err
+	}
+	return s.Preds.LoadState(r)
+}
+
+// WarmIC is the IC-only half of Replay.Warm, for frontends that keep
+// their own direction/target predictors (the XBC core) and warm those
 // themselves: it touches the instruction-cache line of every record but
 // trains no shared predictor and moves no metric counters.
 //
 //xbc:hot
 func WarmIC(path *ICPath, recs []trace.Rec, pos, target int) {
-	prevLine := uint64(0)
+	prevLine := uint32(0)
 	havePrev := false
 	for i := pos; i < target && i < len(recs); i++ {
-		ip := uint64(recs[i].IP)
-		if line := path.ic.LineOf(ip); !havePrev || line != prevLine {
-			path.ic.Access(ip)
+		ip := recs[i].IP
+		if line := path.lineOf(ip); !havePrev || line != prevLine {
+			path.touch(ip)
 			prevLine, havePrev = line, true
 		}
 	}
@@ -88,14 +157,14 @@ func WarmIC(path *ICPath, recs []trace.Rec, pos, target int) {
 
 // SaveState appends the path's dynamic state (IC contents + counters).
 func (p *ICPath) SaveState(w *snapshot.Writer) {
-	p.ic.SaveState(w)
+	p.ic.SaveState(w, nil)
 	w.U64(p.Accesses)
 	w.U64(p.Misses)
 }
 
 // LoadState restores state saved by SaveState.
 func (p *ICPath) LoadState(r *snapshot.Reader) error {
-	if err := p.ic.LoadState(r); err != nil {
+	if err := p.ic.LoadState(r, nil); err != nil {
 		return err
 	}
 	p.Accesses = r.U64()

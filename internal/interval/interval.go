@@ -59,7 +59,7 @@ type Estimate struct {
 	// ipcVariance is the uop-weighted variance of per-interval throughput
 	// when the estimate was combined from sampled intervals; unexported so
 	// the serialized shape is identical for full and sampled fidelities
-	// (IPCVariance exposes it).
+	// (IPCStdDev exposes its square root).
 	ipcVariance float64
 }
 

@@ -48,7 +48,7 @@ type IntervalSample struct {
 // by uop-weighted averaging of the cycle budgets (CPKu values are
 // per-kilouop, so they weight linearly); the throughput numbers are
 // re-derived from the combined budget. The weighted variance of the
-// per-interval uop throughput is retained — IPCVariance exposes it — but
+// per-interval uop throughput is retained — IPCStdDev exposes it — but
 // lives in an unexported field, so the JSON shape of Estimate is exactly
 // what the full-fidelity path produces.
 func FromIntervals(samples []IntervalSample) (Estimate, error) {
@@ -90,10 +90,7 @@ func FromIntervals(samples []IntervalSample) (Estimate, error) {
 	return out, nil
 }
 
-// IPCVariance returns the uop-weighted variance of per-interval uop
+// IPCStdDev is the uop-weighted standard deviation of per-interval uop
 // throughput behind a sampled estimate; zero for estimates computed from
 // a single full run (FromMetrics).
-func (e Estimate) IPCVariance() float64 { return e.ipcVariance }
-
-// IPCStdDev is the square root of IPCVariance.
 func (e Estimate) IPCStdDev() float64 { return math.Sqrt(e.ipcVariance) }

@@ -60,8 +60,8 @@ func TestFromIntervalsWeighting(t *testing.T) {
 	if math.Abs(only.TotalCPKu-a.TotalCPKu) > 1e-12 || math.Abs(only.UopsPerCycle-4) > 1e-12 {
 		t.Fatalf("single-sample combination diverged: %+v", only)
 	}
-	if only.IPCVariance() != 0 {
-		t.Fatalf("single sample must have zero variance, got %g", only.IPCVariance())
+	if only.ipcVariance != 0 {
+		t.Fatalf("single sample must have zero variance, got %g", only.ipcVariance)
 	}
 	// Even split: budgets average, throughput re-derives, variance > 0.
 	mix, err := FromIntervals([]IntervalSample{{Est: a, Weight: 1}, {Est: b, Weight: 1}})
@@ -74,8 +74,8 @@ func TestFromIntervalsWeighting(t *testing.T) {
 	if want := 1000 / mix.TotalCPKu; math.Abs(mix.UopsPerCycle-want) > 1e-12 {
 		t.Fatalf("UopsPerCycle = %g, want %g", mix.UopsPerCycle, want)
 	}
-	if mix.IPCVariance() <= 0 || mix.IPCStdDev() <= 0 {
-		t.Fatalf("mixed samples must have positive variance, got %g", mix.IPCVariance())
+	if mix.ipcVariance <= 0 || mix.IPCStdDev() <= 0 {
+		t.Fatalf("mixed samples must have positive variance, got %g", mix.ipcVariance)
 	}
 	if _, err := FromIntervals(nil); err == nil {
 		t.Fatal("empty sample set must error")

@@ -87,9 +87,6 @@ func (c Class) IsIndirect() bool {
 	return c == IndirectJump || c == IndirectCall || c == Return
 }
 
-// IsCall reports whether the instruction pushes a return address.
-func (c Class) IsCall() bool { return c == Call || c == IndirectCall }
-
 // EndsXB reports whether an instruction of this class terminates an
 // extended block. Per section 3.1: conditional branches, indirect branches,
 // returns, and calls end XBs; unconditional direct jumps do not.

@@ -22,16 +22,16 @@ func TestClassString(t *testing.T) {
 
 func TestClassPredicates(t *testing.T) {
 	tests := []struct {
-		c                                               Class
-		ctrl, indirect, call, endsXB, endsBB, endsTrace bool
+		c                                         Class
+		ctrl, indirect, endsXB, endsBB, endsTrace bool
 	}{
-		{Seq, false, false, false, false, false, false},
-		{CondBranch, true, false, false, true, true, false},
-		{Jump, true, false, false, false, true, false},
-		{Call, true, false, true, true, true, false},
-		{IndirectJump, true, true, false, true, true, true},
-		{IndirectCall, true, true, true, true, true, true},
-		{Return, true, true, false, true, true, true},
+		{Seq, false, false, false, false, false},
+		{CondBranch, true, false, true, true, false},
+		{Jump, true, false, false, true, false},
+		{Call, true, false, true, true, false},
+		{IndirectJump, true, true, true, true, true},
+		{IndirectCall, true, true, true, true, true},
+		{Return, true, true, true, true, true},
 	}
 	for _, tt := range tests {
 		if got := tt.c.IsControlFlow(); got != tt.ctrl {
@@ -39,9 +39,6 @@ func TestClassPredicates(t *testing.T) {
 		}
 		if got := tt.c.IsIndirect(); got != tt.indirect {
 			t.Errorf("%v.IsIndirect() = %v", tt.c, got)
-		}
-		if got := tt.c.IsCall(); got != tt.call {
-			t.Errorf("%v.IsCall() = %v", tt.c, got)
 		}
 		if got := tt.c.EndsXB(); got != tt.endsXB {
 			t.Errorf("%v.EndsXB() = %v", tt.c, got)

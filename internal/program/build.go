@@ -138,16 +138,6 @@ func Build(spec Spec) (*Program, error) {
 	return p, nil
 }
 
-// MustBuild is Build that panics on error; for tests and examples where the
-// spec is a known-good literal.
-func MustBuild(spec Spec) *Program {
-	p, err := Build(spec)
-	if err != nil {
-		panic(err)
-	}
-	return p
-}
-
 // rebuildAsDriver replaces the function's blocks with a driver skeleton:
 // a run of small call-site blocks, one loop back edge repeating the whole
 // sequence a few times, and a final return.

@@ -14,7 +14,7 @@ func buildBig(t *testing.T, seed int64) *Program {
 	t.Helper()
 	s := DefaultSpec("dist", seed)
 	s.Functions = 200
-	return MustBuild(s)
+	return mustBuild(s)
 }
 
 func TestUopWeightDistribution(t *testing.T) {

@@ -7,6 +7,15 @@ import (
 	"xbc/internal/isa"
 )
 
+// mustBuild is Build for known-good specs: it panics on error.
+func mustBuild(spec Spec) *Program {
+	p, err := Build(spec)
+	if err != nil {
+		panic(err)
+	}
+	return p
+}
+
 func testSpec(seed int64) Spec {
 	s := DefaultSpec("test", seed)
 	s.Functions = 40
@@ -80,7 +89,7 @@ func TestWorstCodeEndBounds(t *testing.T) {
 		specs = append(specs, s)
 	}
 	for _, s := range specs {
-		p := MustBuild(s)
+		p := mustBuild(s)
 		var end uint64
 		for _, f := range p.Funcs {
 			for _, b := range f.Blocks {
@@ -95,8 +104,8 @@ func TestWorstCodeEndBounds(t *testing.T) {
 }
 
 func TestBuildDeterministic(t *testing.T) {
-	a := MustBuild(testSpec(7))
-	b := MustBuild(testSpec(7))
+	a := mustBuild(testSpec(7))
+	b := mustBuild(testSpec(7))
 	if a.StaticInsts() != b.StaticInsts() || a.StaticUops() != b.StaticUops() {
 		t.Fatalf("same seed, different programs: %d/%d vs %d/%d",
 			a.StaticInsts(), a.StaticUops(), b.StaticInsts(), b.StaticUops())
@@ -120,8 +129,8 @@ func TestBuildDeterministic(t *testing.T) {
 }
 
 func TestBuildSeedChangesProgram(t *testing.T) {
-	a := MustBuild(testSpec(1))
-	b := MustBuild(testSpec(2))
+	a := mustBuild(testSpec(1))
+	b := mustBuild(testSpec(2))
 	if a.StaticUops() == b.StaticUops() && a.StaticInsts() == b.StaticInsts() {
 		// Extremely unlikely unless the seed is ignored.
 		t.Fatal("different seeds produced identical-size programs")
@@ -129,7 +138,7 @@ func TestBuildSeedChangesProgram(t *testing.T) {
 }
 
 func TestBuildValidates(t *testing.T) {
-	p := MustBuild(testSpec(3))
+	p := mustBuild(testSpec(3))
 	if err := p.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +148,7 @@ func TestBuildValidates(t *testing.T) {
 }
 
 func TestBuildDAGProperty(t *testing.T) {
-	p := MustBuild(testSpec(11))
+	p := mustBuild(testSpec(11))
 	for _, f := range p.Funcs {
 		for _, b := range f.Blocks {
 			if b.Callee != nil && b.Callee.ID <= f.ID {
@@ -155,7 +164,7 @@ func TestBuildDAGProperty(t *testing.T) {
 }
 
 func TestBuildAddressesMonotonic(t *testing.T) {
-	p := MustBuild(testSpec(5))
+	p := mustBuild(testSpec(5))
 	var prevEnd isa.Addr
 	for _, f := range p.Funcs {
 		for _, b := range f.Blocks {
@@ -172,7 +181,7 @@ func TestBuildAddressesMonotonic(t *testing.T) {
 func TestDriversExist(t *testing.T) {
 	s := testSpec(9)
 	s.Interleave = 3
-	p := MustBuild(s)
+	p := mustBuild(s)
 	if len(p.PhaseEntries) != 3 {
 		t.Fatalf("phase entries = %d, want 3", len(p.PhaseEntries))
 	}
@@ -193,7 +202,7 @@ func TestDriversExist(t *testing.T) {
 }
 
 func TestWalkerContinuity(t *testing.T) {
-	p := MustBuild(testSpec(21))
+	p := mustBuild(testSpec(21))
 	w := NewWalker(p)
 	prev := w.Next()
 	for i := 0; i < 50_000; i++ {
@@ -209,7 +218,7 @@ func TestWalkerContinuity(t *testing.T) {
 }
 
 func TestWalkerResetReplaysIdentically(t *testing.T) {
-	p := MustBuild(testSpec(33))
+	p := mustBuild(testSpec(33))
 	w := NewWalker(p)
 	const n = 20_000
 	first := make([]DynInst, n)
@@ -227,12 +236,12 @@ func TestWalkerResetReplaysIdentically(t *testing.T) {
 func TestWalkerMakesProgress(t *testing.T) {
 	// The walker must keep producing instructions and eventually complete
 	// phase iterations (no unbounded spinning in one loop).
-	p := MustBuild(testSpec(55))
+	p := mustBuild(testSpec(55))
 	w := NewWalker(p)
-	for i := 0; i < 500_000 && w.Iterations() < 1; i++ {
+	for i := 0; i < 500_000 && w.iters < 1; i++ {
 		w.Next()
 	}
-	if w.Iterations() < 1 {
+	if w.iters < 1 {
 		t.Skip("no phase completed within 500k instructions; acceptable for loop-heavy seeds")
 	}
 	if w.Insts() == 0 || w.Uops() < w.Insts() {
@@ -241,7 +250,7 @@ func TestWalkerMakesProgress(t *testing.T) {
 }
 
 func TestWalkerStackBalanced(t *testing.T) {
-	p := MustBuild(testSpec(77))
+	p := mustBuild(testSpec(77))
 	w := NewWalker(p)
 	maxDepth := 0
 	for i := 0; i < 100_000; i++ {

@@ -64,10 +64,6 @@ func (w *Walker) Insts() uint64 { return w.insts }
 // Uops reports how many dynamic uops have been emitted.
 func (w *Walker) Uops() uint64 { return w.uops }
 
-// Iterations reports how many phase walks have completed (how many times a
-// top-level function returned with an empty call stack).
-func (w *Walker) Iterations() uint64 { return w.iters }
-
 // Depth reports the current call-stack depth.
 func (w *Walker) Depth() int { return len(w.stack) }
 

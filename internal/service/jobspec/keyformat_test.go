@@ -52,7 +52,7 @@ func TestSnapshotKeyFormat(t *testing.T) {
 		Warmup  uint64 `json:"warmup"`
 		Version uint32 `json:"version"`
 	}{Spec{Frontend: KindXBC, Program: &doom.Spec, Budget: DefaultBudget}, 20_000, snapshot.Version})
-	const pinned = "b6260502533c71058cf48f0d6a9c5c0bc1f963146d0dc291f9c616293f2cc86d"
+	const pinned = "007752b5e4656db0e78b8155b924defbe672ebd31fe395395dfa94fb7f67e7e9"
 	got, err := formatSpec().SnapshotKey()
 	if err != nil {
 		t.Fatal(err)

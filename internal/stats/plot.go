@@ -16,7 +16,6 @@ type Plot struct {
 	YLabel string
 	xs     []string
 	series []plotSeries
-	height int
 }
 
 type plotSeries struct {
@@ -27,15 +26,7 @@ type plotSeries struct {
 
 // NewPlot creates a chart with the given title and X-axis labels.
 func NewPlot(title, ylabel string, xs ...string) *Plot {
-	return &Plot{Title: title, YLabel: ylabel, xs: xs, height: 16}
-}
-
-// SetHeight overrides the chart height in rows (minimum 4).
-func (p *Plot) SetHeight(h int) {
-	if h < 4 {
-		h = 4
-	}
-	p.height = h
+	return &Plot{Title: title, YLabel: ylabel, xs: xs}
 }
 
 // markers cycled through for successive series.
@@ -82,7 +73,7 @@ func (p *Plot) Render(w io.Writer) error {
 	}
 
 	const colW = 10
-	rows := p.height
+	const rows = 16 // chart height
 	grid := make([][]byte, rows)
 	for r := range grid {
 		grid[r] = []byte(strings.Repeat(" ", colW*len(p.xs)))

@@ -56,12 +56,3 @@ func TestPlotFlatSeries(t *testing.T) {
 		t.Errorf("flat series lost points:\n%s", out)
 	}
 }
-
-func TestPlotHeightClamp(t *testing.T) {
-	p := NewPlot("h", "", "a")
-	p.SetHeight(1)
-	p.AddSeries("s", 1)
-	if lines := strings.Count(p.String(), "\n"); lines < 5 {
-		t.Errorf("height clamp failed: %d lines", lines)
-	}
-}

@@ -209,6 +209,3 @@ func Ratio(num, den float64) float64 {
 	}
 	return num / den
 }
-
-// Pct returns 100*num/den with the same zero-denominator convention.
-func Pct(num, den float64) float64 { return 100 * Ratio(num, den) }

@@ -47,17 +47,6 @@ func (t *Table) AddSeparator() {
 	t.isSep = append(t.isSep, true)
 }
 
-// NumRows reports the number of data rows (separators excluded).
-func (t *Table) NumRows() int {
-	n := 0
-	for i := range t.rows {
-		if !t.isSep[i] {
-			n++
-		}
-	}
-	return n
-}
-
 func formatCell(c any) string {
 	switch v := c.(type) {
 	case float64:

@@ -14,17 +14,13 @@ import (
 // counters, position) lifted into a struct so it can pause at an
 // episode boundary.
 type session struct {
+	frontend.Replay
 	f     *Frontend
-	m     frontend.Metrics
 	cache *Cache
-	path  *frontend.ICPath
-	preds *frontend.PredictorSet
 	rf    *retireFill // PathAssoc only; carries a partial trace across episodes
 	// fill is the per-episode build scratch; dead between episodes.
-	fill       []traceInst
-	predDir    func(isa.Addr) bool
-	pos        int
-	inDelivery bool
+	fill    []traceInst
+	predDir func(isa.Addr) bool
 }
 
 // NewSession returns a cold-state incremental run.
@@ -34,40 +30,33 @@ func (f *Frontend) NewSession() frontend.Session {
 		panic(err) // geometry was validated at construction
 	}
 	s := &session{
-		f:     f,
-		cache: cache,
-		path:  frontend.NewICPath(f.fecfg, frontend.DefaultICConfig()),
-		preds: frontend.NewPredictorSet(),
-		fill:  make([]traceInst, 0, f.cfg.MaxUops),
+		Replay: frontend.NewReplay(f.fecfg, frontend.DefaultICConfig()),
+		f:      f,
+		cache:  cache,
+		fill:   make([]traceInst, 0, f.cfg.MaxUops),
 	}
 	if f.cfg.PathAssoc {
 		s.rf = &retireFill{cfg: f.cfg}
 	}
 	// Bound once so lookups do not allocate a closure per call.
-	s.predDir = func(ip isa.Addr) bool { return s.preds.Dir.Predict(ip) }
+	s.predDir = func(ip isa.Addr) bool { return s.Preds.Dir.Predict(ip) }
 	return s
 }
-
-// Pos returns the current record position.
-func (s *session) Pos() int { return s.pos }
-
-// Seek repositions without touching state.
-func (s *session) Seek(target int) { s.pos = target }
 
 // StepTo simulates delivery and build episodes until the position
 // reaches target, stopping only at episode boundaries.
 func (s *session) StepTo(recs []trace.Rec, target int) int {
-	f, m := s.f, &s.m
-	i := s.pos
+	f, m := s.f, &s.M
+	i := s.Pos()
 	//xbc:hot
 	for i < target && i < len(recs) {
 		ln, hit := s.cache.Lookup(recs[i].IP, s.predDir)
 		if hit {
-			if !s.inDelivery {
-				s.inDelivery = true
+			if !s.InDelivery {
+				s.InDelivery = true
 				m.ModeSwitches++
 			}
-			j := f.deliver(recs, i, ln, s.preds, m)
+			j := f.deliver(recs, i, ln, s.Preds, m)
 			if s.rf != nil {
 				for k := i; k < j; k++ {
 					s.rf.feed(recs[k], s.cache)
@@ -78,48 +67,33 @@ func (s *session) StepTo(recs []trace.Rec, target int) int {
 		}
 		// Build mode: decode from the IC path, assembling a trace.
 		m.StructMisses++
-		if s.inDelivery {
-			s.inDelivery = false
+		if s.InDelivery {
+			s.InDelivery = false
 			m.ModeSwitches++
 			// Falling out of delivery redirects fetch into the IC path.
 			m.PenaltyCycles += uint64(f.fecfg.BuildEntryPenalty)
 		}
-		j := f.build(recs, i, s.cache, s.path, s.preds, &s.fill, m)
+		j := f.build(recs, i, s.cache, s.Path, s.Preds, &s.fill, m)
 		if s.rf != nil {
 			// Keep the retirement fill aligned across build episodes.
 			s.rf.flush(s.cache)
 		}
 		i = j
 	}
-	s.pos = i
+	s.Seek(i)
 	return i
 }
 
-// Warm functionally warms predictors and IC over [pos, target).
-func (s *session) Warm(recs []trace.Rec, target int) {
-	frontend.WarmPath(s.path, s.preds, recs, s.pos, target)
-	s.pos = target
-}
-
-// Metrics returns the raw counters accumulated so far.
-func (s *session) Metrics() frontend.Metrics { return s.m }
-
 // Finish attaches the extras and finalizes.
 func (s *session) Finish() (frontend.Metrics, error) {
-	s.m.AddExtra("redundancy", s.cache.Redundancy())
-	s.m.AddExtra("fragmentation", s.cache.Fragmentation())
-	s.m.AddExtra("ic_miss_rate", s.path.MissRate())
-	s.m.Finalize(s.f.fecfg)
-	return s.m, nil
+	s.M.AddExtra("redundancy", s.cache.Redundancy())
+	s.M.AddExtra("fragmentation", s.cache.Fragmentation())
+	return s.Replay.Finish()
 }
 
 // SaveState serializes the complete session state.
 func (s *session) SaveState(w *snapshot.Writer) {
-	w.Int(s.pos)
-	w.Bool(s.inDelivery)
-	s.m.SaveState(w)
-	s.path.SaveState(w)
-	s.preds.SaveState(w)
+	s.Replay.SaveState(w)
 	s.cache.SaveState(w)
 	if s.rf != nil {
 		w.U64(uint64(s.rf.startIP))
@@ -134,18 +108,7 @@ func (s *session) SaveState(w *snapshot.Writer) {
 
 // LoadState restores state saved by SaveState.
 func (s *session) LoadState(r *snapshot.Reader) error {
-	s.pos = r.Int()
-	if r.Err() == nil && s.pos < 0 {
-		return fmt.Errorf("tcache: negative position %d", s.pos)
-	}
-	s.inDelivery = r.Bool()
-	if err := s.m.LoadState(r); err != nil {
-		return err
-	}
-	if err := s.path.LoadState(r); err != nil {
-		return err
-	}
-	if err := s.preds.LoadState(r); err != nil {
+	if err := s.Replay.LoadState(r); err != nil {
 		return err
 	}
 	if err := s.cache.LoadState(r); err != nil {

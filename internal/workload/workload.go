@@ -68,17 +68,6 @@ func All() []Workload {
 	return out
 }
 
-// BySuite returns the workloads of one suite.
-func BySuite(s Suite) []Workload {
-	var out []Workload
-	for _, w := range All() {
-		if w.Suite == s {
-			out = append(out, w)
-		}
-	}
-	return out
-}
-
 // ByName returns the named workload, or false when unknown.
 func ByName(name string) (Workload, bool) {
 	for _, w := range All() {

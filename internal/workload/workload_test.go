@@ -8,6 +8,26 @@ import (
 	"xbc/internal/trace"
 )
 
+// bySuite returns the workloads of one suite.
+func bySuite(s Suite) []Workload {
+	var out []Workload
+	for _, w := range All() {
+		if w.Suite == s {
+			out = append(out, w)
+		}
+	}
+	return out
+}
+
+func mustBuild(t *testing.T, spec program.Spec) *program.Program {
+	t.Helper()
+	p, err := program.Build(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
 func TestSuiteComposition(t *testing.T) {
 	all := All()
 	if len(all) != 21 {
@@ -59,7 +79,6 @@ func TestTablesHandOutCopies(t *testing.T) {
 		}
 	}
 	mutate(All()...)
-	mutate(BySuite(SPECint)...)
 	mutate(Micro()...)
 	Names()[2] = "changed"
 
@@ -75,7 +94,7 @@ func TestTablesHandOutCopies(t *testing.T) {
 }
 
 func TestBySuite(t *testing.T) {
-	if got := len(BySuite(Games)); got != 5 {
+	if got := len(bySuite(Games)); got != 5 {
 		t.Fatalf("games = %d", got)
 	}
 }
@@ -105,7 +124,7 @@ func TestSpecsAreDistinct(t *testing.T) {
 	// Per-workload jitter must make the programs differ.
 	seen := map[int]string{}
 	for _, w := range All() {
-		p := program.MustBuild(w.Spec)
+		p := mustBuild(t, w.Spec)
 		if prev, dup := seen[p.StaticUops()]; dup {
 			t.Errorf("workloads %s and %s have identical static size %d", prev, w.Name, p.StaticUops())
 		}
@@ -119,9 +138,9 @@ func TestSuiteFootprintOrdering(t *testing.T) {
 	// pressure.
 	meanStatic := func(s Suite) float64 {
 		var sum float64
-		ws := BySuite(s)
+		ws := bySuite(s)
 		for _, w := range ws {
-			sum += float64(program.MustBuild(w.Spec).StaticUops())
+			sum += float64(mustBuild(t, w.Spec).StaticUops())
 		}
 		return sum / float64(len(ws))
 	}
