@@ -1,7 +1,6 @@
 package xbc_test
 
 import (
-	"fmt"
 	"reflect"
 	"sort"
 	"testing"
@@ -14,9 +13,29 @@ import (
 // go and running it with snapshot round-trips in the middle must produce
 // bit-identical metrics. This is what makes warm-state snapshots safe to
 // substitute for re-simulated warmup: a restored session IS the session
-// that was saved, down to the last LRU stamp and history bit. The small
-// budget makes every structure evict before and after each cut.
+// that was saved, down to the last LRU stamp and history bit.
 func TestSessionRestoreContinueBitIdentical(t *testing.T) {
+	s := restoreStream(t)
+	for fn, mk := range goldenModels() {
+		t.Run(fn, func(t *testing.T) {
+			restoreContinue(t, mk(), s)
+		})
+	}
+}
+
+// TestSessionRestoreContinueSmallBudget is the same property at a 2048-uop
+// budget, which makes every structure evict before and after each cut.
+func TestSessionRestoreContinueSmallBudget(t *testing.T) {
+	s := restoreStream(t)
+	for fn, mk := range modelsAt(2048) {
+		t.Run(fn, func(t *testing.T) {
+			restoreContinue(t, mk(), s)
+		})
+	}
+}
+
+func restoreStream(t *testing.T) *xbc.Stream {
+	t.Helper()
 	w, ok := xbc.WorkloadByName("gcc")
 	if !ok {
 		t.Fatal("unknown workload gcc")
@@ -25,13 +44,7 @@ func TestSessionRestoreContinueBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, budget := range []int{32 * 1024, 2048} {
-		for fn, mk := range modelsAt(budget) {
-			t.Run(fmt.Sprintf("%s/%d", fn, budget), func(t *testing.T) {
-				restoreContinue(t, mk(), s)
-			})
-		}
-	}
+	return s
 }
 
 func restoreContinue(t *testing.T, fe xbc.Frontend, s *xbc.Stream) {
