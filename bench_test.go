@@ -2,10 +2,14 @@ package xbc_test
 
 import (
 	"fmt"
+	"sort"
 	"sync"
 	"testing"
 
 	"xbc"
+	"xbc/internal/frontend"
+	"xbc/internal/snapshot"
+	"xbc/internal/trace"
 )
 
 // The benchmark harness: one benchmark per table/figure of the paper
@@ -291,4 +295,72 @@ func BenchmarkContextSwitch(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// Warm-state snapshot layer: saving and restoring every goldenModels
+// session at the warm-up point a 200k-uop gcc job captures (100k uops),
+// the way the service does (jobspec.Execute). Each reports the sealed
+// blob's size as bytes/blob.
+
+// benchWarmSession returns a session of fe stepped to the 100k-uop
+// warm-up point of the gcc benchmark stream, and the stream's records.
+func benchWarmSession(b *testing.B, fe xbc.Frontend) (frontend.Session, []trace.Rec) {
+	recs := benchStream(b, "gcc").Records()
+	idx, uops := 0, 0
+	for ; idx < len(recs) && uops < 100_000; idx++ {
+		uops += int(recs[idx].NumUops)
+	}
+	ses := fe.NewSession()
+	ses.StepTo(recs, idx)
+	return ses, recs
+}
+
+func BenchmarkSnapshotSave(b *testing.B) {
+	for _, name := range sortedModelNames() {
+		b.Run(name, func(b *testing.B) {
+			ses, _ := benchWarmSession(b, goldenModels()[name]())
+			b.ReportAllocs()
+			var size int
+			for b.Loop() {
+				var w snapshot.Writer
+				ses.SaveState(&w)
+				size = len(w.Seal())
+			}
+			b.ReportMetric(float64(size), "bytes/blob")
+		})
+	}
+}
+
+func BenchmarkSnapshotRestore(b *testing.B) {
+	for _, name := range sortedModelNames() {
+		b.Run(name, func(b *testing.B) {
+			fe := goldenModels()[name]()
+			ses, _ := benchWarmSession(b, fe)
+			var w snapshot.Writer
+			ses.SaveState(&w)
+			blob := w.Seal()
+			b.ReportAllocs()
+			for b.Loop() {
+				payload, err := snapshot.Open(blob)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if err := fe.NewSession().LoadState(snapshot.NewReader(payload)); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(len(blob)), "bytes/blob")
+		})
+	}
+}
+
+// sortedModelNames lists goldenModels in a fixed order, so sub-benchmarks
+// run and report in the same order every time.
+func sortedModelNames() []string {
+	names := make([]string, 0, len(goldenModels()))
+	for n := range goldenModels() {
+		names = append(names, n)
+	}
+	sort.Strings(names)
+	return names
 }

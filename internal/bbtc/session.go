@@ -98,19 +98,23 @@ func (s *session) Finish() (frontend.Metrics, error) {
 // SaveState serializes the complete session state.
 func (s *session) SaveState(w *snapshot.Writer) {
 	s.Replay.SaveState(w)
-	s.blocks.SaveState(w, func(w *snapshot.Writer, b *block) {
+	s.blocks.SaveState(w, func(w *snapshot.Writer, key uint32, b *block) {
 		w.Int(b.uops)
 		w.Len(len(b.insts))
+		prev := isa.Addr(key)
 		for _, e := range b.insts {
-			w.U64(uint64(e.ip))
+			w.AddrFrom(prev, e.ip)
 			w.U8(e.numUops)
 			w.U8(uint8(e.class))
+			prev = e.ip
 		}
 	})
-	s.traces.SaveState(w, func(w *snapshot.Writer, t *[]isa.Addr) {
+	s.traces.SaveState(w, func(w *snapshot.Writer, key uint32, t *[]isa.Addr) {
 		w.Len(len(*t))
+		prev := isa.Addr(key)
 		for _, b := range *t {
-			w.U64(uint64(b))
+			w.AddrFrom(prev, b)
+			prev = b
 		}
 	})
 }
@@ -120,9 +124,9 @@ func (s *session) LoadState(r *snapshot.Reader) error {
 	if err := s.Replay.LoadState(r); err != nil {
 		return err
 	}
-	err := s.blocks.LoadState(r, func(r *snapshot.Reader, b *block) error {
+	err := s.blocks.LoadState(r, func(r *snapshot.Reader, key uint32, b *block) error {
 		b.uops = r.Int()
-		n := r.Len(10)
+		n := r.Len(3) // one-byte address delta, numUops and class per element
 		if err := r.Err(); err != nil {
 			return err
 		}
@@ -130,20 +134,19 @@ func (s *session) LoadState(r *snapshot.Reader) error {
 			return fmt.Errorf("bbtc: block holds %d insts, cap %d", n, s.f.cfg.BlockUops)
 		}
 		b.insts = b.insts[:0]
+		prev := isa.Addr(key)
 		for j := 0; j < n; j++ {
-			b.insts = append(b.insts, blockInst{
-				ip:      r.Addr(),
-				numUops: r.U8(),
-				class:   isa.Class(r.U8()),
-			})
+			e := blockInst{ip: r.AddrFrom(prev), numUops: r.U8(), class: isa.Class(r.U8())}
+			b.insts = append(b.insts, e)
+			prev = e.ip
 		}
 		return nil
 	})
 	if err != nil {
 		return err
 	}
-	return s.traces.LoadState(r, func(r *snapshot.Reader, t *[]isa.Addr) error {
-		n := r.Len(8)
+	return s.traces.LoadState(r, func(r *snapshot.Reader, key uint32, t *[]isa.Addr) error {
+		n := r.Len(1) // one-byte address deltas
 		if err := r.Err(); err != nil {
 			return err
 		}
@@ -151,8 +154,10 @@ func (s *session) LoadState(r *snapshot.Reader) error {
 			return fmt.Errorf("bbtc: trace holds %d pointers, cap %d", n, s.f.cfg.PtrsPerTrace)
 		}
 		*t = (*t)[:0]
+		prev := isa.Addr(key)
 		for j := 0; j < n; j++ {
-			*t = append(*t, r.Addr())
+			prev = r.AddrFrom(prev)
+			*t = append(*t, prev)
 		}
 		return nil
 	})

@@ -18,7 +18,7 @@ import (
 func (g *Gshare) SaveState(w *snapshot.Writer) {
 	w.U64(uint64(g.histBits))
 	w.U64(g.hist)
-	w.U8s(g.table)
+	w.Counters(g.table)
 }
 
 // LoadState restores state saved by SaveState into a same-geometry
@@ -28,18 +28,18 @@ func (g *Gshare) LoadState(r *snapshot.Reader) error {
 		return fmt.Errorf("bpred: gshare history %d, want %d", hb, g.histBits)
 	}
 	g.hist = r.U64()
-	r.U8sInto(g.table)
+	r.CountersInto(g.table)
 	return r.Err()
 }
 
 // SaveState appends the predictor's dynamic state.
 func (b *Bimodal) SaveState(w *snapshot.Writer) {
-	w.U8s(b.table)
+	w.Counters(b.table)
 }
 
 // LoadState restores state saved by SaveState.
 func (b *Bimodal) LoadState(r *snapshot.Reader) error {
-	r.U8sInto(b.table)
+	r.CountersInto(b.table)
 	return r.Err()
 }
 
@@ -47,7 +47,7 @@ func (b *Bimodal) LoadState(r *snapshot.Reader) error {
 func (t *Tournament) SaveState(w *snapshot.Writer) {
 	t.gshare.SaveState(w)
 	t.bimodal.SaveState(w)
-	w.U8s(t.choice)
+	w.Counters(t.choice)
 }
 
 // LoadState restores state saved by SaveState.
@@ -58,7 +58,7 @@ func (t *Tournament) LoadState(r *snapshot.Reader) error {
 	if err := t.bimodal.LoadState(r); err != nil {
 		return err
 	}
-	r.U8sInto(t.choice)
+	r.CountersInto(t.choice)
 	return r.Err()
 }
 
@@ -117,32 +117,49 @@ func LoadDir(r *snapshot.Reader, d DirPredictor) error {
 	}
 }
 
-// SaveState appends the BTB's dynamic state.
+// SaveState appends the BTB's dynamic state: its LRU clock, the bitmap
+// of valid entries, and each valid entry's tag, target (as a delta from
+// the tag), class and age (clock minus stamp).
 func (b *BTB) SaveState(w *snapshot.Writer) {
-	w.Len(len(b.data))
-	for _, e := range b.data {
-		w.U64(uint64(e.Tag))
-		w.U64(uint64(e.Target))
-		w.U8(uint8(e.Class))
-		w.Bool(e.Valid)
-	}
-	w.U64s(b.clock)
 	w.U64(b.tick)
+	w.Sparse(len(b.data), func(i int) bool { return b.data[i].Valid })
+	for i, e := range b.data {
+		if !e.Valid {
+			continue
+		}
+		w.U64(uint64(e.Tag))
+		w.AddrFrom(e.Tag, e.Target)
+		w.U8(uint8(e.Class))
+		w.U64(b.tick - b.clock[i])
+	}
 }
 
-// LoadState restores state saved by SaveState into a same-geometry BTB.
+// LoadState restores state saved by SaveState into a same-geometry BTB,
+// leaving every invalid entry as a fresh BTB has it.
 func (b *BTB) LoadState(r *snapshot.Reader) error {
-	r.LenExact(len(b.data))
-	for i := range b.data {
-		b.data[i] = BTBEntry{
-			Tag:    r.Addr(),
-			Target: r.Addr(),
-			Class:  isa.Class(r.U8()),
-			Valid:  r.Bool(),
-		}
-	}
-	r.U64sInto(b.clock)
 	b.tick = r.U64()
+	valid := r.Sparse(len(b.data), 4) // one-byte tag, target, class and age
+	for i := range b.data {
+		if !valid.Has(i) {
+			b.data[i], b.clock[i] = BTBEntry{}, 0
+			continue
+		}
+		tag := r.Addr()
+		b.data[i] = BTBEntry{
+			Tag:    tag,
+			Target: r.AddrFrom(tag),
+			Class:  isa.Class(r.U8()),
+			Valid:  true,
+		}
+		age := r.U64()
+		if err := r.Err(); err != nil {
+			return err
+		}
+		if age > b.tick {
+			return fmt.Errorf("bpred: BTB entry %d is %d accesses old, clock %d", i, age, b.tick)
+		}
+		b.clock[i] = b.tick - age
+	}
 	return r.Err()
 }
 
@@ -173,27 +190,32 @@ func (s *RAS) LoadState(r *snapshot.Reader) error {
 	return nil
 }
 
-// SaveState appends the indirect predictor's dynamic state.
+// SaveState appends the indirect predictor's dynamic state: its history,
+// the bitmap of valid entries, and each valid entry's tag and target (as
+// a delta from the tag).
 func (p *IndirectPredictor) SaveState(w *snapshot.Writer) {
 	w.U64(p.hist)
-	w.Len(len(p.entries))
+	w.Sparse(len(p.entries), func(i int) bool { return p.entries[i].valid })
 	for _, e := range p.entries {
-		w.U64(uint64(e.tag))
-		w.U64(uint64(e.target))
-		w.Bool(e.valid)
+		if e.valid {
+			w.U64(uint64(e.tag))
+			w.AddrFrom(e.tag, e.target)
+		}
 	}
 }
 
 // LoadState restores state saved by SaveState into a same-geometry
-// predictor.
+// predictor, leaving every invalid entry as a fresh predictor has it.
 func (p *IndirectPredictor) LoadState(r *snapshot.Reader) error {
 	p.hist = r.U64()
-	r.LenExact(len(p.entries))
+	valid := r.Sparse(len(p.entries), 2) // one-byte tag and target
 	for i := range p.entries {
-		e := &p.entries[i]
-		e.tag = r.Addr()
-		e.target = r.Addr()
-		e.valid = r.Bool()
+		if !valid.Has(i) {
+			p.entries[i] = indirectEntry{}
+			continue
+		}
+		tag := r.Addr()
+		p.entries[i] = indirectEntry{tag: tag, target: r.AddrFrom(tag), valid: true}
 	}
 	return r.Err()
 }

@@ -246,8 +246,8 @@ func TestStateRoundTrip(t *testing.T) {
 		*tb.Insert(k) = uint8(k)
 		tb.Lookup(k / 2)
 	}
-	save := func(w *snapshot.Writer, p *uint8) { w.U8(*p) }
-	load := func(r *snapshot.Reader, p *uint8) error { *p = r.U8(); return nil }
+	save := func(w *snapshot.Writer, _ uint32, p *uint8) { w.U8(*p) }
+	load := func(r *snapshot.Reader, _ uint32, p *uint8) error { *p = r.U8(); return nil }
 	var w snapshot.Writer
 	tb.SaveState(&w, save)
 
@@ -261,8 +261,10 @@ func TestStateRoundTrip(t *testing.T) {
 	if err := NewTable[uint8](2, 2, 1).LoadState(snapshot.NewReader(w.Bytes()), load); err == nil {
 		t.Fatal("restore into a smaller geometry succeeded")
 	}
-	if err := NewTable[uint8](4, 2, 1).LoadState(snapshot.NewReader(w.Bytes()[:30]), load); err == nil {
-		t.Fatal("restore from a truncated payload succeeded")
+	for cut := range len(w.Bytes()) {
+		if err := NewTable[uint8](4, 2, 1).LoadState(snapshot.NewReader(w.Bytes()[:cut]), load); err == nil {
+			t.Fatalf("restore from a payload truncated to %d bytes succeeded", cut)
+		}
 	}
 }
 

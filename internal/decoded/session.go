@@ -143,13 +143,15 @@ func (s *session) Finish() (frontend.Metrics, error) {
 // SaveState serializes the complete session state.
 func (s *session) SaveState(w *snapshot.Writer) {
 	s.Replay.SaveState(w)
-	s.lines.SaveState(w, func(w *snapshot.Writer, ln *line) {
+	s.lines.SaveState(w, func(w *snapshot.Writer, key uint32, ln *line) {
 		w.Int(ln.uops)
 		w.Len(len(ln.insts))
+		prev := isa.Addr(key)
 		for _, e := range ln.insts {
-			w.U64(uint64(e.ip))
+			w.AddrFrom(prev, e.ip)
 			w.U8(e.numUops)
 			w.U8(uint8(e.class))
+			prev = e.ip
 		}
 	})
 }
@@ -159,9 +161,9 @@ func (s *session) LoadState(r *snapshot.Reader) error {
 	if err := s.Replay.LoadState(r); err != nil {
 		return err
 	}
-	return s.lines.LoadState(r, func(r *snapshot.Reader, ln *line) error {
+	return s.lines.LoadState(r, func(r *snapshot.Reader, key uint32, ln *line) error {
 		ln.uops = r.Int()
-		n := r.Len(10) // 8-byte ip + numUops + class per element
+		n := r.Len(3) // one-byte address delta, numUops and class per element
 		if err := r.Err(); err != nil {
 			return err
 		}
@@ -169,12 +171,11 @@ func (s *session) LoadState(r *snapshot.Reader) error {
 			return fmt.Errorf("decoded: line holds %d insts, cap %d", n, s.f.cfg.LineUops)
 		}
 		ln.insts = ln.insts[:0]
+		prev := isa.Addr(key)
 		for j := 0; j < n; j++ {
-			ln.insts = append(ln.insts, lineInst{
-				ip:      r.Addr(),
-				numUops: r.U8(),
-				class:   isa.Class(r.U8()),
-			})
+			e := lineInst{ip: r.AddrFrom(prev), numUops: r.U8(), class: isa.Class(r.U8())}
+			ln.insts = append(ln.insts, e)
+			prev = e.ip
 		}
 		return nil
 	})

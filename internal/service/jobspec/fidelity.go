@@ -161,19 +161,21 @@ func saveWarm(ses frontend.Session, recs []trace.Rec, uops uint64) ([]byte, bool
 	ses.StepTo(recs, warmIdx)
 	var w snapshot.Writer
 	ses.SaveState(&w)
-	return snapshot.Seal(w.Bytes()), true
+	return w.Seal(), true
 }
 
 // restoreSession opens and decodes a snapshot blob into a fresh session,
-// returning nil if the blob is unusable (corrupt, version-skewed, or
-// positioned at or beyond this run's end).
+// returning nil if the blob is unusable (corrupt, version-skewed, longer
+// than the state it decodes to, or positioned at or beyond this run's
+// end).
 func restoreSession(fe frontend.Frontend, blob []byte, limit int) frontend.Session {
 	payload, err := snapshot.Open(blob)
 	if err != nil {
 		return nil
 	}
 	ses := fe.NewSession()
-	if err := ses.LoadState(snapshot.NewReader(payload)); err != nil {
+	r := snapshot.NewReader(payload)
+	if err := ses.LoadState(r); err != nil || r.Remaining() != 0 {
 		return nil
 	}
 	if pos := ses.Pos(); pos <= 0 || pos >= limit {

@@ -151,6 +151,35 @@ func TestExecuteSnapshotRoundTrip(t *testing.T) {
 	}
 }
 
+// TestRestoreSessionRefusesTrailingBytes: a sealed payload that decodes
+// to a state but does not end there (a blob of a format whose shape moved
+// without a version bump, say) is refused rather than restored.
+func TestRestoreSessionRefusesTrailingBytes(t *testing.T) {
+	n := Spec{Frontend: KindTC, Workload: "gcc", Uops: 60_000}.Normalize()
+	st, err := corpus.Stream(*n.Program, n.Uops)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fe, err := n.NewFrontend()
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob, ok := saveWarm(fe.NewSession(), st.Recs, n.Uops)
+	if !ok {
+		t.Fatal("no warm state inside the run")
+	}
+	if restoreSession(fe, blob, len(st.Recs)) == nil {
+		t.Fatal("the saved blob does not restore")
+	}
+	payload, err := snapshot.Open(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if restoreSession(fe, snapshot.Seal(append(payload[:len(payload):len(payload)], 0)), len(st.Recs)) != nil {
+		t.Fatal("a payload with a trailing byte restored")
+	}
+}
+
 // TestExecuteCheckedBypassesSnapshots: a checked run takes the same
 // session path as every full run, with the snapshot manager detached, so
 // the checker observes the whole run. An attached manager must see no

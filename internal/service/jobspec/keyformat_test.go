@@ -52,7 +52,7 @@ func TestSnapshotKeyFormat(t *testing.T) {
 		Warmup  uint64 `json:"warmup"`
 		Version uint32 `json:"version"`
 	}{Spec{Frontend: KindXBC, Program: &doom.Spec, Budget: DefaultBudget}, 20_000, snapshot.Version})
-	const pinned = "007752b5e4656db0e78b8155b924defbe672ebd31fe395395dfa94fb7f67e7e9"
+	const pinned = "d6539e1432c5ae08ebaa37e5568190e89cc0b46c2665481afacfbb4edb0370b6"
 	got, err := formatSpec().SnapshotKey()
 	if err != nil {
 		t.Fatal(err)

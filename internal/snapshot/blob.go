@@ -18,20 +18,33 @@ const (
 	// Version is the snapshot format version. It must be bumped whenever
 	// any SaveState encoding in the tree changes shape, so stale persisted
 	// snapshots are rejected instead of misdecoded.
-	Version = 2
+	Version = 3
 
 	magic      = "XBSS"
 	headerSize = 4 + 4 + 4 + 4 // magic, version, payload length, CRC-32
 )
 
-// Seal wraps an encoded payload in the versioned, checksummed envelope.
-func Seal(payload []byte) []byte {
-	out := make([]byte, headerSize, headerSize+len(payload))
+// Seal fills the envelope header the Writer reserved in front of its
+// payload and returns the sealed blob, which shares the Writer's buffer:
+// a save allocates and fills its blob once. The Writer must not be
+// written to afterwards.
+func (w *Writer) Seal() []byte {
+	out := w.grow()
+	payload := out[headerSize:]
 	copy(out, magic)
 	binary.LittleEndian.PutUint32(out[4:], Version)
 	binary.LittleEndian.PutUint32(out[8:], uint32(len(payload)))
 	binary.LittleEndian.PutUint32(out[12:], crc32.ChecksumIEEE(payload))
-	return append(out, payload...)
+	return out
+}
+
+// Seal wraps a payload held outside a Writer in the envelope, copying it
+// once into a Writer's buffer; sessions saving through a Writer seal it
+// directly instead.
+func Seal(payload []byte) []byte {
+	w := Writer{buf: make([]byte, headerSize, headerSize+len(payload))}
+	w.buf = append(w.buf, payload...)
+	return w.Seal()
 }
 
 // Open validates the envelope and returns the payload. Any defect —

@@ -17,8 +17,8 @@ func FuzzOpen(f *testing.F) {
 	var w Writer
 	w.U64(42)
 	w.String("seed")
-	w.U64s([]uint64{1, 2, 3})
-	sealed := Seal(w.Bytes())
+	w.Counters([]uint8{1, 2, 3})
+	sealed := w.Seal()
 	f.Add(sealed)
 	// Version skew: future version field.
 	skew := append([]byte(nil), sealed...)
@@ -42,9 +42,11 @@ func FuzzOpen(f *testing.F) {
 }
 
 // FuzzReader drives the codec reader with arbitrary payloads through a
-// fixed read script covering every decoder. The invariant is memory
-// safety plus error latching: once Err() is non-nil every later read
-// returns a zero value and the error never clears.
+// fixed read script covering every decoder. The invariants are memory
+// safety, error latching (once Err() is non-nil every later read returns
+// a zero value and the error never clears) and one encoding per value: a
+// payload the script reads without error is exactly what writing the
+// values back produces.
 func FuzzReader(f *testing.F) {
 	var w Writer
 	w.U64(7)
@@ -55,9 +57,13 @@ func FuzzReader(f *testing.F) {
 	w.Bool(true)
 	w.F64(3.5)
 	w.U64(0x1000) // an address
-	w.U64s([]uint64{4, 5})
-	w.U8s([]uint8{6})
+	w.AddrFrom(0x1000, 0xff0)
+	w.Counters([]uint8{3, 1, 2, 0, 1})
 	w.Bools([]bool{true, false})
+	w.Sparse(10, func(i int) bool { return i%3 == 0 })
+	for _, v := range []uint64{0, 300, 1, 1 << 40} {
+		w.U64(v) // the four valid entries
+	}
 	w.StringMapF64(map[string]float64{"a": 1})
 	w.String("tail")
 	f.Add(w.Bytes())
@@ -66,26 +72,56 @@ func FuzzReader(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		r := NewReader(payload)
-		_ = r.U64()
-		_ = r.U32()
-		_ = r.U8()
-		_ = r.I64()
-		_ = r.Int()
-		_ = r.Bool()
-		_ = r.F64()
-		_ = r.Addr()
-		_ = r.U64s()
-		_ = r.U8s()
+		u64, u32, u8 := r.U64(), r.U32(), r.U8()
+		i64, n, b := r.I64(), r.Int(), r.Bool()
+		f64, addr := r.F64(), r.Addr()
+		near := r.AddrFrom(0x1000)
+		var counters [5]uint8
+		r.CountersInto(counters[:])
+		for _, c := range counters {
+			if c > 3 {
+				t.Fatalf("counter decoded as %d", c)
+			}
+		}
 		var bools [2]bool
 		r.BoolsInto(bools[:])
-		_ = r.StringMapF64()
-		_ = r.String()
+		valid := r.Sparse(10, 1)
+		var entries []uint64
+		for i := 0; i < 10; i++ {
+			if valid.Has(i) {
+				entries = append(entries, r.U64())
+			}
+		}
+		m := r.StringMapF64()
+		str := r.String()
 		if err := r.Err(); err != nil {
 			// Latched: further reads must keep failing with the same error.
 			_ = r.U64()
 			if r.Err() != err {
 				t.Fatalf("error not latched: %v -> %v", err, r.Err())
 			}
+			return
+		}
+		var w Writer
+		w.U64(u64)
+		w.U32(u32)
+		w.U8(u8)
+		w.I64(i64)
+		w.Int(n)
+		w.Bool(b)
+		w.F64(f64)
+		w.U64(uint64(addr))
+		w.AddrFrom(0x1000, near)
+		w.Counters(counters[:])
+		w.Bools(bools[:])
+		w.Sparse(10, valid.Has)
+		for _, e := range entries {
+			w.U64(e)
+		}
+		w.StringMapF64(m)
+		w.String(str)
+		if read := payload[:len(payload)-r.Remaining()]; !bytes.Equal(w.Bytes(), read) {
+			t.Fatalf("payload % x re-encodes as % x", read, w.Bytes())
 		}
 	})
 }

@@ -99,10 +99,7 @@ func (s *session) SaveState(w *snapshot.Writer) {
 		w.U64(uint64(s.rf.startIP))
 		w.Int(s.rf.uops)
 		w.Int(s.rf.branches)
-		w.Len(len(s.rf.buf))
-		for _, ti := range s.rf.buf {
-			saveTraceInst(w, ti)
-		}
+		saveTraceInsts(w, s.rf.startIP, s.rf.buf)
 	}
 }
 
@@ -118,35 +115,53 @@ func (s *session) LoadState(r *snapshot.Reader) error {
 		s.rf.startIP = r.Addr()
 		s.rf.uops = r.Int()
 		s.rf.branches = r.Int()
-		n := r.Len(11)
-		if err := r.Err(); err != nil {
+		buf, err := loadTraceInsts(r, s.rf.startIP, s.rf.buf[:0], s.f.cfg.MaxUops, "fill buffer")
+		if err != nil {
 			return err
 		}
-		if n > s.f.cfg.MaxUops {
-			return fmt.Errorf("tcache: fill buffer holds %d insts, cap %d", n, s.f.cfg.MaxUops)
-		}
-		s.rf.buf = s.rf.buf[:0]
-		for j := 0; j < n; j++ {
-			s.rf.buf = append(s.rf.buf, loadTraceInst(r))
-		}
+		s.rf.buf = buf
 	}
 	return r.Err()
 }
 
-func saveTraceInst(w *snapshot.Writer, ti traceInst) {
-	w.U64(uint64(ti.ip))
-	w.U8(ti.numUops)
-	w.U8(uint8(ti.class))
-	w.Bool(ti.taken)
+// saveTraceInsts appends a length-prefixed instruction list, each address
+// as a delta from the one before it (the first from start, the address
+// the trace starts at).
+func saveTraceInsts(w *snapshot.Writer, start isa.Addr, insts []traceInst) {
+	w.Len(len(insts))
+	prev := start
+	for _, ti := range insts {
+		w.AddrFrom(prev, ti.ip)
+		w.U8(ti.numUops)
+		w.U8(uint8(ti.class))
+		w.Bool(ti.taken)
+		prev = ti.ip
+	}
 }
 
-func loadTraceInst(r *snapshot.Reader) traceInst {
-	return traceInst{
-		ip:      r.Addr(),
-		numUops: r.U8(),
-		class:   isa.Class(r.U8()),
-		taken:   r.Bool(),
+// loadTraceInsts appends a list written by saveTraceInsts from the same
+// start to dst; what names the list in the error for one longer than
+// limit.
+func loadTraceInsts(r *snapshot.Reader, start isa.Addr, dst []traceInst, limit int, what string) ([]traceInst, error) {
+	n := r.Len(4) // one-byte address delta and three bytes per element
+	if err := r.Err(); err != nil {
+		return dst, err
 	}
+	if n > limit {
+		return dst, fmt.Errorf("tcache: %s holds %d insts, cap %d", what, n, limit)
+	}
+	prev := start
+	for j := 0; j < n; j++ {
+		ti := traceInst{
+			ip:      r.AddrFrom(prev),
+			numUops: r.U8(),
+			class:   isa.Class(r.U8()),
+			taken:   r.Bool(),
+		}
+		dst = append(dst, ti)
+		prev = ti.ip
+	}
+	return dst, r.Err()
 }
 
 // SaveState appends the cache's dynamic state. The redundancy accounting
@@ -157,53 +172,55 @@ func (c *Cache) SaveState(w *snapshot.Writer) {
 	w.U64(c.tick)
 	w.U64(c.Lookups)
 	w.U64(c.Hits)
-	w.Len(len(c.lines))
+	w.Sparse(len(c.lines), func(k int) bool { return c.lines[k].valid })
 	for k := range c.lines {
 		ln := &c.lines[k]
-		w.Bool(ln.valid)
+		if !ln.valid {
+			continue
+		}
 		w.U64(uint64(ln.startIP))
 		w.U32(ln.path)
 		w.U8(ln.nbr)
 		w.Int(ln.uops)
-		w.U64(ln.stamp)
-		w.Len(len(ln.insts))
-		for _, ti := range ln.insts {
-			saveTraceInst(w, ti)
-		}
+		w.U64(c.tick - ln.stamp)
+		saveTraceInsts(w, ln.startIP, ln.insts)
 	}
 }
 
 // LoadState restores state saved by SaveState into a same-geometry
-// cache, rebuilding the redundancy accounting from the line contents.
+// cache, rebuilding the redundancy accounting from the line contents and
+// leaving every invalid line as a fresh cache has it.
 func (c *Cache) LoadState(r *snapshot.Reader) error {
 	c.tick = r.U64()
 	c.Lookups = r.U64()
 	c.Hits = r.U64()
-	r.LenExact(len(c.lines))
+	valid := r.Sparse(len(c.lines), 6) // one-byte startIP, path, nbr, uops, age and length
 	c.storedUops, c.copiedInsts, c.totalCopies = 0, 0, 0
 	clear(c.copies)
 	for k := range c.lines {
 		ln := &c.lines[k]
-		ln.valid = r.Bool()
+		if !valid.Has(k) {
+			*ln = line{}
+			continue
+		}
+		ln.valid = true
 		ln.startIP = r.Addr()
 		ln.path = r.U32()
 		ln.nbr = r.U8()
 		ln.uops = r.Int()
-		ln.stamp = r.U64()
-		n := r.Len(11)
+		age := r.U64()
 		if err := r.Err(); err != nil {
 			return err
 		}
-		if n > c.cfg.MaxUops {
-			return fmt.Errorf("tcache: line holds %d insts, cap %d", n, c.cfg.MaxUops)
+		if age > c.tick {
+			return fmt.Errorf("tcache: line %d is %d accesses old, clock %d", k, age, c.tick)
 		}
-		ln.insts = ln.insts[:0]
-		for j := 0; j < n; j++ {
-			ln.insts = append(ln.insts, loadTraceInst(r))
+		ln.stamp = c.tick - age
+		insts, err := loadTraceInsts(r, ln.startIP, ln.insts[:0], c.cfg.MaxUops, "line")
+		if err != nil {
+			return err
 		}
-		if !ln.valid {
-			continue
-		}
+		ln.insts = insts
 		c.storedUops += ln.uops
 		for _, ti := range ln.insts {
 			if c.copies[ti.ip] == 0 {

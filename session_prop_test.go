@@ -1,11 +1,14 @@
 package xbc_test
 
 import (
+	"bytes"
+	"fmt"
 	"reflect"
 	"sort"
 	"testing"
 
 	"xbc"
+	"xbc/internal/frontend"
 	"xbc/internal/snapshot"
 )
 
@@ -60,13 +63,17 @@ func restoreContinue(t *testing.T, fe xbc.Frontend, s *xbc.Stream) {
 		ses.StepTo(recs, cut)
 		var sw snapshot.Writer
 		ses.SaveState(&sw)
-		payload, err := snapshot.Open(snapshot.Seal(sw.Bytes()))
+		payload, err := snapshot.Open(sw.Seal())
 		if err != nil {
 			t.Fatalf("reopen sealed snapshot: %v", err)
 		}
 		restored := fe.NewSession()
-		if err := restored.LoadState(snapshot.NewReader(payload)); err != nil {
+		r := snapshot.NewReader(payload)
+		if err := restored.LoadState(r); err != nil {
 			t.Fatalf("restore at %d: %v", cut, err)
+		}
+		if r.Remaining() != 0 {
+			t.Fatalf("restore at %d left %d of %d payload bytes unread", cut, r.Remaining(), len(payload))
 		}
 		if restored.Pos() != ses.Pos() {
 			t.Fatalf("restore at %d: pos %d, saved %d", cut, restored.Pos(), ses.Pos())
@@ -82,6 +89,46 @@ func restoreContinue(t *testing.T, fe xbc.Frontend, s *xbc.Stream) {
 	if !reflect.DeepEqual(metricsToGolden(ref), metricsToGolden(got)) {
 		t.Errorf("split run diverged from uninterrupted run\nref: %+v\ngot: %+v",
 			metricsToGolden(ref), metricsToGolden(got))
+	}
+}
+
+// The snapshot encoding loses nothing and keeps nothing stale: a payload
+// restored into a session and saved again is byte-identical to itself,
+// both when the restoring session is fresh and when it has run over the
+// whole stream first, so every table entry the payload marks invalid had
+// to be reset by the restore. Sparse tables only write their valid
+// entries, so a field dropped on save or an entry left behind on load
+// shows here as differing bytes.
+func TestSessionSaveLoadSaveIdentical(t *testing.T) {
+	s := restoreStream(t)
+	recs := s.Records()
+	for _, budget := range []int{32 * 1024, 2048} {
+		for fn, mk := range modelsAt(budget) {
+			t.Run(fmt.Sprintf("%s/%d", fn, budget), func(t *testing.T) {
+				fe := mk()
+				for _, cut := range []int{len(recs) / 3, 2 * len(recs) / 3} {
+					ses := fe.NewSession()
+					ses.StepTo(recs, cut)
+					var sw snapshot.Writer
+					ses.SaveState(&sw)
+					saved := sw.Bytes()
+
+					fresh, dirty := fe.NewSession(), fe.NewSession()
+					dirty.StepTo(recs, len(recs))
+					for name, into := range map[string]frontend.Session{"fresh": fresh, "dirty": dirty} {
+						if err := into.LoadState(snapshot.NewReader(saved)); err != nil {
+							t.Fatalf("cut %d, %s: restore: %v", cut, name, err)
+						}
+						var again snapshot.Writer
+						into.SaveState(&again)
+						if !bytes.Equal(again.Bytes(), saved) {
+							t.Fatalf("cut %d, %s: re-saved payload differs (%d bytes, first %d)",
+								cut, name, len(again.Bytes()), len(saved))
+						}
+					}
+				}
+			})
+		}
 	}
 }
 
